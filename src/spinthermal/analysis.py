@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .concurrence import closed_form_xstate, concurrence_closed_form
+from .concurrence import closed_route
 from .errors import InvalidGrid, InvalidTemperature, NoRoot, OutOfDomain
 from .spinmodel import ModelSpec
 
@@ -229,18 +229,15 @@ def field_curves_half(p: float) -> FieldCurves:
 def zero_temperature_concurrence(delta: float, B: float, J: float = 1.0) -> float:
     """Zero-temperature concurrence limit of the antiferromagnetic ring.
 
-    Piecewise in the gap ``delta - (|B|/J - 1/2)``: 1/3 above it (the
-    ground doublet), 2/9 on it (the ground triplet, detected within
-    1e-9), 0 below it (nondegenerate polarized ground state).  Assumes a
-    nonzero field; at exactly ``B = 0`` the ground degeneracy doubles
-    and the true limit is 0 instead.
+    The concurrence of the equal mixture over the degenerate ground
+    group, :func:`~spinthermal.concurrence.closed_route` at ``T = 0``.
+    In a field it is 1/3 for ``delta > |B|/J - 1/2`` (the ground
+    doublet), 2/9 on that line (the ground triplet) and 0 below it
+    (nondegenerate polarized ground state).
     """
     if J <= 0.0:
         raise ValueError(f"the limit is for antiferromagnetic J > 0, got {J}")
-    gap = delta - (abs(B) / J - 0.5)
-    if abs(gap) <= 1e-9:
-        return 2.0 / 9.0
-    return 1.0 / 3.0 if gap > 0.0 else 0.0
+    return closed_route(J, delta, B, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +268,12 @@ class SweepConfig:
     """Grid specification for :func:`sweep`.
 
     ``model`` fixes the variant and any non-swept couplings; ``T`` fixes
-    the temperature unless ``T`` is an axis; ``emit`` optionally selects
-    which record fields downstream emitters keep (the records themselves
-    always carry everything).
+    the temperature unless ``T`` is an axis.
     """
 
     model: ModelSpec
     axes: tuple[SweepAxis, ...]
     T: Optional[float] = None
-    emit: Optional[tuple[str, ...]] = None
 
 
 def _validate_sweep(config: SweepConfig) -> None:
@@ -349,23 +343,26 @@ def sweep(config: SweepConfig) -> list[dict]:
         coords.reverse()
         point = {name: grids[i][coords[i]] for i, name in enumerate(names)}
         T = point.pop("T", config.T)
+        if not T > 0.0:
+            raise InvalidTemperature(f"sweep temperatures must be > 0, got {T}")
         model = replace(config.model, **point) if point else config.model
         J, delta, B = model.closed_form_params()
-        params = closed_form_xstate(J, delta, B, T)
+        C, Z, *_ = closed_route(J, delta, B, T)
+        z = _scaled_power(J / T, 1.0)
         if model.variant == "xx":
-            witness = xx_region(math.exp(J / T)).witness
+            witness = xx_region(z).witness
         elif model.variant == "xxz":
-            witness = xxz_region(delta, math.exp(J / T)).witness
+            witness = xxz_region(delta, z).witness
         else:
-            witness = field_region(delta, math.exp(J / T), B / T).witness
+            witness = field_region(delta, z, B / T).witness
         record: dict = {"T": T, "J": J}
         if model.variant in ("xxz", "xxzfield"):
             record["delta"] = delta
         if model.variant == "xxzfield":
             record["B"] = B
-        record["C"] = concurrence_closed_form(model, T)
+        record["C"] = C
         record["witness"] = witness
-        record["Z"] = params.Z
+        record["Z"] = Z
         if model.variant in ("xx", "xxz"):
             record["T_c"] = _critical_temperature(model)
         records.append(record)

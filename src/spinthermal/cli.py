@@ -30,9 +30,10 @@ flags; flags win.  Config layout::
 
 Results are emitted as CSV (header row, comma separated, LF endings) or
 JSON (one object with ``meta`` and ``rows``), always with 12 significant
-digits, to ``--out`` or stdout.  Identical configs produce byte-identical
-output.  Exit codes: 0 ok, 1 verification failure, 2 config error,
-3 numeric failure.
+digits, to ``--out`` or stdout; a partition function beyond the float
+range is printed as ``inf`` (``Infinity`` in JSON).  Identical configs
+produce byte-identical output.  Exit codes: 0 ok, 1 verification
+failure, 2 config error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -223,26 +224,17 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def build_model(model_fields: dict) -> spinmodel.ModelSpec:
-    """Turn the raw [model] mapping into a validated :class:`ModelSpec`."""
+    """Validated :class:`ModelSpec` of the raw [model] mapping, minus unused fields."""
     if "model" not in model_fields:
         raise ValidationError("missing model field: model")
     variant = model_fields["model"]
-    if variant not in spinmodel.VARIANTS:
-        raise ValidationError(
-            f"model must be one of {', '.join(spinmodel.VARIANTS)}, got {variant!r}"
+    names = spinmodel.REQUIRED_FIELDS.get(variant, ())
+    try:
+        return spinmodel.ModelSpec(
+            variant, **{name: model_fields[name] for name in names if name in model_fields}
         )
-    required = {
-        "xx": ("J",),
-        "xxz": ("J", "delta"),
-        "xxzfield": ("J", "delta", "B"),
-        "xyz": ("J1", "J2", "J3", "B1", "B2", "B3"),
-    }[variant]
-    kwargs = {}
-    for name in required:
-        if name not in model_fields:
-            raise ValidationError(f"missing model field: {name}")
-        kwargs[name] = model_fields[name]
-    return spinmodel.ModelSpec(variant, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +379,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         analysis.SweepAxis(name=g.axis, start=g.min, stop=g.max, steps=g.steps)
         for g in cfg.grid
     )
-    sweep_cfg = analysis.SweepConfig(model=model, axes=axes, T=cfg.T, emit=cfg.columns)
+    sweep_cfg = analysis.SweepConfig(model=model, axes=axes, T=cfg.T)
     records = analysis.sweep(sweep_cfg)
     default_cols = [axis.name for axis in axes] + ["C"]
     columns = list(cfg.columns) if cfg.columns else default_cols
@@ -574,6 +566,10 @@ def _config_from_args(argv) -> RunConfig:
     cfg.command = args.command
     if args.model is not None:
         cfg.model["model"] = args.model.lower()
+    for name in ("J", "delta", "B", "T"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"--{name} must be finite, got {value!r}")
     for name in ("J", "delta", "B"):
         value = getattr(args, name)
         if value is not None:

@@ -11,9 +11,11 @@ Three routes are provided:
 * :func:`concurrence_xstate`: the shortcut for the X-shaped reduced
   states produced by the ring models, parameterized by
   :class:`XStateParams`.
-* :func:`concurrence_closed_form`: fully scalar expressions in
-  ``(J, delta, B, T)`` for the XX, XXZ and uniform-field models; the
-  independent check against the numeric pipeline.
+* :func:`closed_route`: the closed form for the XX, XXZ and
+  uniform-field models, and the independent check against the numeric
+  pipeline: ground-shifted Boltzmann weights over the six analytic
+  levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
+  overflows, and the degenerate ground group at ``T = 0``.
 
 Complex conjugation in the spin flip is taken entry-wise in the
 computational basis fixed by :mod:`spinthermal.spinmodel`; pinning the
@@ -23,16 +25,23 @@ basis makes every intermediate quantity reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidTemperature
-from .linalg import PSD_FLOOR, hermitian_eigen, kron, psd_sqrt
-from .spinmodel import SIGMA_Y, ModelSpec
+from .linalg import PSD_FLOOR, degenerate_groups, hermitian_eigen, kron, psd_sqrt
+from .spinmodel import SIGMA_Y, ModelSpec, level_energies
 
 #: Two-qubit spin-flip operator; real antidiagonal (-1, 1, 1, -1).
 SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
+
+#: ``Tr_3`` of each level's projector (its states in ``spinmodel.LEVELS``) in
+#: sixths: ``(<00|r|00>, <11|r|11>, <01|r|01> = <10|r|10>, <01|r|10>)``.
+LEVEL_REDUCED_SIXTHS = ((6, 0, 0, 0), (4, 0, 4, -2), (2, 0, 2, 2),
+                        (0, 4, 4, -2), (0, 2, 2, 2), (0, 6, 0, 0))
+_SIXTHS_COLUMNS = tuple(zip(*LEVEL_REDUCED_SIXTHS))
 
 _XSTATE_TRACE_TOL = 1e-10
 
@@ -121,41 +130,59 @@ def concurrence_xstate(params: XStateParams) -> float:
     return (4.0 / (3.0 * params.Z)) * max(gap, 0.0)
 
 
-def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:
-    """Scalar evaluation of (u, v, w, y, Z) at temperature ``T``.
+def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...]:
+    """``(C, Z, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``.
 
-    Works for every model with a closed form; ``delta = 0`` gives the XX
-    expressions and ``B = 0`` the field-free ones (where ``u == v``).
+    Level weights ``p = exp(-(E - E_min)/T)`` in ``(0, 1]`` mix the rows
+    of :data:`LEVEL_REDUCED_SIXTHS` into the reduced state, whose four
+    distinct entries close the tuple; only ``Z = exp(-E_min/T) sum p deg``
+    can overflow, and it saturates to ``inf``.  At ``T = 0`` the ground
+    group (:func:`spinthermal.linalg.degenerate_groups`) weighs 1, the
+    rest 0.
+    """
+    levels = level_energies(J, delta, B)
+    emin = min(levels)
+    if T > 0.0:
+        weights = [math.exp((emin - e) / T) for e in levels]
+        try:
+            scale = math.exp(-emin / T)
+        except OverflowError:
+            scale = math.inf
+    elif T == 0.0:
+        ranked = sorted(levels)
+        top = ranked[len(degenerate_groups(ranked)[0]) - 1]
+        weights = [float(e <= top) for e in levels]
+        scale = math.inf if emin else 1.0  # E_min <= min(-3B, 3B) <= 0
+    else:
+        raise InvalidTemperature(f"temperature must be >= 0, got {T}")
+    # fsum rounds correctly, so rho00 == rho11 exactly at B = 0
+    s00, s11, s_w, s_y = [math.fsum(map(operator.mul, weights, column))
+                          for column in _SIXTHS_COLUMNS]
+    trace = s00 + s11 + 2.0 * s_w
+    rho00, rho11, rho_w, rho_y = s00 / trace, s11 / trace, s_w / trace, s_y / trace
+    # max() last: unentangled points share the constant 0.0 (sweeps keep every C)
+    C = max(2.0 * (abs(rho_y) - math.sqrt(rho00 * rho11)), 0.0)
+    return C, scale * trace / 6.0, rho00, rho11, rho_w, rho_y
+
+
+def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:
+    """:class:`XStateParams` of :func:`closed_route` at ``T > 0``; ``u == v`` at ``B = 0``.
+
+    Where ``Z`` saturates to ``inf``, so do the nonzero parameters.
     """
     if T <= 0.0:
         raise InvalidTemperature(f"closed forms need T > 0, got {T}")
-    z = math.exp(J / T)
-    b = B / T
-    weight = z ** (2.0 * delta)
-    band = weight * (2.0 * z + z**-2)
-    u = 1.5 * math.exp(3.0 * b) + 0.5 * math.exp(b) * band
-    v = 1.5 * math.exp(-3.0 * b) + 0.5 * math.exp(-b) * band
-    w = math.cosh(b) * band
-    y = math.cosh(b) * weight * (z**-2 - z)
-    Z = 2.0 * math.cosh(3.0 * b) + 2.0 * math.cosh(b) * band
-    return XStateParams(u=u, v=v, w=w, y=y, Z=Z)
+    _, Z, *rho = closed_route(J, delta, B, T)
+    return XStateParams(*(1.5 * Z * r if r else 0.0 for r in rho), Z=Z)
 
 
 def concurrence_closed_form(spec: ModelSpec, T: float) -> float:
-    """Concurrence straight from the scalar closed forms.
+    """Concurrence of :func:`closed_route` for the spec's model.
 
-    For the field-free models this is a single rational expression in
-    ``z = exp(J/T)``; with a field it is the X-state formula on the
-    scalar parameters.  Raises ``UnsupportedModel`` for the general XYZ
-    variant and ``InvalidTemperature`` for ``T <= 0``.
+    Raises ``UnsupportedModel`` for the general XYZ variant and
+    ``InvalidTemperature`` for ``T <= 0``.
     """
     J, delta, B = spec.closed_form_params()
     if T <= 0.0:
         raise InvalidTemperature(f"closed forms need T > 0, got {T}")
-    if spec.variant in ("xx", "xxz"):
-        z = math.exp(J / T)
-        weight = z ** (2.0 * delta)
-        num = 2.0 * weight * abs(z**-2 - z) - 3.0 - 2.0 * weight * z - weight * z**-2
-        den = 3.0 * (1.0 + 2.0 * weight * z + weight * z**-2)
-        return max(num / den, 0.0)
-    return concurrence_xstate(closed_form_xstate(J, delta, B, T))
+    return closed_route(J, delta, B, T)[0]

@@ -36,23 +36,27 @@ class Spectrum:
     eigenvectors: np.ndarray
 
     def degenerate_groups(self, tol: float = DEGENERACY_TOL) -> list[list[int]]:
-        """Indices of eigenvalues grouped by near-degeneracy.
+        """The eigenvalues' :func:`degenerate_groups`."""
+        return degenerate_groups(self.eigenvalues, tol)
 
-        Adjacent eigenvalues closer than ``tol * (1 + |E|)`` land in one
-        group.  Zero-temperature logic consumes these groups rather than
-        individual eigenvectors: the ring spectra are heavily degenerate
-        by construction and the split of a degenerate eigenspace into
-        vectors is arbitrary.
-        """
-        vals = self.eigenvalues
-        groups = [[0]]
-        for i in range(1, len(vals)):
-            scale = 1.0 + max(abs(vals[i]), abs(vals[i - 1]))
-            if vals[i] - vals[i - 1] <= tol * scale:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
+
+def degenerate_groups(values, tol: float = DEGENERACY_TOL) -> list[list[int]]:
+    """Indices of ascending ``values`` grouped by near-degeneracy.
+
+    Adjacent values closer than ``tol * (1 + |E|)`` land in one group.
+    Zero-temperature logic consumes these groups rather than individual
+    eigenvectors: the ring spectra are heavily degenerate by
+    construction and the split of a degenerate eigenspace into vectors
+    is arbitrary.
+    """
+    groups = [[0]]
+    for i in range(1, len(values)):
+        scale = 1.0 + max(abs(values[i]), abs(values[i - 1]))
+        if values[i] - values[i - 1] <= tol * scale:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

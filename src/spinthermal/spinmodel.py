@@ -26,7 +26,13 @@ import numpy as np
 from .errors import UnsupportedModel
 from .linalg import kron
 
-VARIANTS = ("xx", "xxz", "xxzfield", "xyz")
+#: The model variants and the coupling fields each needs; others stay ``None``.
+REQUIRED_FIELDS = {
+    "xx": ("J",),
+    "xxz": ("J", "delta"),
+    "xxzfield": ("J", "delta", "B"),
+    "xyz": ("J1", "J2", "J3", "B1", "B2", "B3"),
+}
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -51,6 +57,10 @@ Q = complex(-0.5, math.sqrt(3.0) / 2.0)
 # States 0, 3, 6, 7 are fully symmetric; the two chiral pairs pick up
 # conjugate phases (states 1 and 4 share Q, states 2 and 5 share Q**2).
 SHIFT_PHASES = (1.0 + 0.0j, Q, Q * Q, 1.0 + 0.0j, Q, Q * Q, 1.0 + 0.0j, 1.0 + 0.0j)
+
+#: The six levels of the uniform models as analytic_eigenstates() indices: |000>,
+#: the chiral and symmetric single excitations, the same doubly excited, |111>.
+LEVELS = ((0,), (1, 2), (3,), (4, 5), (6,), (7,))
 
 _RING_BONDS = ((1, 2), (2, 3), (3, 1))
 
@@ -81,15 +91,9 @@ class ModelSpec:
     B3: float | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in REQUIRED_FIELDS:
             raise ValueError(f"unknown model variant {self.variant!r}")
-        required = {
-            "xx": ("J",),
-            "xxz": ("J", "delta"),
-            "xxzfield": ("J", "delta", "B"),
-            "xyz": ("J1", "J2", "J3", "B1", "B2", "B3"),
-        }[self.variant]
-        for name in required:
+        for name in REQUIRED_FIELDS[self.variant]:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"variant {self.variant!r} requires field {name!r}")
@@ -231,6 +235,14 @@ def analytic_eigenstates() -> list[np.ndarray]:
     ]
 
 
+def level_energies(J: float, delta: float, B: float) -> tuple[float, ...]:
+    """Exact energies of the six :data:`LEVELS` at closed-form parameters."""
+    e_single = -2.0 * J * (delta + 0.5)
+    e_symmetric = -2.0 * J * (delta - 1.0)
+    return (-3.0 * B, e_single - B, e_symmetric - B,
+            e_single + B, e_symmetric + B, 3.0 * B)
+
+
 def analytic_energies(spec: ModelSpec) -> np.ndarray:
     """Exact energies of the eight analytic eigenstates, in state order.
 
@@ -239,18 +251,5 @@ def analytic_energies(spec: ModelSpec) -> np.ndarray:
     """
     if spec.variant == "xyz":
         raise UnsupportedModel("no analytic spectrum for the general XYZ model")
-    J, delta, B = spec.closed_form_params()
-    e_single = -2.0 * J * (delta + 0.5)
-    e_symmetric = -2.0 * J * (delta - 1.0)
-    return np.array(
-        [
-            -3.0 * B,
-            e_single - B,
-            e_single - B,
-            e_symmetric - B,
-            e_single + B,
-            e_single + B,
-            e_symmetric + B,
-            3.0 * B,
-        ]
-    )
+    levels = level_energies(*spec.closed_form_params())
+    return np.array([levels[n] for n, states in enumerate(LEVELS) for _ in states])

@@ -26,33 +26,6 @@ _HERMITICITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ThermalPoint:
-    """Temperature with the derived dimensionless quantities.
-
-    ``beta = 1/T`` (infinity at ``T = 0``), ``x = beta * J`` and
-    ``z = exp(x)``; the pair ``(x, z)`` is what every closed form is
-    written in.
-    """
-
-    T: float
-    beta: float
-    x: float
-    z: float
-
-    @classmethod
-    def at(cls, T: float, J: float) -> "ThermalPoint":
-        if T < 0.0:
-            raise InvalidTemperature(f"temperature must be >= 0, got {T}")
-        if T == 0.0:
-            beta = math.inf
-            x = math.copysign(math.inf, J) if J != 0.0 else 0.0
-        else:
-            beta = 1.0 / T
-            x = J / T
-        return cls(T=T, beta=beta, x=x, z=math.exp(x))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix (4x4 or 8x8): Hermitian with unit trace."""
 

@@ -255,6 +255,19 @@ def test_zero_temperature_concurrence_equality_tolerance():
         zero_temperature_concurrence(1.0, 1.0, J=-1.0)
 
 
+def test_zero_temperature_concurrence_without_field():
+    # both sectors' doublets are degenerate at B = 0, and their mixture
+    # is separable
+    from spinthermal import concurrence_general, gibbs_density, partial_trace
+
+    for delta in (1.0, 0.0, -0.5, -1.0):
+        direct = concurrence_general(
+            partial_trace(gibbs_density(ModelSpec.xxz_field(1.0, delta, 0.0), 0.0))
+        ).C
+        assert zero_temperature_concurrence(delta, 0.0) == 0.0
+        assert abs(direct) < 1e-12
+
+
 def test_zero_temperature_concurrence_matches_ground_mixture():
     # independent route: concurrence of the equal-weight ground mixture
     from spinthermal import concurrence_general, gibbs_density, partial_trace

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -183,6 +184,30 @@ def test_cli_exit_codes(capsys):
     assert main(["critical", "--model", "xxzfield", "--J", "1", "--delta", "1",
                  "--B", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", (["--J", "inf", "--T", "1"], ["--J", "1", "--T", "nan"]))
+def test_cli_rejects_non_finite_flags(flags, capsys):
+    assert main(["concurrence", "--model", "xx", *flags]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_build_model_turns_model_errors_into_validation_errors():
+    with pytest.raises(ValidationError, match="finite"):
+        build_model({"model": "xx", "J": math.inf})
+    with pytest.raises(ValidationError, match="bogus"):
+        build_model({"model": "bogus", "J": 1.0})
+
+
+def test_cli_sweep_from_T_0_001_has_finite_concurrence(tmp_path):
+    config = tmp_path / "cold.cfg"
+    config.write_text("command = sweep\ncolumns = T,C\n\n[model]\nmodel = xx\nJ = 1\n\n"
+                      "[grid:T]\nmin = 0.001\nmax = 2\nsteps = 50\n")
+    out = tmp_path / "cold.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == 0.001
+    assert all(math.isfinite(float(C)) for _, C in rows)
 
 
 def test_cli_eig_lists_degenerate_groups(capsys):

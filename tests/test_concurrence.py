@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinthermal import (
     InvalidTemperature,
@@ -17,6 +19,8 @@ from spinthermal import (
     spin_flip,
     xstate_params,
 )
+from spinthermal.concurrence import LEVEL_REDUCED_SIXTHS, closed_form_xstate
+from spinthermal.spinmodel import LEVELS
 
 STATES = analytic_eigenstates()
 
@@ -180,3 +184,55 @@ def test_pair_symmetry():
             concurrence_general(partial_trace(rho, site)).C for site in (1, 2, 3)
         ]
         assert max(values) - min(values) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the closed route at extreme |J|/T and |B|/T
+
+def test_closed_route_defect_points():
+    # each raised or returned NaN when the closed forms were scalar
+    # expressions in z = exp(J/T)
+    for model, T, expected in ((ModelSpec.xx(1.0), 1e-3, 0.0),
+                               (ModelSpec.xx(-1.0), 1e-3, 1.0 / 3.0),
+                               (ModelSpec.xxz(-1.0, -3.0), 0.01, 1.0 / 3.0)):
+        closed = concurrence_closed_form(model, T)
+        assert abs(closed - expected) <= 1e-12
+        assert abs(closed - pipeline(model, T)) <= 1e-9
+
+
+def test_closed_form_xstate_saturates():
+    params = closed_form_xstate(1.0, 0.0, 0.0, 1e-3)
+    assert params.Z == math.inf
+    assert params.u == params.v == params.w == math.inf
+    # a field that empties the |00> block leaves u at 0, not NaN
+    params = closed_form_xstate(1.0, 0.0, -400.0, 1.0)
+    assert params.Z == math.inf and params.u == 0.0
+
+
+def test_level_table_is_the_partial_trace_of_each_level():
+    for sixths, states in zip(LEVEL_REDUCED_SIXTHS, LEVELS):
+        rho = partial_trace(sum(np.outer(STATES[k], STATES[k].conj()) for k in states))
+        r00, r11, r_w, r_y = (n / 6.0 for n in sixths)
+        expected = np.array([[r00, 0, 0, 0], [0, r_w, r_y, 0],
+                             [0, r_y, r_w, 0], [0, 0, 0, r11]], dtype=complex)
+        assert np.abs(rho - expected).max() <= 1e-15
+
+
+_RATIO = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # |J|/T and |B|/T in [1e-3, 1e3]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(variant=st.sampled_from(("xx", "xxz", "xxzfield")),
+       T=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+       j_ratio=_RATIO, j_sign=st.sampled_from((-1.0, 1.0)),
+       delta=st.floats(-3.0, 2.0),
+       b_ratio=_RATIO, b_sign=st.sampled_from((-1.0, 1.0)))
+def test_closed_route_matches_numeric_route(variant, T, j_ratio, j_sign, delta,
+                                            b_ratio, b_sign):
+    J = j_sign * j_ratio * T
+    model = {"xx": lambda: ModelSpec.xx(J),
+             "xxz": lambda: ModelSpec.xxz(J, delta),
+             "xxzfield": lambda: ModelSpec.xxz_field(J, delta, b_sign * b_ratio * T)}[variant]()
+    closed = concurrence_closed_form(model, T)
+    assert math.isfinite(closed)
+    assert abs(closed - pipeline(model, T)) <= 1e-8

@@ -7,7 +7,6 @@ from spinthermal import (
     DensityMatrix,
     InvalidTemperature,
     ModelSpec,
-    ThermalPoint,
     UnsupportedModel,
     analytic_eigenstates,
     analytic_energies,
@@ -42,27 +41,6 @@ REDUCED_GOLDENS = {
         [[1, 0, 0, 0], [0, 1, -0.5, 0], [0, -0.5, 1, 0], [0, 0, 0, 0]]
     ),
 }
-
-
-def test_thermal_point_consistency():
-    tp = ThermalPoint.at(2.0, -1.0)
-    assert tp.beta == 0.5
-    assert tp.x == -0.5
-    assert tp.z == math.exp(-0.5)
-
-
-def test_thermal_point_zero_temperature():
-    tp = ThermalPoint.at(0.0, -1.0)
-    assert tp.beta == math.inf
-    assert tp.x == -math.inf
-    assert tp.z == 0.0
-    assert ThermalPoint.at(0.0, 2.0).z == math.inf
-    assert ThermalPoint.at(0.0, 0.0).z == 1.0
-
-
-def test_thermal_point_rejects_negative():
-    with pytest.raises(InvalidTemperature):
-        ThermalPoint.at(-0.1, 1.0)
 
 
 def test_partition_high_temperature_limit():
