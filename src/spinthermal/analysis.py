@@ -14,13 +14,16 @@ through their single sign change on the bracketed interval, and at this
 problem size robustness beats speed.  Critical temperatures are reported
 per unit ``|J|`` (they scale linearly in ``|J|``).
 
-Sweep evaluation is embarrassingly parallel (each grid point is an
-independent pure computation) but runs sequentially here; records are
-emitted in grid order either way.
+A sweep splits its work in two.  What depends only on the
+non-temperature coordinates (the model, its closed-form parameters and
+the critical temperature) is computed once per distinct coordinate and
+kept for the length of the call; each grid point then costs one closed
+route and one witness.  Records are emitted in grid order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -94,7 +97,7 @@ def _bisect(fn, lo: float, hi: float) -> float:
     for _ in range(BISECT_CAP):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) <= BISECT_TOL:
+        if fmid == 0.0 or (hi - lo) <= BISECT_TOL * max(1.0, abs(mid)):
             return mid
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
@@ -152,19 +155,39 @@ def xxz_region(delta: float, z: float) -> RegionVerdict:
     return RegionVerdict(entangled=witness > 0.0, witness=witness)
 
 
+def _xxz_log_witness(delta: float, x: float) -> float:
+    """Sign-equivalent of the XXZ witness at ``x = ln z`` on ``z < z0``.
+
+    There ``|y| - v > 0`` exactly when
+    ``2 (delta - 1) x + ln(1/3 - (4/3) e^{3x}) > 0``.  The first term is
+    written as ``(delta - 1) (2 x)`` so that it stays finite near ``z0``
+    for any finite anisotropy; ``e^{3x} <= 1/4`` cannot overflow.
+    """
+    q = 4.0 * math.exp(3.0 * x)
+    if q >= 1.0:
+        return -math.inf
+    return (delta - 1.0) * (2.0 * x) + math.log1p(-q) - math.log(3.0)
+
+
 def xxz_critical(delta: float) -> Optional[CriticalPoint]:
     """Critical point of the XXZ ring at the given anisotropy.
 
-    Returns ``None`` for ``delta >= 1`` (never entangled).  Raises
-    ``NoRoot`` when the witness has no sign change on ``(1e-9, z0)``,
-    which happens for anisotropies just below 1 where the critical
-    Boltzmann factor is too small to bracket.
+    Returns ``None`` for ``delta >= 1`` (never entangled).  For every
+    ``delta < 1`` the witness changes sign once on ``z < z0``; the root
+    is bisected in ``x = ln z``, with the lower end of the bracket
+    doubled until the witness is positive.  The bisection stops at a
+    relative width of :data:`BISECT_TOL`, so ``T_c -> 0`` as
+    ``delta -> 1`` keeps its leading digits.  ``z_c`` underflows to 0
+    once ``x_c`` falls below about -745.
     """
     if delta >= 1.0:
         return None
-    z_c = _bisect(lambda z: xxz_region(delta, z).witness, 1e-9, Z0)
-    x_c = math.log(z_c)
-    return CriticalPoint(z_c=z_c, x_c=x_c, T_c=1.0 / abs(x_c))
+    hi = math.log(Z0)
+    lo = 2.0 * hi
+    while not _xxz_log_witness(delta, lo) > 0.0:
+        lo *= 2.0
+    x_c = _bisect(lambda x: _xxz_log_witness(delta, x), lo, hi)
+    return CriticalPoint(z_c=math.exp(x_c), x_c=x_c, T_c=1.0 / abs(x_c))
 
 
 def delta_boundary(z: float, J: float, T: float) -> float:
@@ -306,10 +329,7 @@ def _critical_temperature(model: ModelSpec) -> Optional[float]:
     if model.variant == "xx":
         point = xx_critical()
     elif model.variant == "xxz":
-        try:
-            point = xxz_critical(model.delta)
-        except NoRoot:
-            return None
+        point = xxz_critical(model.delta)
     else:
         return None
     if point is None:
@@ -325,45 +345,46 @@ def sweep(config: SweepConfig) -> list[dict]:
     ``C`` (closed form), ``witness`` (the model's region witness), ``Z``
     and, for the field-free variants, the critical temperature ``T_c``
     (``None`` where no critical point exists).
+
+    The model, its closed-form parameters and ``T_c`` depend only on the
+    non-temperature coordinates, so they are computed once per distinct
+    coordinate; each grid point then costs one closed route and one
+    witness.
     """
     _validate_sweep(config)
-    grids = [axis.values() for axis in config.axes]
     names = [axis.name for axis in config.axes]
-    counts = [len(g) for g in grids]
+    grids = [axis.values() for axis in config.axes]
+    variant = config.model.variant
+    per_coordinate: dict[tuple, tuple] = {}
     records = []
-    total = 1
-    for c in counts:
-        total *= c
-    for flat in range(total):
-        coords = []
-        rem = flat
-        for c in reversed(counts):
-            coords.append(rem % c)
-            rem //= c
-        coords.reverse()
-        point = {name: grids[i][coords[i]] for i, name in enumerate(names)}
+    for values in itertools.product(*grids):
+        point = dict(zip(names, values))
         T = point.pop("T", config.T)
         if not T > 0.0:
             raise InvalidTemperature(f"sweep temperatures must be > 0, got {T}")
-        model = replace(config.model, **point) if point else config.model
-        J, delta, B = model.closed_form_params()
+        key = tuple(point.values())
+        if key not in per_coordinate:
+            model = replace(config.model, **point)
+            per_coordinate[key] = (*model.closed_form_params(),
+                                   _critical_temperature(model))
+        J, delta, B, T_c = per_coordinate[key]
         C, Z, *_ = closed_route(J, delta, B, T)
         z = _scaled_power(J / T, 1.0)
-        if model.variant == "xx":
+        if variant == "xx":
             witness = xx_region(z).witness
-        elif model.variant == "xxz":
+        elif variant == "xxz":
             witness = xxz_region(delta, z).witness
         else:
             witness = field_region(delta, z, B / T).witness
         record: dict = {"T": T, "J": J}
-        if model.variant in ("xxz", "xxzfield"):
+        if variant in ("xxz", "xxzfield"):
             record["delta"] = delta
-        if model.variant == "xxzfield":
+        if variant == "xxzfield":
             record["B"] = B
         record["C"] = C
         record["witness"] = witness
         record["Z"] = Z
-        if model.variant in ("xx", "xxz"):
-            record["T_c"] = _critical_temperature(model)
+        if variant in ("xx", "xxz"):
+            record["T_c"] = T_c
         records.append(record)
     return records

@@ -33,7 +33,8 @@ JSON (one object with ``meta`` and ``rows``), always with 12 significant
 digits, to ``--out`` or stdout; a partition function beyond the float
 range is printed as ``inf`` (``Infinity`` in JSON).  Identical configs
 produce byte-identical output.  Exit codes: 0 ok, 1 verification
-failure, 2 config error, 3 numeric failure.
+failure, 2 config error, 3 numeric failure (including an arithmetic
+overflow or division by zero).
 """
 
 from __future__ import annotations
@@ -264,11 +265,21 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
 
 
 def render_json(meta: dict, columns: list[str], rows: list[dict]) -> str:
-    payload = {
-        "meta": meta,
-        "rows": [{col: _round12(row.get(col)) for col in columns} for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` of meta and the rounded rows.
+
+    The rows, the bulk of a sweep, go through the C encoder in one pass
+    (it only runs without ``indent``): the item separator carries the
+    indent of a row's fields, and the row braces are spliced in after.
+    A JSON string never holds a raw newline, so ``"},\\n      {"`` only
+    matches between rows.
+    """
+    rounded = [{col: _round12(row.get(col)) for col in columns} for row in rows]
+    if not rounded or not columns:
+        return json.dumps({"meta": meta, "rows": rounded}, indent=2) + "\n"
+    head = json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("[]\n}")]
+    body = json.dumps(rounded, separators=(",\n      ", ": "))[2:-2]
+    body = body.replace("},\n      {", "\n    },\n    {\n      ")
+    return head + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
 
 
 def _emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
@@ -593,6 +604,9 @@ def main(argv=None) -> int:
         return 2
     except (NoConvergence, NotPSD, NotHermitian) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spinthermal.analysis as analysis_module
 from spinthermal import (
     InvalidGrid,
     ModelSpec,
-    NoRoot,
     OutOfDomain,
     P1,
     P2,
@@ -14,9 +15,12 @@ from spinthermal import (
     SweepConfig,
     Z0,
     concurrence_closed_form,
+    concurrence_general,
     delta_boundary,
     field_curves_half,
     field_region,
+    gibbs_density,
+    partial_trace,
     sweep,
     xstate_params,
     xx_critical,
@@ -119,9 +123,24 @@ def test_xxz_critical_none_above_one():
     assert xxz_critical(2.5) is None
 
 
-def test_xxz_critical_no_root_near_one():
-    with pytest.raises(NoRoot):
-        xxz_critical(0.999)
+@pytest.mark.parametrize("delta", (0.99, 0.999))
+def test_xxz_critical_near_one_separates_entangled_from_not(delta):
+    # the root lies far below the old z bracket (z_c ~ 3**(-1/(2 (1 - delta))))
+    point = xxz_critical(delta)
+    model = ModelSpec.xxz(-1.0, delta)
+
+    def numeric_c(T):
+        return concurrence_general(partial_trace(gibbs_density(model, T))).C
+
+    assert numeric_c(0.999 * point.T_c) > 0.0
+    assert numeric_c(1.001 * point.T_c) == 0.0
+    assert abs(point.x_c - math.log(3.0) / (2.0 * (delta - 1.0))) < 1e-9 * abs(point.x_c)
+
+
+def test_xxz_critical_tends_to_zero_at_one():
+    values = [xxz_critical(delta).T_c for delta in (0.9, 0.99, 0.999999, 1.0 - 1e-15)]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    assert 0.0 < values[-1] < 1e-14
 
 
 def test_delta_boundary_zeroes_the_witness():
@@ -399,3 +418,63 @@ def test_sweep_field_plane_symmetries():
         if J < 0:
             assert c == 0.0
         assert abs(c - grid[(-B, J)]) <= 1e-10
+
+
+def per_point_sweep(config):
+    """Reference for :func:`sweep`: every grid point on its own, model and
+    ``T_c`` included, in nested-loop order (first axis outermost)."""
+    first, second = config.axes
+    records = []
+    for a in first.values():
+        for b in second.values():
+            point = {first.name: a, second.name: b}
+            T = point.pop("T", config.T)
+            model = replace(config.model, **point)
+            J, delta, B = model.closed_form_params()
+            C, Z, *_ = analysis_module.closed_route(J, delta, B, T)
+            z = math.exp(J / T)
+            record = {"T": T, "J": J}
+            if model.variant == "xxz":
+                witness = xxz_region(delta, z).witness
+                record["delta"] = delta
+            else:
+                witness = field_region(delta, z, B / T).witness
+                record.update(delta=delta, B=B)
+            record.update(C=C, witness=witness, Z=Z)
+            if model.variant == "xxz":
+                record["T_c"] = analysis_module._critical_temperature(model)
+            records.append(record)
+    return records
+
+
+HOIST_CASES = {
+    "T outer": (ModelSpec.xxz(-1.0, 0.0),
+                (SweepAxis("T", 0.05, 2.0, 7), SweepAxis("delta", -3.0, 0.99, 5)), None),
+    "T inner": (ModelSpec.xxz(-1.0, 0.0),
+                (SweepAxis("delta", -3.0, 0.99, 5), SweepAxis("T", 0.05, 2.0, 7)), None),
+    "J and delta": (ModelSpec.xxz(-1.0, 0.0),
+                    (SweepAxis("J", -2.0, 1.0, 4), SweepAxis("delta", -1.0, 0.9, 3)), 0.5),
+    "field T outer": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
+                      (SweepAxis("T", 0.05, 2.0, 6), SweepAxis("B", 0.0, 3.0, 4)), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOIST_CASES))
+def test_sweep_matches_per_point_reference(case, monkeypatch):
+    model, axes, T = HOIST_CASES[case]
+    config = SweepConfig(model=model, axes=axes, T=T)
+    expected = per_point_sweep(config)
+    calls = []
+    inner = analysis_module.xxz_critical
+
+    def counting(delta):
+        calls.append(delta)
+        return inner(delta)
+
+    monkeypatch.setattr(analysis_module, "xxz_critical", counting)
+    records = sweep(config)
+    assert records == expected
+    assert [list(r) for r in records] == [list(r) for r in expected]  # key order
+    distinct = {(r["J"], r["delta"]) for r in records} if model.variant == "xxz" else set()
+    assert len(calls) == len(distinct)
+

@@ -11,6 +11,7 @@ from spinthermal.cli import (
     main,
     parse_config,
     render_csv,
+    render_json,
 )
 from spinthermal.errors import ParseError, UnknownKey, ValidationError
 
@@ -112,6 +113,25 @@ def test_render_csv_formatting():
     assert text.endswith("\n") and "\r" not in text
 
 
+JSON_META = {"command": "sweep", "model": {"model": "xx", "J": 1.0}, "T": None,
+             "grid": [{"axis": "T", "min": 0.1, "max": 1.0, "steps": 2}],
+             "columns": ["T", "C", "tag"]}
+
+
+@pytest.mark.parametrize("rows", (
+    [],
+    [{"T": 0.25, "C": math.inf, "tag": "x"}],
+    [{"T": -0.0, "C": None, "tag": 'Δ "q" },\n      {'},
+     {"T": 2, "C": -math.inf, "tag": None},
+     {"T": 1e-300, "tag": "}, {"}],
+))
+def test_render_json_matches_indented_dumps(rows):
+    columns = ["T", "C", "tag"]
+    payload = {"meta": JSON_META,
+               "rows": [{col: row.get(col) for col in columns} for row in rows]}
+    assert render_json(JSON_META, columns, rows) == json.dumps(payload, indent=2) + "\n"
+
+
 def test_cli_critical_stdout(capsys):
     assert main(["critical", "--model", "xx", "--J", "-1"]) == 0
     out = capsys.readouterr().out
@@ -208,6 +228,20 @@ def test_cli_sweep_from_T_0_001_has_finite_concurrence(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert float(rows[0][0]) == 0.001
     assert all(math.isfinite(float(C)) for _, C in rows)
+
+
+@pytest.mark.parametrize("model, low, high", (
+    ("model = xx\nJ = 1", 0.002, 0.004),
+    ("model = xxzfield\nJ = 1\ndelta = 1\nB = 1", 0.005, 0.01),
+))
+def test_cli_sweep_overflow_is_a_numeric_failure(model, low, high, tmp_path, capsys):
+    config = tmp_path / "overflow.cfg"
+    config.write_text(f"command = sweep\n\n[model]\n{model}\n\n"
+                      f"[grid:T]\nmin = {low}\nmax = {high}\nsteps = 5\n")
+    assert main(["sweep", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: OverflowError")
+    assert captured.out == ""
 
 
 def test_cli_eig_lists_degenerate_groups(capsys):
