@@ -207,7 +207,9 @@ def delta_boundary(z: float, J: float, T: float) -> float:
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
     beta_j = J / T
-    return math.log(3.0 / (z**-2 - 4.0 * z)) / (2.0 * beta_j)
+    # ln(3 / (z**-2 - 4 z)) without the overflow of z**-2 at small z.
+    log_ratio = math.log(3.0) + 2.0 * math.log(z) - math.log1p(-4.0 * z**3)
+    return log_ratio / (2.0 * beta_j)
 
 
 def field_region(delta: float, z: float, beta_B: float) -> RegionVerdict:

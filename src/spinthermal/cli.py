@@ -34,7 +34,8 @@ digits, to ``--out`` or stdout; a partition function beyond the float
 range is printed as ``inf`` (``Infinity`` in JSON).  Identical configs
 produce byte-identical output.  Exit codes: 0 ok, 1 verification
 failure, 2 config error, 3 numeric failure (including an arithmetic
-overflow or division by zero).
+overflow or division by zero, and a ``ValueError`` such as a Boltzmann
+factor that underflowed to 0).
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def _cmd_critical(cfg: RunConfig) -> int:
         print("T_c/|J| = none")
         rows = [{"z_c": None, "x_c": None, "Tc_per_J": None}]
     else:
-        print(f"z_c = {point.z_c:.6f}")
+        print(f"z_c = {point.z_c:#.6g}")
         print(f"x_c = {point.x_c:.6f}")
         print(f"T_c/|J| = {point.T_c:.6f}")
         rows = [{"z_c": point.z_c, "x_c": point.x_c, "Tc_per_J": point.T_c}]
@@ -605,7 +606,7 @@ def main(argv=None) -> int:
     except (NoConvergence, NotPSD, NotHermitian) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -164,35 +164,43 @@ def pauli(site: int, axis: str) -> np.ndarray:
     return kron(kron(factors[0], factors[1]), factors[2])
 
 
+# Fixed terms of H, one per ring bond (or site), in _RING_BONDS order.
+_AXIS_PRODUCTS = tuple(
+    tuple(pauli(n, axis) @ pauli(m, axis) for axis in "xyz") for n, m in _RING_BONDS
+)
+_HOPPING = tuple(xx + yy for xx, yy, _ in _AXIS_PRODUCTS)
+_ANISOTROPY = tuple(zz - np.eye(8, dtype=complex) for _, _, zz in _AXIS_PRODUCTS)
+_SITE_Z = tuple(pauli(n, "z") for n in (1, 2, 3))
+
+
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """8x8 Hamiltonian of the requested ring model.
 
     Prefactors are kept exactly as defined for each variant (``J/2`` on
     ``xx + yy``, ``delta*J/2`` on ``zz - 1``, ``J_a/2`` per axis for the
     general model) so the exact energy expressions hold digit for digit.
+    The bond and site operators are built once at import; each call
+    scales them and adds them bond by bond, then site by site.
     """
     h = np.zeros((8, 8), dtype=complex)
-    eye = np.eye(8, dtype=complex)
     if spec.variant == "xyz":
         couplings = (spec.J1, spec.J2, spec.J3)
         fields = (spec.B1, spec.B2, spec.B3)
-        for n, m in _RING_BONDS:
-            for coupling, axis in zip(couplings, "xyz"):
-                h = h + (coupling / 2.0) * (pauli(n, axis) @ pauli(m, axis))
-        for n in (1, 2, 3):
-            h = h + fields[n - 1] * pauli(n, "z")
+        for bond in _AXIS_PRODUCTS:
+            for coupling, op in zip(couplings, bond):
+                h += (coupling / 2.0) * op
+        for field, op in zip(fields, _SITE_Z):
+            h += field * op
         return h
 
     J, delta, B = spec.closed_form_params()
-    for n, m in _RING_BONDS:
-        h = h + (J / 2.0) * (
-            pauli(n, "x") @ pauli(m, "x") + pauli(n, "y") @ pauli(m, "y")
-        )
+    for hopping, anisotropy in zip(_HOPPING, _ANISOTROPY):
+        h += (J / 2.0) * hopping
         if spec.variant in ("xxz", "xxzfield"):
-            h = h + (delta * J / 2.0) * (pauli(n, "z") @ pauli(m, "z") - eye)
+            h += (delta * J / 2.0) * anisotropy
     if spec.variant == "xxzfield":
-        for n in (1, 2, 3):
-            h = h + B * pauli(n, "z")
+        for op in _SITE_Z:
+            h += B * op
     return h
 
 

@@ -183,6 +183,21 @@ def test_delta_boundary_consistent_with_xx_boundary():
     assert abs(math.log(lo) + 0.7866) <= 1e-3
 
 
+def test_delta_boundary_at_tiny_z():
+    # z**-2 overflows at z = 1e-200; the boundary is finite, just below 1
+    value = delta_boundary(1e-200, math.log(1e-200), 1.0)
+    assert math.isfinite(value)
+    assert 0.99 < value < 1.0
+
+
+@pytest.mark.parametrize("z", (1e-9, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.6))
+def test_delta_boundary_matches_the_ratio_form(z):
+    for T in (0.5, 1.0, 3.0):
+        J = T * math.log(z)
+        ratio_form = math.log(3.0 / (z**-2 - 4.0 * z)) / (2.0 * (J / T))
+        assert abs(delta_boundary(z, J, T) - ratio_form) <= 1e-15 * abs(ratio_form)
+
+
 # ---------------------------------------------------------------------------
 # field effects
 

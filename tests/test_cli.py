@@ -140,6 +140,14 @@ def test_cli_critical_stdout(capsys):
     assert "T_c/|J| = 1.271364" in out
 
 
+def test_cli_critical_prints_a_tiny_z_c_in_significant_digits(capsys):
+    # z_c = 3**-50 at delta = 0.99; six fixed decimals would print 0.000000
+    assert main(["critical", "--model", "xxz", "--J", "-1", "--delta", "0.99"]) == 0
+    out = capsys.readouterr().out
+    assert "z_c = 1.39296e-24\n" in out
+    assert "x_c = -54.930614\n" in out
+
+
 def test_cli_concurrence_both_routes(capsys):
     assert main(["concurrence", "--model", "xxz", "--J", "-1",
                  "--delta", "-0.5", "--T", "1"]) == 0
@@ -241,6 +249,21 @@ def test_cli_sweep_overflow_is_a_numeric_failure(model, low, high, tmp_path, cap
     assert main(["sweep", "--config", str(config)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("numeric failure: OverflowError")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("model", (
+    "model = xx\nJ = -1",
+    "model = xxz\nJ = -1\ndelta = 0.5",
+))
+def test_cli_sweep_underflow_is_a_numeric_failure(model, tmp_path, capsys):
+    # exp(J/T) underflows to 0 below T = |J|/745, which the witness rejects
+    config = tmp_path / "underflow.cfg"
+    config.write_text(f"command = sweep\n\n[model]\n{model}\n\n"
+                      "[grid:T]\nmin = 0.0005\nmax = 0.002\nsteps = 5\n")
+    assert main(["sweep", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: ValueError: z must be positive")
     assert captured.out == ""
 
 

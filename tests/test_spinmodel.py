@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spinthermal.spinmodel as spinmodel_module
 from spinthermal import (
     ModelSpec,
     Q,
@@ -88,6 +89,76 @@ def test_hamiltonians_hermitian():
     for model in models:
         h = build_hamiltonian(model)
         assert np.abs(h - h.conj().T).max() < 1e-14
+
+
+def kron_reference_hamiltonian(spec):
+    """H built from Kronecker products of pauli(), term by term in library order."""
+    h = np.zeros((8, 8), dtype=complex)
+    eye = np.eye(8, dtype=complex)
+    bonds = ((1, 2), (2, 3), (3, 1))
+    if spec.variant == "xyz":
+        couplings = (spec.J1, spec.J2, spec.J3)
+        fields = (spec.B1, spec.B2, spec.B3)
+        for n, m in bonds:
+            for coupling, axis in zip(couplings, "xyz"):
+                h = h + (coupling / 2.0) * (pauli(n, axis) @ pauli(m, axis))
+        for n in (1, 2, 3):
+            h = h + fields[n - 1] * pauli(n, "z")
+        return h
+    J, delta, B = spec.closed_form_params()
+    for n, m in bonds:
+        h = h + (J / 2.0) * (
+            pauli(n, "x") @ pauli(m, "x") + pauli(n, "y") @ pauli(m, "y")
+        )
+        if spec.variant in ("xxz", "xxzfield"):
+            h = h + (delta * J / 2.0) * (pauli(n, "z") @ pauli(m, "z") - eye)
+    if spec.variant == "xxzfield":
+        for n in (1, 2, 3):
+            h = h + B * pauli(n, "z")
+    return h
+
+
+def reference_models():
+    rng = np.random.default_rng(11)
+
+    def coupling():
+        return float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0))
+
+    models = [
+        ModelSpec.xx(-1.0), ModelSpec.xx(1e4), ModelSpec.xx(-1e4),
+        ModelSpec.xxz(-1.0, 0.0), ModelSpec.xxz(1e4, -1e4),
+        ModelSpec.xxz_field(-1.0, 0.0, 0.0), ModelSpec.xxz_field(-1e4, 0.5, 1e4),
+        ModelSpec.general_xyz(-1.0, 0.0, 1e4), ModelSpec.general_xyz(1, 1, 1),
+    ]
+    for _ in range(40):
+        models.append(ModelSpec.xx(coupling()))
+        models.append(ModelSpec.xxz(coupling(), rng.uniform(-3.0, 2.0)))
+        models.append(ModelSpec.xxz_field(coupling(), rng.uniform(-3.0, 2.0), coupling()))
+        models.append(ModelSpec.general_xyz(*(coupling() for _ in range(6))))
+    return models
+
+
+def test_build_hamiltonian_is_bitwise_the_kronecker_build():
+    for model in reference_models():
+        expected = kron_reference_hamiltonian(model)
+        assert build_hamiltonian(model).tobytes() == expected.tobytes(), model
+
+
+def test_build_hamiltonian_makes_no_kronecker_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_hamiltonian called a Kronecker product")
+
+    models = [
+        ModelSpec.xx(-1.0),
+        ModelSpec.xxz(0.7, 0.4),
+        ModelSpec.xxz_field(0.9, -1.1, 2.0),
+        ModelSpec.general_xyz(0.3, -0.8, 1.5, 0.2, -0.4, 0.9),
+    ]
+    expected = [kron_reference_hamiltonian(model) for model in models]
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(spinmodel_module, "kron", refuse)
+    for model, reference in zip(models, expected):
+        assert build_hamiltonian(model).tobytes() == reference.tobytes()
 
 
 def test_cyclic_shift_permutation():
