@@ -17,8 +17,13 @@ per unit ``|J|`` (they scale linearly in ``|J|``).
 A sweep splits its work in two.  What depends only on the
 non-temperature coordinates (the model, its closed-form parameters and
 the critical temperature) is computed once per distinct coordinate and
-kept for the length of the call; each grid point then costs one closed
-route and one witness.  Records are emitted in grid order.
+kept for the length of the call.  The grid points are then evaluated
+:data:`SWEEP_BLOCK` at a time as numpy arrays, by
+:func:`~spinthermal.concurrence.closed_route_array` and the array
+witnesses (:func:`xx_witnesses`, :func:`xxz_witnesses`,
+:func:`field_witnesses`).  numpy does only IEEE-exact steps there and
+every libm call is mapped over Python floats, so the records hold the
+scalar functions' values bit for bit.  Records are emitted in grid order.
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .concurrence import closed_route
+import numpy as np
+
+from .concurrence import closed_route, closed_route_array
 from .errors import InvalidGrid, InvalidTemperature, NoRoot, OutOfDomain
+from .linalg import map_floats
 from .spinmodel import ModelSpec
 
 BISECT_TOL = 1e-12
@@ -227,6 +235,54 @@ def field_region(delta: float, z: float, beta_B: float) -> RegionVerdict:
     return RegionVerdict(entangled=witness > 0.0, witness=witness)
 
 
+# Array forms of the three witnesses, in the scalar functions' order of
+# operations.  Each raises the scalar's exception type: ValueError for
+# z <= 0, OverflowError for an overflowing power.  Run them under
+# np.errstate(over="ignore", invalid="ignore"), which matches the silent
+# inf and nan of Python float arithmetic.
+
+def _require_positive(z: np.ndarray) -> None:
+    bad = z <= 0.0
+    if bad.any():
+        raise ValueError(f"z must be positive, got {float(z[bad][0])}")
+
+
+def _scaled_powers(log_magnitude: np.ndarray, sign) -> np.ndarray:
+    """:func:`_scaled_power` elementwise."""
+    capped = log_magnitude > _EXP_CAP
+    powers = map_floats(math.exp, np.where(capped, 0.0, log_magnitude))
+    return np.copysign(np.where(capped, math.inf, powers), sign)
+
+
+def xx_witnesses(z: np.ndarray) -> np.ndarray:
+    """:func:`xx_region` witnesses of an array of ``z``."""
+    _require_positive(z)
+    return 1.0 - 3.0 * z * z - 4.0 * map_floats(pow, z, 3)
+
+
+def xxz_witnesses(delta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`xxz_region` witnesses of equal-length arrays."""
+    _require_positive(z)
+    inverse_square = map_floats(pow, z, -2)
+    bracket = np.where(z > 1.0, -1.5 * inverse_square, 0.5 * inverse_square - 2.0 * z)
+    flat = bracket == 0.0
+    log_mag = (2.0 * delta * map_floats(math.log, z)
+               + map_floats(math.log, np.where(flat, 1.0, np.abs(bracket))))
+    return np.where(flat, -1.5, _scaled_powers(log_mag, bracket) - 1.5)
+
+
+def field_witnesses(delta: np.ndarray, z: np.ndarray, beta_B: np.ndarray) -> np.ndarray:
+    """:func:`field_region` witnesses of equal-length arrays."""
+    _require_positive(z)
+    g = 0.25 * (9.0 + map_floats(pow, z, 4.0 * (delta - 1.0))
+                * (2.0 * map_floats(pow, z, 6) + 8.0 * map_floats(pow, z, 3) - 1.0))
+    weight = map_floats(pow, z, 2.0 * delta)
+    inverse_square = map_floats(pow, z, -2)
+    h = 0.5 * weight * (weight * map_floats(pow, inverse_square - z, 2)
+                        - (6.0 * z + 3.0 * inverse_square))
+    return h * map_floats(math.cosh, 2.0 * beta_B) - g
+
+
 def xxx_field_threshold() -> float:
     """Boltzmann factor above which a field can entangle the isotropic ring.
 
@@ -269,6 +325,16 @@ def zero_temperature_concurrence(delta: float, B: float, J: float = 1.0) -> floa
 # parameter sweeps
 
 _AXIS_NAMES = ("T", "J", "delta", "B")
+
+#: Grid points a sweep evaluates as one set of arrays.
+SWEEP_BLOCK = 1024
+
+#: Record keys per variant, in output order.
+_RECORD_FIELDS = {
+    "xx": ("T", "J", "C", "witness", "Z", "T_c"),
+    "xxz": ("T", "J", "delta", "C", "witness", "Z", "T_c"),
+    "xxzfield": ("T", "J", "delta", "B", "C", "witness", "Z"),
+}
 
 
 @dataclass(frozen=True)
@@ -350,43 +416,48 @@ def sweep(config: SweepConfig) -> list[dict]:
 
     The model, its closed-form parameters and ``T_c`` depend only on the
     non-temperature coordinates, so they are computed once per distinct
-    coordinate; each grid point then costs one closed route and one
-    witness.
+    coordinate.  The grid points then go through
+    :func:`~spinthermal.concurrence.closed_route_array` and the array
+    witnesses :data:`SWEEP_BLOCK` at a time; the values are those of
+    :func:`~spinthermal.concurrence.closed_route` and the region
+    functions, bit for bit.
     """
     _validate_sweep(config)
     names = [axis.name for axis in config.axes]
     grids = [axis.values() for axis in config.axes]
+    temperatures = grids[names.index("T")] if "T" in names else [config.T]
+    if not temperatures[0] > 0.0:  # axis values ascend
+        raise InvalidTemperature(
+            f"sweep temperatures must be > 0, got {temperatures[0]}")
+    other_names = [name for name in names if name != "T"]
+    other_grids = [grid for name, grid in zip(names, grids) if name != "T"]
+    coordinates = []
+    for values in itertools.product(*other_grids):
+        model = replace(config.model, **dict(zip(other_names, values)))
+        coordinates.append((*model.closed_form_params(), _critical_temperature(model)))
+    t_inner = names[1:] == ["T"]  # T is the second of two axes
+    pairs = (itertools.product(coordinates, temperatures) if t_inner
+             else itertools.product(temperatures, coordinates))
     variant = config.model.variant
-    per_coordinate: dict[tuple, tuple] = {}
-    records = []
-    for values in itertools.product(*grids):
-        point = dict(zip(names, values))
-        T = point.pop("T", config.T)
-        if not T > 0.0:
-            raise InvalidTemperature(f"sweep temperatures must be > 0, got {T}")
-        key = tuple(point.values())
-        if key not in per_coordinate:
-            model = replace(config.model, **point)
-            per_coordinate[key] = (*model.closed_form_params(),
-                                   _critical_temperature(model))
-        J, delta, B, T_c = per_coordinate[key]
-        C, Z, *_ = closed_route(J, delta, B, T)
-        z = _scaled_power(J / T, 1.0)
-        if variant == "xx":
-            witness = xx_region(z).witness
-        elif variant == "xxz":
-            witness = xxz_region(delta, z).witness
-        else:
-            witness = field_region(delta, z, B / T).witness
-        record: dict = {"T": T, "J": J}
-        if variant in ("xxz", "xxzfield"):
-            record["delta"] = delta
-        if variant == "xxzfield":
-            record["B"] = B
-        record["C"] = C
-        record["witness"] = witness
-        record["Z"] = Z
-        if variant in ("xx", "xxz"):
-            record["T_c"] = T_c
-        records.append(record)
+    fields = _RECORD_FIELDS[variant]
+    records: list[dict] = []
+    for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
+        firsts, seconds = zip(*block)
+        coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
+        Js, deltas, Bs, T_cs = zip(*coords)
+        T, J, delta, B = (np.array(column) for column in (temps, Js, deltas, Bs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            C, Z = closed_route_array(J, delta, B, T)
+            z = _scaled_powers(J / T, 1.0)
+            if variant == "xx":
+                witness = xx_witnesses(z)
+            elif variant == "xxz":
+                witness = xxz_witnesses(delta, z)
+            else:
+                witness = field_witnesses(delta, z, B / T)
+        columns = {"T": temps, "J": Js, "delta": deltas, "B": Bs,
+                   "C": [c or 0.0 for c in C.tolist()],  # unentangled points share one 0.0
+                   "witness": witness.tolist(), "Z": Z.tolist(), "T_c": T_cs}
+        rows = zip(*(columns[name] for name in fields))
+        records.extend(map(dict, map(zip, itertools.repeat(fields), rows)))
     return records

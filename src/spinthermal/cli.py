@@ -41,8 +41,10 @@ factor that underflowed to 0).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -258,11 +260,30 @@ def _round12(value):
     return float(format(float(value), ".12g"))
 
 
+def _all_floats(columns: list[str], rows: list[dict]) -> bool:
+    """Whether every row holds a float under every column."""
+    cells = map(operator.itemgetter(*columns), rows)
+    if len(columns) > 1:
+        cells = itertools.chain.from_iterable(cells)
+    try:
+        return all(map(isinstance, cells, itertools.repeat(float)))
+    except KeyError:
+        return False
+
+
 def render_csv(columns: list[str], rows: list[dict]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+    """Header line, then one line per row, every cell as :func:`_fmt` prints it.
+
+    When every cell is a float, a row is printed by one ``%`` format:
+    ``"%.12g" % x`` runs the C routine of ``format(x, ".12g")``, ``inf``,
+    ``nan`` and ``-0`` included.
+    """
+    header = ",".join(columns) + "\n"
+    if columns and _all_floats(columns, rows):
+        template = ",".join(["%.12g"] * len(columns)) + "\n"
+        return header + "".join(map(template.__mod__, map(operator.itemgetter(*columns), rows)))
+    lines = [",".join(_fmt(row.get(col)) for col in columns) + "\n" for row in rows]
+    return header + "".join(lines)
 
 
 def render_json(meta: dict, columns: list[str], rows: list[dict]) -> str:
@@ -358,6 +379,16 @@ def _cmd_concurrence(cfg: RunConfig) -> int:
     return 0
 
 
+def _format_z_c(z_c: float, x_c: float) -> str:
+    """``z_c`` to six significant digits; below the normal float range
+    (subnormal or underflowed to 0) from ``x_c = ln z_c`` in decimal."""
+    if z_c >= sys.float_info.min:
+        return f"{z_c:#.6g}"
+    import decimal  # here: importing it costs every CLI start about 1.4 ms
+
+    return format(decimal.Context(Emin=decimal.MIN_EMIN).exp(decimal.Decimal(x_c)), ".5e")
+
+
 def _cmd_critical(cfg: RunConfig) -> int:
     model = build_model(cfg.model)
     if model.variant == "xx":
@@ -374,9 +405,9 @@ def _cmd_critical(cfg: RunConfig) -> int:
         print("T_c/|J| = none")
         rows = [{"z_c": None, "x_c": None, "Tc_per_J": None}]
     else:
-        print(f"z_c = {point.z_c:#.6g}")
+        print(f"z_c = {_format_z_c(point.z_c, point.x_c)}")
         print(f"x_c = {point.x_c:.6f}")
-        print(f"T_c/|J| = {point.T_c:.6f}")
+        print(f"T_c/|J| = {point.T_c:#.7g}")
         rows = [{"z_c": point.z_c, "x_c": point.x_c, "Tc_per_J": point.T_c}]
     if cfg.out:
         _emit(cfg, ["z_c", "x_c", "Tc_per_J"], rows)

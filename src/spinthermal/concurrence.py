@@ -15,7 +15,9 @@ Three routes are provided:
   uniform-field models, and the independent check against the numeric
   pipeline: ground-shifted Boltzmann weights over the six analytic
   levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
-  overflows, and the degenerate ground group at ``T = 0``.
+  overflows, and the degenerate ground group at ``T = 0``;
+  :func:`closed_route_array` gives its ``(C, Z)`` over arrays, bit for
+  bit, for sweeps.
 
 Complex conjugation in the spin flip is taken entry-wise in the
 computational basis fixed by :mod:`spinthermal.spinmodel`; pinning the
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTemperature
-from .linalg import PSD_FLOOR, degenerate_groups, hermitian_eigen, kron, psd_sqrt
+from .linalg import (PSD_FLOOR, degenerate_groups, hermitian_eigen, kron, map_floats,
+                     psd_sqrt)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
 
 #: Two-qubit spin-flip operator; real antidiagonal (-1, 1, 1, -1).
@@ -163,6 +166,35 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     # max() last: unentangled points share the constant 0.0 (sweeps keep every C)
     C = max(2.0 * (abs(rho_y) - math.sqrt(rho00 * rho11)), 0.0)
     return C, scale * trace / 6.0, rho00, rho11, rho_w, rho_y
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
+                       T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(C, Z)`` of :func:`closed_route` over equal-length 1-D arrays with ``T > 0``.
+
+    Bit for bit the scalar values: numpy does only the IEEE-exact steps,
+    in the scalar order, and every ``exp`` and ``fsum`` goes through
+    :func:`~spinthermal.linalg.map_floats`.  Run it under
+    ``np.errstate(over="ignore", invalid="ignore")`` to get the silent
+    ``inf`` and ``nan`` of Python float arithmetic.
+    """
+    levels = np.stack(level_energies(J, delta, B), axis=1)
+    emin = levels.min(axis=1)
+    weights = map_floats(math.exp, ((emin[:, None] - levels) / T[:, None]).ravel())
+    weights = weights.reshape(levels.shape)
+    s00, s11, s_w, s_y = [map_floats(math.fsum, weights * np.array(column, float))
+                          for column in _SIXTHS_COLUMNS]
+    trace = s00 + s11 + 2.0 * s_w
+    gap = 2.0 * (np.abs(s_y / trace) - np.sqrt((s00 / trace) * (s11 / trace)))
+    C = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0)
+    return C, map_floats(_exp_or_inf, -emin / T) * trace / 6.0
 
 
 def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:

@@ -4,11 +4,13 @@ Matrices are plain complex numpy arrays (2x2 up to 8x8).  The eigensolver
 is a cyclic Jacobi iteration with complex plane rotations: at these sizes
 it reaches near machine precision, and every spectral quantity downstream
 (Gibbs weights, concurrence eigenvalues, square roots) runs through it.
+Array code in the package calls libm functions only through :func:`map_floats`.
 All functions are pure; nothing here keeps internal state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +59,21 @@ def degenerate_groups(values, tol: float = DEGENERACY_TOL) -> list[list[int]]:
         else:
             groups.append([i])
     return groups
+
+
+def map_floats(fn, *args) -> np.ndarray:
+    """``fn`` applied to Python floats elementwise: a float array as long as the first arg.
+
+    Each arg is a 1-D array, a 2-D array (``fn`` then gets one row as a
+    list) or a scalar repeated for every element.  numpy's own ``exp``,
+    ``power``, ``log`` and ``cosh`` differ from the C library's in the last
+    bit on some inputs; going through ``math`` and ``pow`` keeps every
+    value, and every ``OverflowError`` or ``ValueError``, those of the
+    scalar code.
+    """
+    columns = [arg.tolist() if isinstance(arg, np.ndarray) else itertools.repeat(arg)
+               for arg in args]
+    return np.fromiter(map(fn, *columns), float, len(args[0]))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,8 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinthermal.analysis as analysis_module
+from spinthermal.analysis import field_witnesses, xx_witnesses, xxz_witnesses
+from spinthermal.concurrence import closed_route, closed_route_array
 from spinthermal import (
     InvalidGrid,
     ModelSpec,
@@ -350,6 +354,86 @@ def test_predicates_agree_with_concurrence_sign():
 
 
 # ---------------------------------------------------------------------------
+# the array forms a sweep runs, against the scalar functions
+
+def scalar_point(variant, J, delta, B, T):
+    """``(C, Z, witness)`` of one point as :func:`sweep` used to compute it."""
+    C, Z, *_ = closed_route(J, delta, B, T)
+    z = analysis_module._scaled_power(J / T, 1.0)
+    if variant == "xx":
+        return C, Z, xx_region(z).witness
+    if variant == "xxz":
+        return C, Z, xxz_region(delta, z).witness
+    return C, Z, field_region(delta, z, B / T).witness
+
+
+def array_witnesses(variant, J, delta, B, T):
+    z = analysis_module._scaled_powers(J / T, 1.0)
+    if variant == "xx":
+        return xx_witnesses(z)
+    if variant == "xxz":
+        return xxz_witnesses(delta, z)
+    return field_witnesses(delta, z, B / T)
+
+
+def assert_array_forms_match(variant, points):
+    """Bitwise equal ``(C, Z, witness)`` on the points where the scalar
+    functions return; the scalar's exception type, point by point, where
+    they raise."""
+    returned, raised = [], []
+    for point in points:
+        try:
+            returned.append((point, scalar_point(variant, *point)))
+        except (OverflowError, ValueError) as exc:
+            raised.append((point, type(exc)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for point, error in raised:
+            with pytest.raises(error):
+                array_witnesses(variant, *(np.array([x]) for x in point))
+        if returned:
+            J, delta, B, T = (np.array(column) for column in zip(*(p for p, _ in returned)))
+            C, Z = closed_route_array(J, delta, B, T)
+            witness = array_witnesses(variant, J, delta, B, T)
+            got = [tuple(x.hex() for x in values)
+                   for values in zip(C.tolist(), Z.tolist(), witness.tolist())]
+            assert got == [tuple(x.hex() for x in want) for _, want in returned]
+
+
+def ratio_point(variant, T, j_ratio, delta, b_ratio):
+    return (j_ratio * T, delta if variant != "xx" else 0.0,
+            b_ratio * T if variant == "xxzfield" else 0.0, T)
+
+
+def signed_ratios(rng, n):
+    return rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+
+@pytest.mark.parametrize("variant", ("xx", "xxz", "xxzfield"))
+def test_array_forms_match_the_scalar_functions_on_a_seeded_set(variant):
+    rng = np.random.default_rng(20261018)
+    n = 2000
+    T = 10.0 ** rng.uniform(-2.0, 1.0, n)
+    j_ratio = signed_ratios(rng, n)
+    b_ratio = np.where(rng.random(n) < 0.2, 0.0, signed_ratios(rng, n))
+    delta = np.where(rng.random(n) < 0.1, 1.0, rng.uniform(-50.0, 50.0, n))
+    points = [ratio_point(variant, *values)
+              for values in zip(T.tolist(), j_ratio.tolist(), delta.tolist(), b_ratio.tolist())]
+    assert_array_forms_match(variant, points)
+
+
+_RATIO = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0)).map(
+    lambda se: se[0] * 10.0 ** se[1])  # signed, |ratio| in [1e-3, 1e3]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(variant=st.sampled_from(("xx", "xxz", "xxzfield")),
+       points=st.lists(st.tuples(st.floats(-2.0, 1.0).map(lambda e: 10.0**e), _RATIO,
+                                 st.floats(-50.0, 50.0), _RATIO), min_size=1, max_size=8))
+def test_array_forms_match_the_scalar_functions(variant, points):
+    assert_array_forms_match(variant, [ratio_point(variant, *p) for p in points])
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 def fig6_config(B=2.0, steps=200):
@@ -449,17 +533,25 @@ def per_point_sweep(config):
             C, Z, *_ = analysis_module.closed_route(J, delta, B, T)
             z = math.exp(J / T)
             record = {"T": T, "J": J}
-            if model.variant == "xxz":
+            if model.variant == "xx":
+                witness = xx_region(z).witness
+            elif model.variant == "xxz":
                 witness = xxz_region(delta, z).witness
                 record["delta"] = delta
             else:
                 witness = field_region(delta, z, B / T).witness
                 record.update(delta=delta, B=B)
             record.update(C=C, witness=witness, Z=Z)
-            if model.variant == "xxz":
+            if model.variant != "xxzfield":
                 record["T_c"] = analysis_module._critical_temperature(model)
             records.append(record)
     return records
+
+
+def bits(records):
+    """Records as key order plus ``float.hex`` values: ``-0.0`` differs from ``0.0``."""
+    return [[(key, value.hex() if isinstance(value, float) else value)
+             for key, value in record.items()] for record in records]
 
 
 HOIST_CASES = {
@@ -471,6 +563,13 @@ HOIST_CASES = {
                     (SweepAxis("J", -2.0, 1.0, 4), SweepAxis("delta", -1.0, 0.9, 3)), 0.5),
     "field T outer": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
                       (SweepAxis("T", 0.05, 2.0, 6), SweepAxis("B", 0.0, 3.0, 4)), None),
+    "xx T and J": (ModelSpec.xx(1.0),
+                   (SweepAxis("T", 0.05, 2.0, 9), SweepAxis("J", -2.0, 2.0, 9)), None),
+    "field negative J": (ModelSpec.xxz_field(-1.0, 0.5, 0.0),
+                         (SweepAxis("T", 0.05, 2.0, 8), SweepAxis("B", -3.0, 3.0, 13)), None),
+    "field B and delta": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
+                          (SweepAxis("B", -3.0, 3.0, 13), SweepAxis("delta", -2.0, 2.0, 9)),
+                          0.5),
 }
 
 
@@ -488,8 +587,9 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
 
     monkeypatch.setattr(analysis_module, "xxz_critical", counting)
     records = sweep(config)
-    assert records == expected
-    assert [list(r) for r in records] == [list(r) for r in expected]  # key order
+    assert bits(records) == bits(expected)
     distinct = {(r["J"], r["delta"]) for r in records} if model.variant == "xxz" else set()
     assert len(calls) == len(distinct)
+    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # blocks that straddle rows
+    assert bits(sweep(config)) == bits(expected)
 

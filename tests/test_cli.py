@@ -5,6 +5,7 @@ import pytest
 
 from spinthermal.cli import (
     GridAxis,
+    _fmt,
     RunConfig,
     build_model,
     format_config,
@@ -113,6 +114,30 @@ def test_render_csv_formatting():
     assert text.endswith("\n") and "\r" not in text
 
 
+def per_cell_csv(columns, rows):
+    """Reference for :func:`render_csv`: every cell through ``_fmt``."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row.get(col)) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1 + 0.2)
+
+
+@pytest.mark.parametrize("columns, rows", (
+    (["a", "b"], [{"a": x, "b": y} for x in SPECIAL_FLOATS for y in SPECIAL_FLOATS]),
+    (["a"], [{"a": x, "b": None} for x in SPECIAL_FLOATS]),
+    (["a", "b"], []),
+    (["a", "b"], [{"a": 0.5, "b": 1e16}, {"a": 0.1 + 0.2, "b": None}]),
+    (["a", "b"], [{"a": 0.5, "b": 1e16}, {"a": 0.1 + 0.2, "b": 2}]),
+    (["a", "b"], [{"a": 0.5, "b": 1e16}, {"a": -0.0, "b": "x"}]),
+    (["a", "b"], [{"a": 0.5, "b": 1e16}, {"a": -0.0}]),
+    (["k"], [{"k": 10**20}]),
+))
+def test_render_csv_matches_the_per_cell_format(columns, rows):
+    assert render_csv(columns, rows) == per_cell_csv(columns, rows)
+
+
 JSON_META = {"command": "sweep", "model": {"model": "xx", "J": 1.0}, "T": None,
              "grid": [{"axis": "T", "min": 0.1, "max": 1.0, "steps": 2}],
              "columns": ["T", "C", "tag"]}
@@ -146,6 +171,18 @@ def test_cli_critical_prints_a_tiny_z_c_in_significant_digits(capsys):
     out = capsys.readouterr().out
     assert "z_c = 1.39296e-24\n" in out
     assert "x_c = -54.930614\n" in out
+
+
+def test_cli_critical_keeps_its_digits_as_delta_tends_to_one(capsys):
+    # z_c = exp(x_c) underflows to 0 at delta = 0.9999, and T_c/|J| falls
+    # below the sixth decimal; delta = 0.99 and xx keep their bytes
+    assert main(["critical", "--model", "xxz", "--J", "-1", "--delta", "0.9999"]) == 0
+    assert capsys.readouterr().out == ("z_c = 2.47586e-2386\nx_c = -5493.061443\n"
+                                       "T_c/|J| = 0.0001820478\n")
+    assert main(["critical", "--model", "xxz", "--J", "-1", "--delta", "0.999999"]) == 0
+    assert "T_c/|J| = 1.820478e-06\n" in capsys.readouterr().out
+    assert main(["critical", "--model", "xxz", "--J", "-1", "--delta", "0.99"]) == 0
+    assert "T_c/|J| = 0.01820478\n" in capsys.readouterr().out
 
 
 def test_cli_concurrence_both_routes(capsys):

@@ -19,7 +19,8 @@ from spinthermal import (
     spin_flip,
     xstate_params,
 )
-from spinthermal.concurrence import LEVEL_REDUCED_SIXTHS, closed_form_xstate
+from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
+                                     closed_route_array)
 from spinthermal.spinmodel import LEVELS
 
 STATES = analytic_eigenstates()
@@ -216,6 +217,22 @@ def test_level_table_is_the_partial_trace_of_each_level():
         expected = np.array([[r00, 0, 0, 0], [0, r_w, r_y, 0],
                              [0, r_y, r_w, 0], [0, 0, 0, r11]], dtype=complex)
         assert np.abs(rho - expected).max() <= 1e-15
+
+
+def test_closed_route_array_is_the_scalar_route_bit_for_bit():
+    rng = np.random.default_rng(17)
+    n = 3000
+    T = 10.0 ** rng.uniform(-3.0, 1.0, n)
+    J = rng.choice((-1.0, 0.0, 1.0), n, p=(0.45, 0.1, 0.45)) * 10.0 ** rng.uniform(-3, 3.5, n) * T
+    delta = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(-50.0, 50.0, n))
+    B = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3, n) * T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C, Z = closed_route_array(J, delta, B, T)
+    want = [closed_route(*point)[:2]
+            for point in zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist())]
+    assert [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())] == \
+        [(c.hex(), z.hex()) for c, z in want]
+    assert math.inf in Z.tolist()  # the saturated partition function is covered
 
 
 _RATIO = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # |J|/T and |B|/T in [1e-3, 1e3]
