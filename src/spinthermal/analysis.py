@@ -17,10 +17,11 @@ per unit ``|J|`` (they scale linearly in ``|J|``).
 A sweep splits its work in two.  What depends only on the
 non-temperature coordinates (the model, its closed-form parameters and
 the critical temperature) is computed once per distinct coordinate and
-kept for the length of the call.  The grid points are then evaluated
-:data:`SWEEP_BLOCK` at a time as numpy arrays, by
-:func:`~spinthermal.concurrence.closed_route_array` and the array
-witnesses (:func:`xx_witnesses`, :func:`xxz_witnesses`,
+kept for the length of the call; the critical point itself is bisected
+once per distinct anisotropy and scaled by each coordinate's ``|J|``.
+The grid points are then evaluated :data:`SWEEP_BLOCK` at a time as
+numpy arrays, by :func:`~spinthermal.concurrence.closed_route_array`
+and the array witnesses (:func:`xx_witnesses`, :func:`xxz_witnesses`,
 :func:`field_witnesses`).  numpy does only IEEE-exact steps there and
 every libm call is mapped over Python floats, so the records hold the
 scalar functions' values bit for bit.  Records are emitted in grid order.
@@ -392,14 +393,19 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise InvalidGrid("T must be fixed when it is not an axis")
 
 
-def _critical_temperature(model: ModelSpec) -> Optional[float]:
-    """Critical temperature scaled by |J|, None when undefined/absent."""
-    if model.variant == "xx":
-        point = xx_critical()
-    elif model.variant == "xxz":
-        point = xxz_critical(model.delta)
-    else:
+def _critical_temperature(model: ModelSpec, points: dict) -> Optional[float]:
+    """Critical temperature scaled by |J|, None when undefined/absent.
+
+    ``T_c/|J|`` depends on the anisotropy alone, so ``points`` keeps the
+    critical point per delta (one entry for ``xx``) and each model only
+    scales it by its own ``|J|``.
+    """
+    if model.variant not in ("xx", "xxz"):
         return None
+    key = model.delta if model.variant == "xxz" else None
+    if key not in points:
+        points[key] = xx_critical() if key is None else xxz_critical(key)
+    point = points[key]
     if point is None:
         return None
     return point.T_c * abs(model.J)
@@ -416,7 +422,8 @@ def sweep(config: SweepConfig) -> list[dict]:
 
     The model, its closed-form parameters and ``T_c`` depend only on the
     non-temperature coordinates, so they are computed once per distinct
-    coordinate.  The grid points then go through
+    coordinate, and the critical point behind ``T_c`` once per distinct
+    anisotropy.  The grid points then go through
     :func:`~spinthermal.concurrence.closed_route_array` and the array
     witnesses :data:`SWEEP_BLOCK` at a time; the values are those of
     :func:`~spinthermal.concurrence.closed_route` and the region
@@ -432,9 +439,11 @@ def sweep(config: SweepConfig) -> list[dict]:
     other_names = [name for name in names if name != "T"]
     other_grids = [grid for name, grid in zip(names, grids) if name != "T"]
     coordinates = []
+    critical_points: dict = {}
     for values in itertools.product(*other_grids):
         model = replace(config.model, **dict(zip(other_names, values)))
-        coordinates.append((*model.closed_form_params(), _critical_temperature(model)))
+        coordinates.append((*model.closed_form_params(),
+                            _critical_temperature(model, critical_points)))
     t_inner = names[1:] == ["T"]  # T is the second of two axes
     pairs = (itertools.product(coordinates, temperatures) if t_inner
              else itertools.product(temperatures, coordinates))

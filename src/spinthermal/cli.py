@@ -45,6 +45,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -286,19 +287,50 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
     return header + "".join(lines)
 
 
+# Value tokens (between ``": "`` and the end of their line) whose %.12g
+# text is not what json.dumps prints; see render_json.
+_INTEGRAL_TOKEN = re.compile(r": (-?\d+)(?=,?\n)")
+_REPR_TOKEN = re.compile(r": (-?inf|nan|-?\d(?:\.\d+)?e(?:\+1[2-5]|-3\d\d))(?=,?\n)")
+
+
 def render_json(meta: dict, columns: list[str], rows: list[dict]) -> str:
     """``json.dumps(payload, indent=2)`` of meta and the rounded rows.
 
-    The rows, the bulk of a sweep, go through the C encoder in one pass
-    (it only runs without ``indent``): the item separator carries the
-    indent of a row's fields, and the row braces are spliced in after.
-    A JSON string never holds a raw newline, so ``"},\\n      {"`` only
-    matches between rows.
+    When every cell is a float, a row is printed by one ``%`` format of
+    ``%.12g`` cells in the ``indent=2`` layout.  A token whose text is
+    not what ``json.dumps`` prints of the rounded value
+    ``float(format(x, ".12g"))`` is then replaced by
+    ``json.dumps(float(token))``, that value's text by construction.
+    A normal finite float of at most 12 significant digits round-trips
+    through a double, so ``repr`` keeps the ``%.12g`` digits and only
+    the notation can differ.  That leaves four kinds of token to repair:
+    integral values (``0`` -> ``0.0``, ``-0`` -> ``-0.0``); ``inf``,
+    ``-inf`` and ``nan`` (``Infinity``, ``-Infinity``, ``NaN``); decimal
+    exponents +12 to +15, where ``repr`` stays positional (``1e+12`` ->
+    ``1000000000000.0``); and exponents of -300 and below, which take
+    in every subnormal, whose shortest text has fewer digits
+    (``4.94065645841e-324`` -> ``5e-324``).  A token counts only where a
+    line ends after it; a JSON string never holds a raw newline, so no
+    column name matches.
+
+    Any other table (``None``, ints, strings) goes through the C encoder
+    in one pass (it only runs without ``indent``): the item separator
+    carries the indent of a row's fields, and the row braces are spliced
+    in after; ``"},\\n      {"`` only matches between rows, for the
+    same reason.
     """
+    head = json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("[]\n}")]
+    if rows and columns and _all_floats(columns, rows):
+        fields = ",\n".join(
+            "      " + json.dumps(col).replace("%", "%%") + ": %.12g" for col in columns)
+        template = "    {\n" + fields + "\n    }"
+        body = ",\n".join(map(template.__mod__, map(operator.itemgetter(*columns), rows)))
+        body = _INTEGRAL_TOKEN.sub(r": \1.0", body)
+        body = _REPR_TOKEN.sub(lambda m: ": " + json.dumps(float(m[1])), body)
+        return head + "[\n" + body + "\n  ]\n}\n"
     rounded = [{col: _round12(row.get(col)) for col in columns} for row in rows]
     if not rounded or not columns:
         return json.dumps({"meta": meta, "rows": rounded}, indent=2) + "\n"
-    head = json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("[]\n}")]
     body = json.dumps(rounded, separators=(",\n      ", ": "))[2:-2]
     body = body.replace("},\n      {", "\n    },\n    {\n      ")
     return head + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
@@ -335,11 +367,11 @@ def _require_T(cfg: RunConfig) -> float:
 
 def _cmd_eig(cfg: RunConfig) -> int:
     model = build_model(cfg.model)
-    from .linalg import hermitian_eigen
+    from .linalg import degenerate_groups, hermitian_eigen
     from .spinmodel import build_hamiltonian
 
     spectrum = hermitian_eigen(build_hamiltonian(model))
-    groups = spectrum.degenerate_groups()
+    groups = degenerate_groups(spectrum.eigenvalues)
     group_of = {}
     for gid, members in enumerate(groups):
         for k in members:

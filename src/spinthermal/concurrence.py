@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTemperature
+from .errors import InvalidTemperature, NotPSD
 from .linalg import (PSD_FLOOR, degenerate_groups, hermitian_eigen, kron, map_floats,
                      psd_sqrt)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
@@ -114,14 +114,15 @@ def concurrence_general(rho) -> ConcurrenceResult:
     Accepts a plain 4x4 array or anything exposing ``.mat``.  The four
     lambdas are the square roots of the eigenvalues of the spin-flipped
     product, descending; the concurrence is
-    ``max(l1 - l2 - l3 - l4, 0)``.
+    ``max(l1 - l2 - l3 - l4, 0)``.  An eigenvalue of that product below
+    ``PSD_FLOOR`` raises ``NotPSD``.
     """
     mat = _as_matrix(rho)
     root = psd_sqrt(mat)
     mixed = root @ spin_flip(mat) @ root
     vals = hermitian_eigen((mixed + mixed.conj().T) / 2.0).eigenvalues
     if float(vals.min()) < PSD_FLOOR:
-        raise ValueError(f"spin-flip product eigenvalue {vals.min():.3e} < 0")
+        raise NotPSD(f"spin-flip product eigenvalue {vals.min():.3e} < 0")
     lams = np.sqrt(np.clip(vals, 0.0, None))[::-1]
     diff = float(lams[0] - lams[1] - lams[2] - lams[3])
     return ConcurrenceResult(lambdas=tuple(float(x) for x in lams), C=max(diff, 0.0))

@@ -37,10 +37,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def degenerate_groups(self, tol: float = DEGENERACY_TOL) -> list[list[int]]:
-        """The eigenvalues' :func:`degenerate_groups`."""
-        return degenerate_groups(self.eigenvalues, tol)
-
 
 def degenerate_groups(values, tol: float = DEGENERACY_TOL) -> list[list[int]]:
     """Indices of ascending ``values`` grouped by near-degeneracy.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .concurrence import XStateParams, closed_form_xstate
 from .errors import InvalidTemperature, NotHermitian
-from .linalg import hermitian_eigen
+from .linalg import degenerate_groups, hermitian_eigen
 from .spinmodel import ModelSpec, build_hamiltonian
 
 _TRACE_TOL = 1e-10
@@ -66,14 +66,14 @@ def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:
 
     At ``T = 0`` this is the projector onto the degenerate ground group
     divided by its degeneracy (grouping per
-    :meth:`spinthermal.linalg.Spectrum.degenerate_groups`).
+    :func:`spinthermal.linalg.degenerate_groups`).
     """
     if T < 0.0:
         raise InvalidTemperature(f"temperature must be >= 0, got {T}")
     spectrum = hermitian_eigen(build_hamiltonian(spec))
     vecs = spectrum.eigenvectors
     if T == 0.0:
-        ground = spectrum.degenerate_groups()[0]
+        ground = degenerate_groups(spectrum.eigenvalues)[0]
         cols = vecs[:, ground]
         rho = (cols @ cols.conj().T) / len(ground)
     else:

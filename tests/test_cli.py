@@ -1,11 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from spinthermal.analysis import SweepAxis, SweepConfig, sweep
 from spinthermal.cli import (
     GridAxis,
     _fmt,
+    _round12,
     RunConfig,
     build_model,
     format_config,
@@ -155,6 +158,97 @@ def test_render_json_matches_indented_dumps(rows):
     payload = {"meta": JSON_META,
                "rows": [{col: row.get(col) for col in columns} for row in rows]}
     assert render_json(JSON_META, columns, rows) == json.dumps(payload, indent=2) + "\n"
+
+
+def rounded_dumps(meta, columns, rows):
+    """Reference for :func:`render_json`: the rounded rows through ``json.dumps``."""
+    payload = {"meta": meta,
+               "rows": [{col: _round12(row[col]) for col in columns} for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Where %.12g and json.dumps part ways: integral values, non-finite values,
+# decimal exponents +12 to +15 and subnormals, with their neighbours.
+JSON_BOUNDARY_FLOATS = (
+    0.0, -0.0, 3.0, -3.0, 1e11, 99999999999.9, 1e12, 999999999999.9, -1.5e13,
+    9.99999999999999e15, 1e16, 1e-5, 1e-4, math.inf, -math.inf, math.nan, 5e-324,
+    2.225073858507e-308, 1e-307, 1e300, 0.1 + 0.2,
+)
+
+
+def log_uniform_floats(count, seed):
+    rng = np.random.default_rng(seed)
+    signs = rng.choice((-1.0, 1.0), count)
+    return (signs * 10.0 ** rng.uniform(-320.0, 308.0, count)).tolist()
+
+
+@pytest.mark.parametrize("values", (JSON_BOUNDARY_FLOATS, log_uniform_floats(6000, 17)),
+                         ids=("boundary", "log-uniform"))
+@pytest.mark.parametrize("columns", (["x"], ["T", "50%", 'say "q"', "%s", "Z"]),
+                         ids=("one column", "five columns"))
+def test_render_json_all_float_rows_match_rounded_dumps(values, columns):
+    width = len(columns)
+    values = list(values) * width  # every value in every column
+    rows = [dict(zip(columns, values[k:k + width])) for k in range(0, len(values), width)]
+    assert render_json(JSON_META, columns, rows) == rounded_dumps(JSON_META, columns, rows)
+
+
+FIELD_GRID_CONFIG = """\
+command = sweep
+columns = T,B,C,witness,Z
+
+[model]
+model = xxzfield
+J = 1.0
+delta = 1.0
+B = 0.0
+
+[grid:T]
+min = 0.02
+max = 4.0
+steps = 200
+
+[grid:B]
+min = 0.0
+max = 3.0
+steps = 200
+"""
+
+XXZ_TC_GAP_CONFIG = """\
+command = sweep
+columns = T,delta,C,witness,T_c
+
+[model]
+model = xxz
+J = -1.0
+delta = 0.0
+
+[grid:T]
+min = 0.05
+max = 4.0
+steps = 20
+
+[grid:delta]
+min = -3.0
+max = 3.0
+steps = 30
+"""
+
+
+@pytest.mark.parametrize("config_text", (FIELD_GRID_CONFIG, FIG6_CONFIG, XXZ_TC_GAP_CONFIG),
+                         ids=("field 200x200", "figure", "xxz with empty T_c"))
+def test_cli_json_sweep_matches_rounded_dumps(config_text, tmp_path):
+    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.json"
+    config.write_text(config_text)
+    assert main(["sweep", "--config", str(config), "--format", "json",
+                 "--out", str(out)]) == 0
+    cfg = parse_config(config_text)
+    axes = tuple(SweepAxis(g.axis, g.min, g.max, g.steps) for g in cfg.grid)
+    records = sweep(SweepConfig(build_model(cfg.model), axes, cfg.T))
+    if "T_c" in cfg.columns:
+        assert any(record["T_c"] is None for record in records)
+    text = out.read_text()
+    assert text == rounded_dumps(json.loads(text)["meta"], cfg.columns, records)
 
 
 def test_cli_critical_stdout(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spinthermal import (
     InvalidTemperature,
     ModelSpec,
+    NotPSD,
     UnsupportedModel,
     XStateParams,
     analytic_eigenstates,
@@ -83,6 +84,24 @@ def test_spin_flip_involution():
         spin_flip(np.diag([1.0, 0, 0, 0]).astype(complex))
         - np.diag([0, 0, 0, 1.0])
     ).max() < 1e-15
+
+
+def test_negative_spin_flip_eigenvalue_is_not_psd(monkeypatch, capsys):
+    # the first hermitian_eigen call (inside psd_sqrt) runs as usual; the
+    # second, on the spin-flipped product, reports an eigenvalue below PSD_FLOOR
+    import spinthermal.concurrence as concurrence_mod
+    from spinthermal.cli import main
+    from spinthermal.linalg import PSD_FLOOR, Spectrum
+
+    def negative(mat):
+        return Spectrum(eigenvalues=np.array([10.0 * PSD_FLOOR, 0.0, 0.0, 1.0]),
+                        eigenvectors=np.eye(4, dtype=complex))
+
+    monkeypatch.setattr(concurrence_mod, "hermitian_eigen", negative)
+    with pytest.raises(NotPSD, match="spin-flip product eigenvalue"):
+        concurrence_general(np.eye(4) / 4.0)
+    assert main(["concurrence", "--model", "xx", "--J", "1", "--T", "1"]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: spin-flip product")
 
 
 def test_xstate_trivial_zero():

@@ -11,6 +11,7 @@ from spinthermal import (
     kron,
     psd_sqrt,
 )
+from spinthermal.linalg import degenerate_groups
 from spinthermal.spinmodel import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 I2 = np.eye(2, dtype=complex)
@@ -119,7 +120,7 @@ def test_eigen_zero_matrix():
 
 def test_degenerate_groups():
     spec = hermitian_eigen(build_hamiltonian(ModelSpec.xx(1.0)))
-    sizes = sorted(len(g) for g in spec.degenerate_groups())
+    sizes = sorted(len(g) for g in degenerate_groups(spec.eigenvalues))
     assert sizes == [2, 2, 4]
 
 
