@@ -187,9 +187,9 @@ def log_uniform_floats(count, seed):
 @pytest.mark.parametrize("columns", (["x"], ["T", "50%", 'say "q"', "%s", "Z"]),
                          ids=("one column", "five columns"))
 def test_render_json_all_float_rows_match_rounded_dumps(values, columns):
-    width = len(columns)
-    values = list(values) * width  # every value in every column
-    rows = [dict(zip(columns, values[k:k + width])) for k in range(0, len(values), width)]
+    # row k starts at value k, so every value lands in every column
+    cycled = list(values) * 2
+    rows = [dict(zip(columns, cycled[k:])) for k in range(len(values))]
     assert render_json(JSON_META, columns, rows) == rounded_dumps(JSON_META, columns, rows)
 
 
