@@ -1,7 +1,8 @@
 """Entanglement regions, critical temperatures, and figure-style sweeps.
 
 Every predicate reports a sign-carrying witness: the pair is entangled
-exactly when the witness is positive.  Witness conventions:
+exactly when the witness is positive.  The region functions are the
+paper's analytic conditions in the Boltzmann factor ``z = exp(J/T)``:
 
 * XX model: ``1 - 3 z**2 - 4 z**3`` (negated boundary cubic, so the
   sign matches the entangled/not-entangled verdict);
@@ -15,30 +16,28 @@ problem size robustness beats speed.  Critical temperatures are reported
 per unit ``|J|`` (they scale linearly in ``|J|``).
 
 A sweep splits its work in two.  What depends only on the
-non-temperature coordinates (the model, its closed-form parameters and
-the critical temperature) is computed once per distinct coordinate and
-kept for the length of the call; the critical point itself is bisected
-once per distinct anisotropy and scaled by each coordinate's ``|J|``.
-The grid points are then evaluated :data:`SWEEP_BLOCK` at a time as
-numpy arrays, by :func:`~spinthermal.concurrence.closed_route_array`
-and the array witnesses (:func:`xx_witnesses`, :func:`xxz_witnesses`,
-:func:`field_witnesses`).  numpy does only IEEE-exact steps there and
-every libm call is mapped over Python floats, so the records hold the
-scalar functions' values bit for bit.  Records are emitted in grid order.
+non-temperature coordinates (the closed-form parameters and the critical
+temperature) is computed once per distinct coordinate and kept for the
+length of the call; the critical point itself is bisected once per
+distinct anisotropy and scaled by each coordinate's ``|J|``.  The grid
+points are then evaluated :data:`SWEEP_BLOCK` at a time as numpy arrays
+by :func:`~spinthermal.concurrence.closed_route_array`, whose ``C`` and
+``Z`` are the scalar route's bit for bit and whose witness,
+``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
+for every variant.  Records are emitted in grid order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .concurrence import closed_route, closed_route_array
-from .errors import InvalidGrid, InvalidTemperature, NoRoot, OutOfDomain
-from .linalg import map_floats
+from .errors import InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain
 from .spinmodel import ModelSpec
 
 BISECT_TOL = 1e-12
@@ -236,54 +235,6 @@ def field_region(delta: float, z: float, beta_B: float) -> RegionVerdict:
     return RegionVerdict(entangled=witness > 0.0, witness=witness)
 
 
-# Array forms of the three witnesses, in the scalar functions' order of
-# operations.  Each raises the scalar's exception type: ValueError for
-# z <= 0, OverflowError for an overflowing power.  Run them under
-# np.errstate(over="ignore", invalid="ignore"), which matches the silent
-# inf and nan of Python float arithmetic.
-
-def _require_positive(z: np.ndarray) -> None:
-    bad = z <= 0.0
-    if bad.any():
-        raise ValueError(f"z must be positive, got {float(z[bad][0])}")
-
-
-def _scaled_powers(log_magnitude: np.ndarray, sign) -> np.ndarray:
-    """:func:`_scaled_power` elementwise."""
-    capped = log_magnitude > _EXP_CAP
-    powers = map_floats(math.exp, np.where(capped, 0.0, log_magnitude))
-    return np.copysign(np.where(capped, math.inf, powers), sign)
-
-
-def xx_witnesses(z: np.ndarray) -> np.ndarray:
-    """:func:`xx_region` witnesses of an array of ``z``."""
-    _require_positive(z)
-    return 1.0 - 3.0 * z * z - 4.0 * map_floats(pow, z, 3)
-
-
-def xxz_witnesses(delta: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """:func:`xxz_region` witnesses of equal-length arrays."""
-    _require_positive(z)
-    inverse_square = map_floats(pow, z, -2)
-    bracket = np.where(z > 1.0, -1.5 * inverse_square, 0.5 * inverse_square - 2.0 * z)
-    flat = bracket == 0.0
-    log_mag = (2.0 * delta * map_floats(math.log, z)
-               + map_floats(math.log, np.where(flat, 1.0, np.abs(bracket))))
-    return np.where(flat, -1.5, _scaled_powers(log_mag, bracket) - 1.5)
-
-
-def field_witnesses(delta: np.ndarray, z: np.ndarray, beta_B: np.ndarray) -> np.ndarray:
-    """:func:`field_region` witnesses of equal-length arrays."""
-    _require_positive(z)
-    g = 0.25 * (9.0 + map_floats(pow, z, 4.0 * (delta - 1.0))
-                * (2.0 * map_floats(pow, z, 6) + 8.0 * map_floats(pow, z, 3) - 1.0))
-    weight = map_floats(pow, z, 2.0 * delta)
-    inverse_square = map_floats(pow, z, -2)
-    h = 0.5 * weight * (weight * map_floats(pow, inverse_square - z, 2)
-                        - (6.0 * z + 3.0 * inverse_square))
-    return h * map_floats(math.cosh, 2.0 * beta_B) - g
-
-
 def xxx_field_threshold() -> float:
     """Boltzmann factor above which a field can entangle the isotropic ring.
 
@@ -380,6 +331,9 @@ def _validate_sweep(config: SweepConfig) -> None:
         seen.add(axis.name)
         if axis.steps < 2:
             raise InvalidGrid(f"axis {axis.name!r} needs steps >= 2, got {axis.steps}")
+        if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
+            raise InvalidGrid(
+                f"axis {axis.name!r} needs finite ends: [{axis.start!r}, {axis.stop!r}]")
         if not axis.start < axis.stop:
             raise InvalidGrid(
                 f"axis {axis.name!r} range is empty or reversed: "
@@ -393,22 +347,23 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise InvalidGrid("T must be fixed when it is not an axis")
 
 
-def _critical_temperature(model: ModelSpec, points: dict) -> Optional[float]:
+def _critical_temperature(variant: str, J: float, delta: float,
+                          points: dict) -> Optional[float]:
     """Critical temperature scaled by |J|, None when undefined/absent.
 
     ``T_c/|J|`` depends on the anisotropy alone, so ``points`` keeps the
-    critical point per delta (one entry for ``xx``) and each model only
-    scales it by its own ``|J|``.
+    critical point per delta (one entry for ``xx``) and each coordinate
+    only scales it by its own ``|J|``.
     """
-    if model.variant not in ("xx", "xxz"):
+    if variant not in ("xx", "xxz"):
         return None
-    key = model.delta if model.variant == "xxz" else None
+    key = delta if variant == "xxz" else None
     if key not in points:
         points[key] = xx_critical() if key is None else xxz_critical(key)
     point = points[key]
     if point is None:
         return None
-    return point.T_c * abs(model.J)
+    return point.T_c * abs(J)
 
 
 def sweep(config: SweepConfig) -> list[dict]:
@@ -416,18 +371,20 @@ def sweep(config: SweepConfig) -> list[dict]:
 
     Returns one record per grid point, ordered by grid index (first axis
     outermost).  Each record carries the resolved model parameters plus
-    ``C`` (closed form), ``witness`` (the model's region witness), ``Z``
-    and, for the field-free variants, the critical temperature ``T_c``
-    (``None`` where no critical point exists).
+    ``C`` (closed form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``,
+    positive exactly where the pair is entangled and ``-inf`` where
+    ``J = 0``), ``Z`` and, for the field-free variants, the critical
+    temperature ``T_c`` (``None`` where no critical point exists).
 
-    The model, its closed-form parameters and ``T_c`` depend only on the
+    The closed-form parameters and ``T_c`` depend only on the
     non-temperature coordinates, so they are computed once per distinct
     coordinate, and the critical point behind ``T_c`` once per distinct
     anisotropy.  The grid points then go through
-    :func:`~spinthermal.concurrence.closed_route_array` and the array
-    witnesses :data:`SWEEP_BLOCK` at a time; the values are those of
-    :func:`~spinthermal.concurrence.closed_route` and the region
-    functions, bit for bit.
+    :func:`~spinthermal.concurrence.closed_route_array`
+    :data:`SWEEP_BLOCK` at a time; ``C`` and ``Z`` are those of
+    :func:`~spinthermal.concurrence.closed_route`, bit for bit.  A NaN in
+    ``C``, ``Z`` or the witness raises ``NaNResult`` before its block is
+    emitted.
     """
     _validate_sweep(config)
     names = [axis.name for axis in config.axes]
@@ -438,16 +395,17 @@ def sweep(config: SweepConfig) -> list[dict]:
             f"sweep temperatures must be > 0, got {temperatures[0]}")
     other_names = [name for name in names if name != "T"]
     other_grids = [grid for name, grid in zip(names, grids) if name != "T"]
+    variant = config.model.variant
+    base = dict(zip(("J", "delta", "B"), config.model.closed_form_params()))
     coordinates = []
     critical_points: dict = {}
     for values in itertools.product(*other_grids):
-        model = replace(config.model, **dict(zip(other_names, values)))
-        coordinates.append((*model.closed_form_params(),
-                            _critical_temperature(model, critical_points)))
+        J, delta, B = (base | dict(zip(other_names, map(float, values)))).values()
+        coordinates.append((J, delta, B,
+                            _critical_temperature(variant, J, delta, critical_points)))
     t_inner = names[1:] == ["T"]  # T is the second of two axes
     pairs = (itertools.product(coordinates, temperatures) if t_inner
              else itertools.product(temperatures, coordinates))
-    variant = config.model.variant
     fields = _RECORD_FIELDS[variant]
     records: list[dict] = []
     for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
@@ -455,15 +413,14 @@ def sweep(config: SweepConfig) -> list[dict]:
         coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
         Js, deltas, Bs, T_cs = zip(*coords)
         T, J, delta, B = (np.array(column) for column in (temps, Js, deltas, Bs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            C, Z = closed_route_array(J, delta, B, T)
-            z = _scaled_powers(J / T, 1.0)
-            if variant == "xx":
-                witness = xx_witnesses(z)
-            elif variant == "xxz":
-                witness = xxz_witnesses(delta, z)
-            else:
-                witness = field_witnesses(delta, z, B / T)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            C, Z, witness = closed_route_array(J, delta, B, T)
+        for name, column in (("C", C), ("Z", Z), ("witness", witness)):
+            bad = np.flatnonzero(np.isnan(column))
+            if bad.size:
+                i = bad[0]
+                raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "
+                                f"({Js[i]!r}, {deltas[i]!r}, {Bs[i]!r}, {temps[i]!r})")
         columns = {"T": temps, "J": Js, "delta": deltas, "B": Bs,
                    "C": [c or 0.0 for c in C.tolist()],  # unentangled points share one 0.0
                    "witness": witness.tolist(), "Z": Z.tolist(), "T_c": T_cs}

@@ -31,11 +31,11 @@ flags; flags win.  Config layout::
 Results are emitted as CSV (header row, comma separated, LF endings) or
 JSON (one object with ``meta`` and ``rows``), always with 12 significant
 digits, to ``--out`` or stdout; a partition function beyond the float
-range is printed as ``inf`` (``Infinity`` in JSON).  Identical configs
+range is printed as ``inf`` (``Infinity`` in JSON), and so is the sweep
+witness ``-inf`` of a ``J = 0`` point (``-Infinity``).  Identical configs
 produce byte-identical output.  Exit codes: 0 ok, 1 verification
-failure, 2 config error, 3 numeric failure (including an arithmetic
-overflow or division by zero, and a ``ValueError`` such as a Boltzmann
-factor that underflowed to 0).
+failure, 2 config error, 3 numeric failure (including a NaN result, an
+arithmetic overflow or division by zero, and a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .errors import (
     ConfigError,
     InvalidGrid,
     InvalidTemperature,
+    NaNResult,
     NoConvergence,
     NoRoot,
     NotHermitian,
@@ -391,7 +392,7 @@ def _cmd_thermal(cfg: RunConfig) -> int:
     row = {"T": T, "Z": Z}
     columns = ["T", "Z"]
     if model.variant != "xyz":
-        params = thermalstate.xstate_params(model, T)
+        params = concurrence.closed_form_xstate(*model.closed_form_params(), T)
         row.update({"u": params.u, "v": params.v, "w": params.w, "y": params.y})
         columns += ["u", "v", "w", "y"]
     _emit(cfg, columns, [row])
@@ -666,7 +667,7 @@ def main(argv=None) -> int:
             OutOfDomain, NoRoot) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, NotPSD, NotHermitian) as exc:
+    except (NaNResult, NoConvergence, NotPSD, NotHermitian) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, ValueError) as exc:

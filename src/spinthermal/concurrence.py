@@ -17,7 +17,8 @@ Three routes are provided:
   levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
   overflows, and the degenerate ground group at ``T = 0``;
   :func:`closed_route_array` gives its ``(C, Z)`` over arrays, bit for
-  bit, for sweeps.
+  bit, for sweeps, with the sign-carrying entanglement witness
+  ``ln(|rho_y| / sqrt(rho00 rho11))`` from the same level weights.
 
 Complex conjugation in the spin flip is taken entry-wise in the
 computational basis fixed by :mod:`spinthermal.spinmodel`; pinning the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,11 @@ LEVEL_REDUCED_SIXTHS = ((6, 0, 0, 0), (4, 0, 4, -2), (2, 0, 2, 2),
 _SIXTHS_COLUMNS = tuple(zip(*LEVEL_REDUCED_SIXTHS))
 
 _XSTATE_TRACE_TOL = 1e-10
+
+_EXPM1_CAP = 700.0  # math.expm1 overflows just above 709.78
+_TINY = sys.float_info.min
+_LN2 = math.log(2.0)
+_P1_PLUS_P3 = (0, 1, 0, 1, 0, 0)  # the two chiral doublets, whose weights carry rho_y
 
 
 @dataclass(frozen=True)
@@ -176,26 +183,66 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
-                       T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(C, Z)`` of :func:`closed_route` over equal-length 1-D arrays with ``T > 0``.
+def _log_sum(logs: list, coefficients: tuple) -> float:
+    """``ln sum(c * exp(a))`` over the terms with ``c > 0``, shifted by their largest ``a``."""
+    terms = [(a, c) for a, c in zip(logs, coefficients) if c]
+    top = max(a for a, _ in terms)
+    return top + math.log(math.fsum(c * math.exp(a - top) for a, c in terms))
 
-    Bit for bit the scalar values: numpy does only the IEEE-exact steps,
-    in the scalar order, and every ``exp`` and ``fsum`` goes through
-    :func:`~spinthermal.linalg.map_floats`.  Run it under
-    ``np.errstate(over="ignore", invalid="ignore")`` to get the silent
-    ``inf`` and ``nan`` of Python float arithmetic.
+
+def _log_witness(logs: list, x: float) -> float:
+    """``ln(|s_y| / sqrt(s00 s11))`` of one point from its log weights ``logs``
+    and ``x = -3J/T``, with no weight or sum leaving the float range."""
+    if x > _EXPM1_CAP:
+        log_gap = x  # ln(e**x - 1) = x + log1p(-e**-x), and e**-x is below an ulp
+    elif x:
+        log_gap = math.log(abs(math.expm1(x)))
+    else:
+        return -math.inf  # J = 0: rho_y = 0
+    return (_LN2 + log_gap + _log_sum(logs, _P1_PLUS_P3)
+            - 0.5 * (_log_sum(logs, _SIXTHS_COLUMNS[0]) + _log_sum(logs, _SIXTHS_COLUMNS[1])))
+
+
+def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
+                       T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(C, Z, witness)`` over equal-length 1-D arrays with ``T > 0``.
+
+    ``C`` and ``Z`` are those of :func:`closed_route`, bit for bit: numpy
+    does only the IEEE-exact steps, in the scalar order, and every
+    ``exp``, ``expm1``, ``log`` and ``fsum`` goes through
+    :func:`~spinthermal.linalg.map_floats`, so no value depends on the
+    array's length.  Run it under
+    ``np.errstate(over="ignore", invalid="ignore", divide="ignore")`` to
+    get the silent ``inf`` and ``nan`` of Python float arithmetic.
+
+    ``witness = ln(|rho_y| / sqrt(rho00 rho11))`` has the sign of
+    ``|rho_y| - sqrt(rho00 rho11)``, so it is positive exactly where the
+    pair is entangled; it is ``-inf`` where ``J = 0`` (``rho_y = 0``).
+    Since ``E_symmetric - E_single = 3J``, ``|s_y| = 2 |expm1(-3J/T)| (p1 + p3)``
+    has no cancellation.  Where a factor of the ratio leaves the normal
+    float range (or ``-3J/T`` exceeds what ``expm1`` takes), the point is
+    evaluated from the log weights ``(E_min - E)/T`` instead.
     """
     levels = np.stack(level_energies(J, delta, B), axis=1)
     emin = levels.min(axis=1)
-    weights = map_floats(math.exp, ((emin[:, None] - levels) / T[:, None]).ravel())
-    weights = weights.reshape(levels.shape)
+    logs = (emin[:, None] - levels) / T[:, None]
+    weights = map_floats(math.exp, logs.ravel()).reshape(levels.shape)
     s00, s11, s_w, s_y = [map_floats(math.fsum, weights * np.array(column, float))
                           for column in _SIXTHS_COLUMNS]
     trace = s00 + s11 + 2.0 * s_w
     gap = 2.0 * (np.abs(s_y / trace) - np.sqrt((s00 / trace) * (s11 / trace)))
     C = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0)
-    return C, map_floats(_exp_or_inf, -emin / T) * trace / 6.0
+    x = -3.0 * J / T
+    y_weight = weights[:, 1] + weights[:, 3]
+    # beyond the cap expm1 raises; 0 sends the point to the log form
+    numerator = 2.0 * np.abs(map_floats(math.expm1, np.where(x > _EXPM1_CAP, 0.0, x))) * y_weight
+    # a subnormal factor has lost digits (NaN fails too); the ground level
+    # puts at least 2 in s00 or s11, so s00 s11 >= 2 min(s00, s11)
+    normal = np.minimum.reduce((numerator, y_weight, s00, s11)) >= _TINY
+    witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
+    for i in np.flatnonzero(~normal).tolist():
+        witness[i] = _log_witness(logs[i].tolist(), x[i].item())
+    return C, map_floats(_exp_or_inf, -emin / T) * trace / 6.0, witness
 
 
 def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:

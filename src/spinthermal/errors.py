@@ -18,6 +18,10 @@ class NotPSD(SpinThermalError):
     negative eigenvalue."""
 
 
+class NaNResult(SpinThermalError):
+    """A computed quantity came out NaN, so there is no value to report."""
+
+
 class InvalidTemperature(SpinThermalError):
     """Temperature outside the domain of the requested operation."""
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import XStateParams, closed_form_xstate
 from .errors import InvalidTemperature, NotHermitian
 from .linalg import degenerate_groups, hermitian_eigen
 from .spinmodel import ModelSpec, build_hamiltonian
@@ -102,14 +101,3 @@ def partial_trace(rho, site: int = 3):
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(reduced)
     return reduced
-
-
-def xstate_params(spec: ModelSpec, T: float) -> XStateParams:
-    """Closed-form (u, v, w, y, Z) of the reduced two-qubit state.
-
-    Only the XX, XXZ and uniform-field models have closed forms; the
-    general XYZ variant raises ``UnsupportedModel``.  Field-free models
-    come out with ``u == v`` exactly.
-    """
-    J, delta, B = spec.closed_form_params()
-    return closed_form_xstate(J, delta, B, T)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinthermal.analysis as analysis_module
-from spinthermal.analysis import field_witnesses, xx_witnesses, xxz_witnesses
-from spinthermal.concurrence import closed_route, closed_route_array
+from spinthermal.concurrence import closed_form_xstate, closed_route, closed_route_array
 from spinthermal import (
     InvalidGrid,
     ModelSpec,
+    NaNResult,
     OutOfDomain,
     P1,
     P2,
@@ -26,7 +26,6 @@ from spinthermal import (
     gibbs_density,
     partial_trace,
     sweep,
-    xstate_params,
     xx_critical,
     xx_region,
     xxx_field_threshold,
@@ -236,7 +235,7 @@ def test_field_witness_matches_xstate_quantities():
         delta = rng.uniform(-2, 2)
         B = rng.uniform(-3, 3)
         T = rng.uniform(0.2, 5.0)
-        params = xstate_params(ModelSpec.xxz_field(J, delta, B), T)
+        params = closed_form_xstate(J, delta, B, T)
         direct = params.y**2 - params.u * params.v
         witness = field_region(delta, math.exp(J / T), B / T).witness
         assert math.isclose(direct, witness, rel_tol=1e-9, abs_tol=1e-9)
@@ -354,49 +353,39 @@ def test_predicates_agree_with_concurrence_sign():
 
 
 # ---------------------------------------------------------------------------
-# the array forms a sweep runs, against the scalar functions
+# the sweep's witness against the scalar functions
 
-def scalar_point(variant, J, delta, B, T):
-    """``(C, Z, witness)`` of one point as :func:`sweep` used to compute it."""
-    C, Z, *_ = closed_route(J, delta, B, T)
+def region_witness(variant, J, delta, B, T):
+    """The scalar region function's witness at the saturated ``z = exp(J/T)``."""
     z = analysis_module._scaled_power(J / T, 1.0)
     if variant == "xx":
-        return C, Z, xx_region(z).witness
+        return xx_region(z).witness
     if variant == "xxz":
-        return C, Z, xxz_region(delta, z).witness
-    return C, Z, field_region(delta, z, B / T).witness
-
-
-def array_witnesses(variant, J, delta, B, T):
-    z = analysis_module._scaled_powers(J / T, 1.0)
-    if variant == "xx":
-        return xx_witnesses(z)
-    if variant == "xxz":
-        return xxz_witnesses(delta, z)
-    return field_witnesses(delta, z, B / T)
+        return xxz_region(delta, z).witness
+    return field_region(delta, z, B / T).witness
 
 
 def assert_array_forms_match(variant, points):
-    """Bitwise equal ``(C, Z, witness)`` on the points where the scalar
-    functions return; the scalar's exception type, point by point, where
-    they raise."""
-    returned, raised = [], []
-    for point in points:
+    """``closed_route_array``'s C and Z equal ``closed_route``'s bit for bit,
+    and its witness has the sign of the scalar region witness wherever that
+    is finite and the witness is clear of zero; returns how many signs it
+    compared."""
+    J, delta, B, T = (np.array(column) for column in zip(*points))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        C, Z, witness = closed_route_array(J, delta, B, T)
+    got = [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())]
+    want = [tuple(x.hex() for x in closed_route(*point)[:2]) for point in points]
+    assert got == want
+    signed = 0
+    for point, w in zip(points, witness.tolist()):
         try:
-            returned.append((point, scalar_point(variant, *point)))
-        except (OverflowError, ValueError) as exc:
-            raised.append((point, type(exc)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for point, error in raised:
-            with pytest.raises(error):
-                array_witnesses(variant, *(np.array([x]) for x in point))
-        if returned:
-            J, delta, B, T = (np.array(column) for column in zip(*(p for p, _ in returned)))
-            C, Z = closed_route_array(J, delta, B, T)
-            witness = array_witnesses(variant, J, delta, B, T)
-            got = [tuple(x.hex() for x in values)
-                   for values in zip(C.tolist(), Z.tolist(), witness.tolist())]
-            assert got == [tuple(x.hex() for x in want) for _, want in returned]
+            scalar = region_witness(variant, *point)
+        except (OverflowError, ValueError):
+            continue
+        if math.isfinite(scalar) and abs(w) > 1e-9:
+            assert (scalar > 0.0) == (w > 0.0), (point, scalar, w)
+            signed += 1
+    return signed
 
 
 def ratio_point(variant, T, j_ratio, delta, b_ratio):
@@ -418,7 +407,7 @@ def test_array_forms_match_the_scalar_functions_on_a_seeded_set(variant):
     delta = np.where(rng.random(n) < 0.1, 1.0, rng.uniform(-50.0, 50.0, n))
     points = [ratio_point(variant, *values)
               for values in zip(T.tolist(), j_ratio.tolist(), delta.tolist(), b_ratio.tolist())]
-    assert_array_forms_match(variant, points)
+    assert assert_array_forms_match(variant, points) > n // 2
 
 
 _RATIO = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0)).map(
@@ -455,6 +444,10 @@ def test_sweep_validation():
         sweep(SweepConfig(model=model, axes=(SweepAxis("B", 0.0, 1.0, 5),), T=1.0))
     with pytest.raises(InvalidGrid):
         sweep(SweepConfig(model=model, axes=(SweepAxis("J", 0.0, 1.0, 5),)))  # no T
+    with pytest.raises(InvalidGrid):
+        sweep(SweepConfig(model=model, axes=(SweepAxis("J", -math.inf, 1.0, 5),), T=1.0))
+    with pytest.raises(InvalidGrid):
+        sweep(SweepConfig(model=model, axes=(SweepAxis("T", 0.5, math.inf, 5),)))
 
 
 def test_sweep_grid_ordering_and_fields():
@@ -531,19 +524,16 @@ def per_point_sweep(config):
             model = replace(config.model, **point)
             J, delta, B = model.closed_form_params()
             C, Z, *_ = analysis_module.closed_route(J, delta, B, T)
-            z = math.exp(J / T)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                witness = closed_route_array(*(np.array([x]) for x in (J, delta, B, T)))[2]
             record = {"T": T, "J": J}
-            if model.variant == "xx":
-                witness = xx_region(z).witness
-            elif model.variant == "xxz":
-                witness = xxz_region(delta, z).witness
+            if model.variant == "xxz":
                 record["delta"] = delta
-            else:
-                witness = field_region(delta, z, B / T).witness
+            elif model.variant == "xxzfield":
                 record.update(delta=delta, B=B)
-            record.update(C=C, witness=witness, Z=Z)
+            record.update(C=C, witness=witness.item(), Z=Z)
             if model.variant != "xxzfield":
-                record["T_c"] = analysis_module._critical_temperature(model, {})
+                record["T_c"] = analysis_module._critical_temperature(model.variant, J, delta, {})
             records.append(record)
     return records
 
@@ -561,6 +551,8 @@ HOIST_CASES = {
                 (SweepAxis("delta", -3.0, 0.99, 5), SweepAxis("T", 0.05, 2.0, 7)), None),
     "J and delta": (ModelSpec.xxz(-1.0, 0.0),
                     (SweepAxis("J", -2.0, 1.0, 4), SweepAxis("delta", -1.0, 0.9, 3)), 0.5),
+    "int axis ends": (ModelSpec.xxz(-1.0, 0.0),
+                      (SweepAxis("J", -2, 1, 4), SweepAxis("delta", -1, 1, 3)), 0.5),
     "field T outer": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
                       (SweepAxis("T", 0.05, 2.0, 6), SweepAxis("B", 0.0, 3.0, 4)), None),
     "xx T and J": (ModelSpec.xx(1.0),
@@ -594,3 +586,16 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
     monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # blocks that straddle rows
     assert bits(sweep(config)) == bits(expected)
 
+
+
+def test_sweep_raises_on_a_nan_before_emitting(monkeypatch):
+    inner = analysis_module.closed_route_array
+
+    def with_nan(J, delta, B, T):
+        C, Z, witness = inner(J, delta, B, T)
+        witness[len(witness) // 2] = math.nan
+        return C, Z, witness
+
+    monkeypatch.setattr(analysis_module, "closed_route_array", with_nan)
+    with pytest.raises(NaNResult, match="witness is NaN"):
+        sweep(fig6_config(steps=20))

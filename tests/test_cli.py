@@ -18,6 +18,7 @@ from spinthermal.cli import (
     render_json,
 )
 from spinthermal.errors import ParseError, UnknownKey, ValidationError
+from spinthermal import concurrence_general, gibbs_density, partial_trace
 
 FIG6_CONFIG = """\
 command = sweep
@@ -369,33 +370,34 @@ def test_cli_sweep_from_T_0_001_has_finite_concurrence(tmp_path):
     assert all(math.isfinite(float(C)) for _, C in rows)
 
 
+def numeric_margin(model, T):
+    """``l1 - l2 - l3 - l4`` of the numeric route: positive exactly when entangled."""
+    lams = concurrence_general(partial_trace(gibbs_density(model, T))).lambdas
+    return lams[0] - lams[1] - lams[2] - lams[3]
+
+
 @pytest.mark.parametrize("model, low, high", (
-    ("model = xx\nJ = 1", 0.002, 0.004),
+    ("model = xx\nJ = 1", 0.002, 0.004),  # the z-power witnesses overflowed
     ("model = xxzfield\nJ = 1\ndelta = 1\nB = 1", 0.005, 0.01),
-))
-def test_cli_sweep_overflow_is_a_numeric_failure(model, low, high, tmp_path, capsys):
-    config = tmp_path / "overflow.cfg"
-    config.write_text(f"command = sweep\n\n[model]\n{model}\n\n"
+    ("model = xx\nJ = -1", 0.0005, 0.002),  # z = exp(J/T) underflowed to 0
+    ("model = xxz\nJ = -1\ndelta = 0.5", 0.0005, 0.002),
+    ("model = xxzfield\nJ = 1.5816716374061637\ndelta = 2.4711978460694217\n"
+     "B = -1.6701749347434303", 0.0145, 0.0146),  # the witness was nan
+), ids=("xx overflow", "xxzfield overflow", "xx underflow", "xxz underflow", "xxzfield nan"))
+def test_cli_low_temperature_sweep_has_finite_witness(model, low, high, tmp_path, capsys):
+    config = tmp_path / "cold.cfg"
+    config.write_text(f"command = sweep\ncolumns = T,C,witness\n\n[model]\n{model}\n\n"
                       f"[grid:T]\nmin = {low}\nmax = {high}\nsteps = 5\n")
-    assert main(["sweep", "--config", str(config)]) == 3
+    assert main(["sweep", "--config", str(config)]) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith("numeric failure: OverflowError")
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("model", (
-    "model = xx\nJ = -1",
-    "model = xxz\nJ = -1\ndelta = 0.5",
-))
-def test_cli_sweep_underflow_is_a_numeric_failure(model, tmp_path, capsys):
-    # exp(J/T) underflows to 0 below T = |J|/745, which the witness rejects
-    config = tmp_path / "underflow.cfg"
-    config.write_text(f"command = sweep\n\n[model]\n{model}\n\n"
-                      "[grid:T]\nmin = 0.0005\nmax = 0.002\nsteps = 5\n")
-    assert main(["sweep", "--config", str(config)]) == 3
-    captured = capsys.readouterr()
-    assert captured.err.startswith("numeric failure: ValueError: z must be positive")
-    assert captured.out == ""
+    assert captured.err == ""
+    rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]]
+    assert len(rows) == 5
+    spec = build_model(parse_config(config.read_text()).model)
+    for T, C, witness in rows:
+        assert math.isfinite(C) and math.isfinite(witness)
+        # no row sits near the boundary: the numeric margin is about 1/3 or about 0
+        assert (witness > 0.0) == (numeric_margin(spec, T) > 1e-9)
 
 
 def test_cli_eig_lists_degenerate_groups(capsys):

@@ -18,7 +18,6 @@ from spinthermal import (
     gibbs_density,
     partial_trace,
     spin_flip,
-    xstate_params,
 )
 from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
                                      closed_route_array)
@@ -117,13 +116,13 @@ def test_xstate_params_validation():
 
 
 def test_ferromagnetic_zero_temperature_maximum():
-    c = concurrence_xstate(xstate_params(ModelSpec.xx(-1.0), 0.01))
+    c = concurrence_xstate(closed_form_xstate(-1.0, 0.0, 0.0, 0.01))
     assert abs(c - 1.0 / 3.0) < 1e-6
 
 
 def test_antiferromagnetic_xx_never_entangled():
     for T in (0.05, 0.3, 1.0, 5.0):
-        assert concurrence_xstate(xstate_params(ModelSpec.xx(1.0), T)) == 0.0
+        assert concurrence_xstate(closed_form_xstate(1.0, 0.0, 0.0, T)) == 0.0
         assert concurrence_closed_form(ModelSpec.xx(1.0), T) == 0.0
 
 
@@ -159,7 +158,7 @@ def test_closed_form_matches_xstate_route():
         for model in (ModelSpec.xx(J), ModelSpec.xxz(J, delta),
                       ModelSpec.xxz_field(J, delta, B)):
             a = concurrence_closed_form(model, T)
-            b = concurrence_xstate(xstate_params(model, T))
+            b = concurrence_xstate(closed_form_xstate(*model.closed_form_params(), T))
             assert abs(a - b) <= 1e-12
 
 
@@ -245,8 +244,8 @@ def test_closed_route_array_is_the_scalar_route_bit_for_bit():
     J = rng.choice((-1.0, 0.0, 1.0), n, p=(0.45, 0.1, 0.45)) * 10.0 ** rng.uniform(-3, 3.5, n) * T
     delta = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(-50.0, 50.0, n))
     B = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3, n) * T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        C, Z = closed_route_array(J, delta, B, T)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        C, Z, _ = closed_route_array(J, delta, B, T)
     want = [closed_route(*point)[:2]
             for point in zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist())]
     assert [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())] == \
@@ -272,3 +271,121 @@ def test_closed_route_matches_numeric_route(variant, T, j_ratio, j_sign, delta,
     closed = concurrence_closed_form(model, T)
     assert math.isfinite(closed)
     assert abs(closed - pipeline(model, T)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the witness of closed_route_array
+
+C_ZERO = 1e-9  # a concurrence at or below this counts as zero
+
+#: ``(J, delta, B, T, w)``: the witness ``w = ln(|rho_y| / sqrt(rho00 rho11))``
+#: computed by mpmath at 120 digits from the exact float inputs (``0.0`` where
+#: ``|w|`` is below that resolution).
+MPMATH_WITNESSES = (
+    # the XXX ring at B = 0: the z-power witness read +1.2e114 and +2.5e27
+    (1.0, 1.0, 0.0, 0.02, -2.1525287919493297e-65),
+    (1.0, 1.0, 0.0, 0.06, -5.786249543891743e-22),
+    # the sweep that printed a nan witness
+    (1.5816716374061637, 2.4711978460694217, -1.6701749347434303, 0.0145, 114.49133107760765),
+    (1.5816716374061637, 2.4711978460694217, -1.6701749347434303, 0.0146, 113.70239629501746),
+    # sweeps that exited 3: z-powers overflowed (xx J = 1, xxzfield(1, 1, 1)) or z underflowed
+    (1.0, 0.0, 0.0, 0.002, 0.0),
+    (1.0, 1.0, 1.0, 0.005, 199.30685281944005),
+    (-1.0, 0.0, 0.0, 0.0005, 0.6931471805599453),
+    (-1.0, 0.5, 0.0, 0.0005, 0.6931471805599453),
+    # |J|/T far below 1, where exp(-3J/T) - 1 would lose digits
+    (1e-09, 0.3, 0.1, 1.0, -20.72326583714641),
+    (-2e-06, -0.7, 0.0, 0.5, -12.429211396850304),
+    # a chiral-doublet weight is subnormal, so the log-weight form runs
+    (-5.719924524601897, 4.270156014269618, -2.439168256343092, 0.08039379742745066,
+     -436.0938984089175),
+    # seeded points (|J| 0.01-10, T 1e-3-10, |delta| <= 5, |B| <= 3) where field_region raised
+    # or gave nan
+    (-1.0074392355439317, -3.801737149432297, -0.9371267718391847, 0.0025437132922258836,
+     368.40896130206136),
+    (-0.2722427655469602, -3.548408648439685, -0.5797418364341986, 0.001425227855128369,
+     406.7713343856739),
+    (3.3859539192466097, 1.0425249149160987, 1.8966939733408594, 0.0029222566672776023,
+     648.3579764183246),
+    (-1.2156737757371674, 4.850667407865652, 1.3445295784580535, 0.005949174052225899,
+     -1348.8119460745993),
+    (-0.7045522844833751, -2.9476968635415233, 1.7525843781739514, 0.004045098431596297,
+     433.2612439006429),
+    (0.14032768108755111, -1.9174327970738272, 2.868534283360373, 0.0031961422520159913,
+     -63.12873479147224),
+    (-0.966525344092104, -0.3588279980116891, -2.5191375379815204, 0.0025725151720417776,
+     509.9789553072194),
+    (0.4846865167380524, -1.931367574876064, -1.6034986776317464, 0.0011381396656540363,
+     -610.4560110387088),
+    (2.450307589361775, 2.6990580413174206, -0.5356237894437248, 0.02843490650271277,
+     18.14369300362089),
+    (2.7117695601017346, 1.445581462695361, 0.4567738415607945, 0.0014002600296651984,
+     325.5132943973011),
+    (5.3559589676943835, -4.627167435846964, 0.337617499161027, 0.0055327747784070505,
+     -7930.6209833170915),
+    (7.831714193963142, 3.1777608953985492, 2.0689069513019858, 0.10522686019143321,
+     18.968248660180162),
+    (3.772780396037799, -1.097681427676791, -0.911498921024815, 0.0027968137427208787,
+     -1287.6850484323566),
+    (9.19462150821164, 3.399920784577441, 0.630142088635794, 0.00427980377737191,
+     146.5430630325036),
+    # seeded points with |w| < 1e-3
+    (6.640302716315205, 4.3933614577908955, -0.011920620022054074, 0.6729487332732386,
+     0.0001568848555053839),
+    (9.227610836206876, -0.39550612622738157, -0.011081736504169548, 0.22620751314631737,
+     0.0009004927712461067),
+    (7.412235875538436, 2.3835722912870994, -0.12602058219620993, 2.730050967934615,
+     0.000629545232778602),
+    # pairs straddling the boundary in delta at a relative 1e-9
+    (-1.0, 0.8351809158457043, 0.5, 0.3, 2.7838857953867276e-09),
+    (-1.0, 0.8351809175160662, 0.5, 0.3, -2.783886149350933e-09),
+    (-2.0, 0.807610189128924, 0.0, 0.7, 2.306146130097854e-09),
+    (-2.0, 0.8076101907441444, 0.0, 0.7, -2.306146032860711e-09),
+    (1.0, -0.14112184671709638, 1.5, 0.4, -3.520721909455609e-10),
+    (1.0, -0.1411218464348527, 1.5, 0.4, 3.520721344570888e-10),
+    (-0.5, 0.9450693846215065, -0.2, 0.05, 9.45069327394352e-09),
+    (-0.5, 0.9450693865116452, -0.2, 0.05, -9.450693848184215e-09),
+)
+
+
+def closed_witness(points):
+    J, delta, B, T = (np.array(column, float) for column in zip(*points))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return closed_route_array(J, delta, B, T)[2].tolist()
+
+
+def test_witness_matches_the_mpmath_reference():
+    got = closed_witness([row[:4] for row in MPMATH_WITNESSES])
+    for (*point, want), w in zip(MPMATH_WITNESSES, got):
+        assert (w > 0.0) == (want > 0.0), point
+        assert abs(w - want) <= 1e-12 * max(1.0, abs(want)), point
+
+
+def test_witness_is_minus_infinity_only_at_zero_coupling():
+    assert closed_witness([(0.0, 0.5, 0.3, 1.0), (0.0, 1.0, 0.0, 1e-3),
+                           (0.0, -2.0, -1.0, 10.0)]) == [-math.inf] * 3
+    assert all(math.isfinite(w) for w in closed_witness([(1e-12, 0.5, 0.3, 1.0),
+                                                         (-1e-300, 1.0, 0.0, 1.0)]))
+
+
+@pytest.mark.parametrize("variant", ("xx", "xxz", "xxzfield"))
+def test_witness_sign_matches_numeric_route(variant):
+    rng = np.random.default_rng(2001)
+    n = 200
+    T = 10.0 ** rng.uniform(-2.0, 1.0, n)
+    J = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 3.0, n) * T
+    delta = rng.uniform(-50.0, 50.0, n) if variant != "xx" else np.zeros(n)
+    B = (rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 3.0, n) * T
+         if variant == "xxzfield" else np.zeros(n))
+    points = list(zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist()))
+    signed = 0
+    for (j, d, b, t), w in zip(points, closed_witness(points)):
+        assert math.isfinite(w)
+        model = {"xx": lambda: ModelSpec.xx(j), "xxz": lambda: ModelSpec.xxz(j, d),
+                 "xxzfield": lambda: ModelSpec.xxz_field(j, d, b)}[variant]()
+        lams = concurrence_general(partial_trace(gibbs_density(model, t))).lambdas
+        margin = lams[0] - lams[1] - lams[2] - lams[3]
+        if abs(margin) > C_ZERO:
+            assert (w > 0.0) == (margin > 0.0), (j, d, b, t, w, margin)
+            signed += 1
+    assert signed > n // 2

@@ -14,8 +14,8 @@ from spinthermal import (
     hermitian_eigen,
     partial_trace,
     partition_function,
-    xstate_params,
 )
+from spinthermal.concurrence import closed_form_xstate
 
 STATES = analytic_eigenstates()
 
@@ -146,7 +146,7 @@ def test_partial_trace_wraps_density_matrix():
 
 
 def test_xstate_params_at_x_zero():
-    params = xstate_params(ModelSpec.xx(0.0), 1.0)
+    params = closed_form_xstate(0.0, 0.0, 0.0, 1.0)
     assert params.u == params.v == 3.0
     assert params.w == 3.0
     assert params.y == 0.0
@@ -156,23 +156,24 @@ def test_xstate_params_at_x_zero():
 def test_xstate_xxz_reduces_to_xx():
     for J in (-2.0, -1.0, 0.5, 2.0):
         for T in (0.3, 1.0, 4.0):
-            a = xstate_params(ModelSpec.xx(J), T)
-            b = xstate_params(ModelSpec.xxz(J, 0.0), T)
+            a = closed_form_xstate(*ModelSpec.xx(J).closed_form_params(), T)
+            b = closed_form_xstate(*ModelSpec.xxz(J, 0.0).closed_form_params(), T)
             assert a == b
 
 
 def test_xstate_field_free_reduction():
     for J, delta in ((-1.0, -0.5), (1.5, 1.0)):
         for T in (0.5, 2.0):
-            a = xstate_params(ModelSpec.xxz(J, delta), T)
-            b = xstate_params(ModelSpec.xxz_field(J, delta, 0.0), T)
+            a = closed_form_xstate(*ModelSpec.xxz(J, delta).closed_form_params(), T)
+            b = closed_form_xstate(*ModelSpec.xxz_field(J, delta, 0.0).closed_form_params(),
+                                   T)
             assert a == b
             assert b.u == b.v
 
 
 def test_xstate_rejects_xyz():
     with pytest.raises(UnsupportedModel):
-        xstate_params(ModelSpec.general_xyz(1, 1, 1), 1.0)
+        closed_form_xstate(*ModelSpec.general_xyz(1, 1, 1).closed_form_params(), 1.0)
 
 
 def test_reduced_state_reconstruction():
@@ -187,5 +188,5 @@ def test_reduced_state_reconstruction():
     for model in models:
         for T in (0.1, 0.5, 1.0, 2.0, 5.0):
             reduced = partial_trace(gibbs_density(model, T)).mat
-            expected = xstate_params(model, T).reduced_matrix()
+            expected = closed_form_xstate(*model.closed_form_params(), T).reduced_matrix()
             assert np.abs(reduced - expected).max() < 1e-9, (model, T)
