@@ -8,7 +8,8 @@ paper's analytic conditions in the Boltzmann factor ``z = exp(J/T)``:
   sign matches the entangled/not-entangled verdict);
 * XXZ model: ``|y| - v`` evaluated in an overflow-safe arrangement,
   ``z**(2 delta) * (z**-2 / 2 - 2 z) - 3/2`` on the ferromagnetic side;
-* field model: ``y**2 - u v = h(delta, z) cosh(2 beta B) - g(delta, z)``.
+* field model: ``y**2 - u v = h(delta, z) cosh(2 beta B) - g(delta, z)``,
+  evaluated as ``(h - g) + 2 h sinh(beta B)**2``.
 
 Critical points come from plain bisection: the witnesses are monotone
 through their single sign change on the bracketed interval, and at this
@@ -57,13 +58,12 @@ _EXP_CAP = 700.0  # beyond this an exponent is treated as +inf
 class CriticalPoint:
     """Critical Boltzmann factor with its log and temperature forms.
 
-    ``T_c`` is per unit ``|J|`` (``None`` would mean no finite critical
-    temperature, which the ring models never produce: ``z_c < 1``).
+    ``T_c`` is per unit ``|J|``; it is finite because ``z_c < 1``.
     """
 
     z_c: float
     x_c: float
-    T_c: Optional[float]
+    T_c: float
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,8 @@ def _xxz_log_witness(delta: float, x: float) -> float:
 def xxz_critical(delta: float) -> Optional[CriticalPoint]:
     """Critical point of the XXZ ring at the given anisotropy.
 
-    Returns ``None`` for ``delta >= 1`` (never entangled).  For every
+    Returns ``None`` for ``delta >= 1`` (never entangled) and raises
+    ``OutOfDomain`` for a NaN ``delta``, which no bracket holds.  For every
     ``delta < 1`` the witness changes sign once on ``z < z0``; the root
     is bisected in ``x = ln z``, with the lower end of the bracket
     doubled until the witness is positive.  The bisection stops at a
@@ -188,6 +189,8 @@ def xxz_critical(delta: float) -> Optional[CriticalPoint]:
     ``delta -> 1`` keeps its leading digits.  ``z_c`` underflows to 0
     once ``x_c`` falls below about -745.
     """
+    if math.isnan(delta):
+        raise OutOfDomain("anisotropy is NaN")
     if delta >= 1.0:
         return None
     hi = math.log(Z0)
@@ -224,14 +227,19 @@ def field_region(delta: float, z: float, beta_B: float) -> RegionVerdict:
     """Entanglement verdict for the XXZ ring in a uniform field.
 
     The witness is ``y**2 - u v = h cosh(2 beta B) - g`` with the
-    curves ``g`` and ``h`` depending only on ``(delta, z)``.
+    curves ``g`` and ``h`` depending only on ``(delta, z)``.  It is
+    computed as ``(h - g) + 2 h sinh(beta B)**2``, with ``h - g`` expanded
+    so that the ``z**(4 delta + 2)`` terms of ``h`` and ``g`` cancel
+    exactly: at ``delta = 1`` it is ``-6 z**3 - 3``, where the difference
+    of the two curves would be rounding noise on the order of ``z**6``.
     """
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
-    g = 0.25 * (9.0 + z ** (4.0 * (delta - 1.0)) * (2.0 * z**6 + 8.0 * z**3 - 1.0))
     weight = z ** (2.0 * delta)
     h = 0.5 * weight * (weight * (z**-2 - z) ** 2 - (6.0 * z + 3.0 * z**-2))
-    witness = h * math.cosh(2.0 * beta_B) - g
+    h_minus_g = (0.75 * z ** (4.0 * (delta - 1.0)) - 3.0 * z ** (4.0 * delta - 1.0)
+                 - 3.0 * z ** (2.0 * delta + 1.0) - 1.5 * z ** (2.0 * delta - 2.0) - 2.25)
+    witness = h_minus_g + 2.0 * h * math.sinh(beta_B) ** 2
     return RegionVerdict(entangled=witness > 0.0, witness=witness)
 
 
@@ -331,9 +339,9 @@ def _validate_sweep(config: SweepConfig) -> None:
         seen.add(axis.name)
         if axis.steps < 2:
             raise InvalidGrid(f"axis {axis.name!r} needs steps >= 2, got {axis.steps}")
-        if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
-            raise InvalidGrid(
-                f"axis {axis.name!r} needs finite ends: [{axis.start!r}, {axis.stop!r}]")
+        if not math.isfinite(axis.stop - axis.start):  # also catches an inf or nan end
+            raise InvalidGrid(f"axis {axis.name!r} needs finite ends and a finite span: "
+                              f"[{axis.start!r}, {axis.stop!r}]")
         if not axis.start < axis.stop:
             raise InvalidGrid(
                 f"axis {axis.name!r} range is empty or reversed: "

@@ -34,8 +34,11 @@ digits, to ``--out`` or stdout; a partition function beyond the float
 range is printed as ``inf`` (``Infinity`` in JSON), and so is the sweep
 witness ``-inf`` of a ``J = 0`` point (``-Infinity``).  Identical configs
 produce byte-identical output.  Exit codes: 0 ok, 1 verification
-failure, 2 config error, 3 numeric failure (including a NaN result, an
-arithmetic overflow or division by zero, and a ``ValueError``).
+failure, and otherwise the ``exit_code`` of the package error raised
+(:mod:`spinthermal.errors`): 2 for a config or domain error, reported as
+``config error: ...``, and 3 for a numeric failure such as a NaN result,
+reported as ``numeric failure: ...``.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -47,26 +50,12 @@ import math
 import operator
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, concurrence, spinmodel, thermalstate
-from .errors import (
-    ConfigError,
-    InvalidGrid,
-    InvalidTemperature,
-    NaNResult,
-    NoConvergence,
-    NoRoot,
-    NotHermitian,
-    NotPSD,
-    OutOfDomain,
-    ParseError,
-    UnknownKey,
-    UnsupportedModel,
-    ValidationError,
-)
+from .errors import InputError, ParseError, SpinThermalError, UnknownKey, ValidationError
 
 COMMANDS = ("eig", "thermal", "concurrence", "critical", "sweep", "verify")
 
@@ -74,14 +63,6 @@ _TOP_KEYS = ("command", "T", "out", "format", "columns")
 _MODEL_KEYS = ("model", "J", "delta", "B", "J1", "J2", "J3", "B1", "B2", "B3")
 _GRID_KEYS = ("min", "max", "steps")
 _AXIS_ALIASES = {"t": "T", "j": "J", "delta": "delta", "Δ": "delta", "b": "B"}
-
-
-@dataclass(frozen=True)
-class GridAxis:
-    axis: str
-    min: float
-    max: float
-    steps: int
 
 
 @dataclass
@@ -196,8 +177,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ValidationError(
                     f"line {fields['_line']}: grid axis {axis!r} is missing {key!r}"
                 )
-        cfg.grid.append(GridAxis(axis=axis, min=fields["min"], max=fields["max"],
-                                 steps=fields["steps"]))
+        cfg.grid.append(analysis.SweepAxis(axis, fields["min"], fields["max"], fields["steps"]))
     return cfg
 
 
@@ -222,9 +202,9 @@ def format_config(cfg: RunConfig) -> str:
                 lines.append(f"{key} = {value if key == 'model' else repr(value)}")
     for axis in cfg.grid:
         lines.append("")
-        lines.append(f"[grid:{axis.axis}]")
-        lines.append(f"min = {axis.min!r}")
-        lines.append(f"max = {axis.max!r}")
+        lines.append(f"[grid:{axis.name}]")
+        lines.append(f"min = {axis.start!r}")
+        lines.append(f"max = {axis.stop!r}")
         lines.append(f"steps = {axis.steps}")
     return "\n".join(lines) + "\n"
 
@@ -342,7 +322,8 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
         "command": cfg.command,
         "model": dict(cfg.model),
         "T": cfg.T,
-        "grid": [asdict(axis) for axis in cfg.grid],
+        "grid": [{"axis": axis.name, "min": axis.start, "max": axis.stop, "steps": axis.steps}
+                 for axis in cfg.grid],
         "format": cfg.format,
         "columns": list(columns),
     }
@@ -451,13 +432,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     model = build_model(cfg.model)
     if not cfg.grid:
         raise ValidationError("sweep needs at least one [grid:...] section")
-    axes = tuple(
-        analysis.SweepAxis(name=g.axis, start=g.min, stop=g.max, steps=g.steps)
-        for g in cfg.grid
-    )
-    sweep_cfg = analysis.SweepConfig(model=model, axes=axes, T=cfg.T)
-    records = analysis.sweep(sweep_cfg)
-    default_cols = [axis.name for axis in axes] + ["C"]
+    records = analysis.sweep(analysis.SweepConfig(model=model, axes=tuple(cfg.grid), T=cfg.T))
+    default_cols = [axis.name for axis in cfg.grid] + ["C"]
     columns = list(cfg.columns) if cfg.columns else default_cols
     known = set(records[0]) if records else set(default_cols)
     for col in columns:
@@ -663,16 +639,10 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(argv)
         return run(cfg)
-    except (ConfigError, InvalidGrid, InvalidTemperature, UnsupportedModel,
-            OutOfDomain, NoRoot) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (NaNResult, NoConvergence, NotPSD, NotHermitian) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except (ArithmeticError, ValueError) as exc:
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except SpinThermalError as exc:
+        label = "config error" if isinstance(exc, InputError) else "numeric failure"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

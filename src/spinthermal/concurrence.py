@@ -155,10 +155,7 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     emin = min(levels)
     if T > 0.0:
         weights = [math.exp((emin - e) / T) for e in levels]
-        try:
-            scale = math.exp(-emin / T)
-        except OverflowError:
-            scale = math.inf
+        scale = _exp_or_inf(-emin / T)
     elif T == 0.0:
         ranked = sorted(levels)
         top = ranked[len(degenerate_groups(ranked)[0]) - 1]

@@ -1,8 +1,24 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package.
+
+Each error class owns its command-line exit code as ``exit_code``:
+:class:`InputError` and everything under it mean the request itself is
+outside what the package accepts (a malformed config, a grid, a
+temperature or an argument outside a formula's domain) and exit with 2;
+every other :class:`SpinThermalError` is a numeric failure of a valid
+request and exits with 3.
+"""
 
 
 class SpinThermalError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
+
+
+class InputError(SpinThermalError):
+    """Base class for requests outside the accepted input or domain."""
+
+    exit_code = 2
 
 
 class NotHermitian(SpinThermalError):
@@ -22,27 +38,27 @@ class NaNResult(SpinThermalError):
     """A computed quantity came out NaN, so there is no value to report."""
 
 
-class InvalidTemperature(SpinThermalError):
+class InvalidTemperature(InputError):
     """Temperature outside the domain of the requested operation."""
 
 
-class UnsupportedModel(SpinThermalError):
+class UnsupportedModel(InputError):
     """No closed form exists for this model variant."""
 
 
-class NoRoot(SpinThermalError):
+class NoRoot(InputError):
     """Root bracketing failed: no sign change over the search interval."""
 
 
-class OutOfDomain(SpinThermalError):
+class OutOfDomain(InputError):
     """Argument lies outside the mathematical domain of the expression."""
 
 
-class InvalidGrid(SpinThermalError):
+class InvalidGrid(InputError):
     """A sweep grid is empty, reversed, or otherwise malformed."""
 
 
-class ConfigError(SpinThermalError):
+class ConfigError(InputError):
     """Base class for configuration problems."""
 
 

@@ -10,7 +10,6 @@ All functions are pure; nothing here keeps internal state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,19 +56,16 @@ def degenerate_groups(values, tol: float = DEGENERACY_TOL) -> list[list[int]]:
     return groups
 
 
-def map_floats(fn, *args) -> np.ndarray:
-    """``fn`` applied to Python floats elementwise: a float array as long as the first arg.
+def map_floats(fn, arr: np.ndarray) -> np.ndarray:
+    """``fn`` applied to Python floats elementwise: a float array as long as ``arr``.
 
-    Each arg is a 1-D array, a 2-D array (``fn`` then gets one row as a
-    list) or a scalar repeated for every element.  numpy's own ``exp``,
-    ``power``, ``log`` and ``cosh`` differ from the C library's in the last
-    bit on some inputs; going through ``math`` and ``pow`` keeps every
-    value, and every ``OverflowError`` or ``ValueError``, those of the
-    scalar code.
+    ``arr`` is 1-D, or 2-D with ``fn`` getting one row as a list.  numpy's
+    own ``exp``, ``power``, ``log`` and ``cosh`` differ from the C
+    library's in the last bit on some inputs; going through ``math`` and
+    ``pow`` keeps every value, and every ``OverflowError`` or
+    ``ValueError``, those of the scalar code.
     """
-    columns = [arg.tolist() if isinstance(arg, np.ndarray) else itertools.repeat(arg)
-               for arg in args]
-    return np.fromiter(map(fn, *columns), float, len(args[0]))
+    return np.fromiter(map(fn, arr.tolist()), float, len(arr))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -126,6 +126,11 @@ def test_xxz_critical_none_above_one():
     assert xxz_critical(2.5) is None
 
 
+def test_xxz_critical_rejects_a_nan_anisotropy():
+    with pytest.raises(OutOfDomain):
+        xxz_critical(math.nan)
+
+
 @pytest.mark.parametrize("delta", (0.99, 0.999))
 def test_xxz_critical_near_one_separates_entangled_from_not(delta):
     # the root lies far below the old z bracket (z_c ~ 3**(-1/(2 (1 - delta))))
@@ -239,6 +244,23 @@ def test_field_witness_matches_xstate_quantities():
         direct = params.y**2 - params.u * params.v
         witness = field_region(delta, math.exp(J / T), B / T).witness
         assert math.isclose(direct, witness, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("T", (0.02, 0.06))
+def test_field_region_xxx_ring_is_unentangled_at_zero_field(T):
+    # the curves h and g are both of order z**6 / 2 here, and their
+    # difference -6 z**3 - 3 sits far below their rounding error
+    z = math.exp(1.0 / T)
+    verdict = field_region(1.0, z, 0.0)
+    assert not verdict.entangled
+    assert math.isclose(verdict.witness, -6.0 * z**3 - 3.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("p", (1.0, 4.0, 6.0, 7.0, 9.0, 30.0))
+def test_field_region_at_zero_field_is_h_minus_g(p):
+    # at B = 0 the witness is h - g, the curve field_curves_half calls hmg
+    witness = field_region(-0.5, p ** (-1.0 / 3.0), 0.0).witness
+    assert math.isclose(witness, field_curves_half(p).hmg, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_xxx_field_threshold_value():

@@ -6,7 +6,6 @@ import pytest
 
 from spinthermal.analysis import SweepAxis, SweepConfig, sweep
 from spinthermal.cli import (
-    GridAxis,
     _fmt,
     _round12,
     RunConfig,
@@ -17,7 +16,15 @@ from spinthermal.cli import (
     render_csv,
     render_json,
 )
-from spinthermal.errors import ParseError, UnknownKey, ValidationError
+from spinthermal.errors import (
+    InputError,
+    ParseError,
+    SpinThermalError,
+    UnknownKey,
+    ValidationError,
+)
+import spinthermal
+import spinthermal.cli as cli_module
 from spinthermal import concurrence_general, gibbs_density, partial_trace
 
 FIG6_CONFIG = """\
@@ -60,7 +67,7 @@ def test_parse_comments_and_blanks():
 
 def test_parse_grid_sections():
     cfg = parse_config(FIG6_CONFIG)
-    assert cfg.grid == [GridAxis(axis="T", min=0.02, max=4.0, steps=200)]
+    assert cfg.grid == [SweepAxis(name="T", start=0.02, stop=4.0, steps=200)]
     assert cfg.columns == ("T", "C")
 
 
@@ -244,8 +251,7 @@ def test_cli_json_sweep_matches_rounded_dumps(config_text, tmp_path):
     assert main(["sweep", "--config", str(config), "--format", "json",
                  "--out", str(out)]) == 0
     cfg = parse_config(config_text)
-    axes = tuple(SweepAxis(g.axis, g.min, g.max, g.steps) for g in cfg.grid)
-    records = sweep(SweepConfig(build_model(cfg.model), axes, cfg.T))
+    records = sweep(SweepConfig(build_model(cfg.model), tuple(cfg.grid), cfg.T))
     if "T_c" in cfg.columns:
         assert any(record["T_c"] is None for record in records)
     text = out.read_text()
@@ -350,6 +356,115 @@ def test_cli_exit_codes(capsys):
 def test_cli_rejects_non_finite_flags(flags, capsys):
     assert main(["concurrence", "--model", "xx", *flags]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+EXPORTED_ERRORS = [error for error in map(vars(spinthermal).get, spinthermal.__all__)
+                   if isinstance(error, type) and issubclass(error, SpinThermalError)]
+
+
+#: The errors that exit with 2: the request is outside the accepted input or domain.
+INPUT_ERRORS = {"InputError", "ConfigError", "ParseError", "ValidationError", "UnknownKey",
+                "InvalidGrid", "InvalidTemperature", "UnsupportedModel", "OutOfDomain", "NoRoot"}
+
+
+@pytest.mark.parametrize("error", EXPORTED_ERRORS, ids=lambda error: error.__name__)
+def test_main_exits_with_the_code_of_the_error_raised(error, monkeypatch, capsys):
+    def fail(cfg):
+        raise error("synthetic fault")
+
+    monkeypatch.setattr(cli_module, "run", fail)
+    assert issubclass(error, InputError) == (error.__name__ in INPUT_ERRORS)
+    if issubclass(error, InputError):
+        assert main(["eig"]) == 2
+        assert capsys.readouterr().err == "config error: synthetic fault\n"
+    else:
+        assert main(["eig"]) == 3
+        assert capsys.readouterr().err == "numeric failure: synthetic fault\n"
+
+
+def test_main_lets_a_foreign_exception_through(monkeypatch):
+    def fail(cfg):
+        raise ZeroDivisionError("a bug, not a numeric failure")
+
+    monkeypatch.setattr(cli_module, "run", fail)
+    with pytest.raises(ZeroDivisionError):
+        main(["eig"])
+
+
+SPAN_REPROS = (  # each axis spans [-1.7e308, 1.7e308], whose width overflows
+    ("xxz", "delta", ["--J=-1", "--delta=0", "--T=1"]),  # T_c bisection hung on a NaN delta
+    ("xxz", "J", ["--J=-1", "--delta=0", "--T=1"]),
+    ("xxzfield", "B", ["--J=-1", "--delta=0", "--B=0", "--T=1"]),
+    ("xxz", "T", ["--J=-1", "--delta=0"]),
+)
+
+
+@pytest.mark.parametrize("variant, axis, flags", SPAN_REPROS,
+                         ids=[axis for _, axis, _ in SPAN_REPROS])
+def test_cli_rejects_an_axis_whose_span_overflows(variant, axis, flags, tmp_path, capsys):
+    config = tmp_path / "span.cfg"
+    config.write_text(f"[grid:{axis}]\nmin = -1.7e308\nmax = 1.7e308\nsteps = 3\n")
+    assert main(["sweep", "--config", str(config), "--model", variant, *flags]) == 2
+    assert "finite span" in capsys.readouterr().err
+
+
+SWEEP_AXES = {"xx": ("T", "J"), "xxz": ("T", "J", "delta"),
+              "xxzfield": ("T", "J", "delta", "B"), "xyz": ("T",)}
+
+
+def seeded_invocations(seed, count):
+    """``count`` argument lists over every command, variant and format.
+
+    ``T`` is log-uniform on [1e-3, 10], ``|J|/T`` and ``|B|/T`` on
+    [1e-3, 1e3] with either sign, ``delta`` uniform on [-50, 50]; a sweep
+    draws its axis ends the same way (its T ends from the low decade, so
+    the ratios stay in range) and 2 to 5 steps.
+    """
+    rng = np.random.default_rng(seed)
+
+    def ratio():
+        return float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0))
+
+    variants = tuple(SWEEP_AXES)
+    commands = ("eig", "thermal", "concurrence", "critical", "sweep")
+    for k in range(count):
+        variant, command = variants[k % 4], commands[(k // 4) % 5]
+        T = float(10.0 ** rng.uniform(-3.0, 1.0))
+        lines = [f"model = {variant}"]
+        if variant == "xyz":
+            lines += [f"{name} = {ratio() * T!r}"
+                      for name in ("J1", "J2", "J3", "B1", "B2", "B3")]
+        else:
+            lines += [f"J = {ratio() * T!r}", f"delta = {rng.uniform(-50.0, 50.0)!r}",
+                      f"B = {ratio() * T!r}"]
+        text = "T = %r\n\n[model]\n%s\n" % (T, "\n".join(lines))
+        if command == "sweep":
+            T_low = float(10.0 ** rng.uniform(-3.0, -1.0))
+            for axis in rng.permutation(SWEEP_AXES[variant])[:rng.integers(1, 3)]:
+                if axis == "T":
+                    ends = sorted(10.0 ** rng.uniform(-3.0, -1.0, 2))
+                elif axis == "delta":
+                    ends = sorted(rng.uniform(-50.0, 50.0, 2))
+                else:
+                    ends = sorted((ratio() * T_low, ratio() * T_low))
+                text += (f"\n[grid:{axis}]\nmin = {float(ends[0])!r}\n"
+                         f"max = {float(ends[1])!r}\nsteps = {rng.integers(2, 6)}\n")
+        yield text, [command, "--format", ("csv", "json")[k % 2]]
+
+
+def test_cli_seeded_inputs_exit_with_a_documented_code(tmp_path, capsys):
+    config = tmp_path / "point.cfg"
+    codes = []
+    for text, argv in seeded_invocations(29, 400):
+        config.write_text(text)
+        codes.append(main([*argv, "--config", str(config)]))
+    for variant, axis, flags in SPAN_REPROS:
+        config.write_text(f"[grid:{axis}]\nmin = -1.7e308\nmax = 1.7e308\nsteps = 3\n")
+        codes.append(main(["sweep", "--config", str(config), "--model", variant, *flags]))
+    codes.append(main(["verify", "--format", "json", "--out", str(tmp_path / "v.json")]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}
+    assert codes.count(0) > len(codes) // 2
 
 
 def test_build_model_turns_model_errors_into_validation_errors():
