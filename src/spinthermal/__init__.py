@@ -7,6 +7,8 @@ through closed forms, plus the critical temperatures, entanglement
 regions and zero-temperature transition values that follow.
 """
 
+import types
+
 from .analysis import (
     CriticalPoint,
     FieldCurves,
@@ -37,8 +39,10 @@ from .concurrence import (
 )
 from .errors import (
     ConfigError,
+    FloatOverflow,
     InputError,
     InvalidGrid,
+    InvalidState,
     InvalidTemperature,
     NaNResult,
     NoConvergence,
@@ -73,61 +77,6 @@ from .thermalstate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConcurrenceResult",
-    "ConfigError",
-    "CriticalPoint",
-    "DensityMatrix",
-    "FieldCurves",
-    "InputError",
-    "InvalidGrid",
-    "InvalidTemperature",
-    "ModelSpec",
-    "NaNResult",
-    "NoConvergence",
-    "NoRoot",
-    "NotHermitian",
-    "NotPSD",
-    "OutOfDomain",
-    "P1",
-    "P2",
-    "ParseError",
-    "Q",
-    "RegionVerdict",
-    "SHIFT_PHASES",
-    "Spectrum",
-    "SpinThermalError",
-    "SweepAxis",
-    "SweepConfig",
-    "UnknownKey",
-    "UnsupportedModel",
-    "ValidationError",
-    "XStateParams",
-    "Z0",
-    "analytic_eigenstates",
-    "analytic_energies",
-    "basis_index",
-    "build_hamiltonian",
-    "concurrence_closed_form",
-    "concurrence_general",
-    "concurrence_xstate",
-    "cyclic_shift",
-    "delta_boundary",
-    "field_curves_half",
-    "field_region",
-    "gibbs_density",
-    "hermitian_eigen",
-    "kron",
-    "partial_trace",
-    "partition_function",
-    "pauli",
-    "psd_sqrt",
-    "spin_flip",
-    "sweep",
-    "xx_critical",
-    "xx_region",
-    "xxx_field_threshold",
-    "xxz_critical",
-    "xxz_region",
-    "zero_temperature_concurrence",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

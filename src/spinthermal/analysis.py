@@ -25,7 +25,9 @@ points are then evaluated :data:`SWEEP_BLOCK` at a time as numpy arrays
 by :func:`~spinthermal.concurrence.closed_route_array`, whose ``C`` and
 ``Z`` are the scalar route's bit for bit and whose witness,
 ``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
-for every variant.  Records are emitted in grid order.
+for every variant.  :func:`sweep_blocks` yields the points in grid order,
+a block at a time, as one list per record field; :func:`sweep` turns
+them into records.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -374,25 +376,23 @@ def _critical_temperature(variant: str, J: float, delta: float,
     return point.T_c * abs(J)
 
 
-def sweep(config: SweepConfig) -> list[dict]:
-    """Evaluate concurrence, witness and partition data over a grid.
+def sweep_blocks(config: SweepConfig) -> tuple[tuple[str, ...], Iterator[dict[str, list]]]:
+    """The variant's record fields and the grid's records, block by block.
 
-    Returns one record per grid point, ordered by grid index (first axis
-    outermost).  Each record carries the resolved model parameters plus
-    ``C`` (closed form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``,
-    positive exactly where the pair is entangled and ``-inf`` where
-    ``J = 0``), ``Z`` and, for the field-free variants, the critical
-    temperature ``T_c`` (``None`` where no critical point exists).
+    The grid is validated and the per-coordinate data (the closed-form
+    parameters and ``T_c``) computed at the call; the iterator then
+    evaluates :data:`SWEEP_BLOCK` grid points at a time, in grid order
+    (first axis outermost), and yields each block as one list per field.
+    The fields are the resolved model parameters plus ``C`` (closed
+    form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``, positive
+    exactly where the pair is entangled and ``-inf`` where ``J = 0``),
+    ``Z`` and, for the field-free variants, the critical temperature
+    ``T_c`` (``None`` where no critical point exists).
 
-    The closed-form parameters and ``T_c`` depend only on the
-    non-temperature coordinates, so they are computed once per distinct
-    coordinate, and the critical point behind ``T_c`` once per distinct
-    anisotropy.  The grid points then go through
-    :func:`~spinthermal.concurrence.closed_route_array`
-    :data:`SWEEP_BLOCK` at a time; ``C`` and ``Z`` are those of
-    :func:`~spinthermal.concurrence.closed_route`, bit for bit.  A NaN in
-    ``C``, ``Z`` or the witness raises ``NaNResult`` before its block is
-    emitted.
+    ``T_c`` is bisected once per distinct anisotropy.  ``C`` and ``Z``
+    are those of :func:`~spinthermal.concurrence.closed_route`, bit for
+    bit.  A NaN in ``C``, ``Z`` or the witness raises ``NaNResult``
+    before its block is yielded.
     """
     _validate_sweep(config)
     names = [axis.name for axis in config.axes]
@@ -415,23 +415,33 @@ def sweep(config: SweepConfig) -> list[dict]:
     pairs = (itertools.product(coordinates, temperatures) if t_inner
              else itertools.product(temperatures, coordinates))
     fields = _RECORD_FIELDS[variant]
+
+    def blocks() -> Iterator[dict[str, list]]:
+        for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
+            firsts, seconds = zip(*block)
+            coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
+            Js, deltas, Bs, T_cs = zip(*coords)
+            T, J, delta, B = (np.array(column) for column in (temps, Js, deltas, Bs))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                C, Z, witness = closed_route_array(J, delta, B, T)
+            for name, column in (("C", C), ("Z", Z), ("witness", witness)):
+                bad = np.flatnonzero(np.isnan(column))
+                if bad.size:
+                    i = bad[0]
+                    raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "
+                                    f"({Js[i]!r}, {deltas[i]!r}, {Bs[i]!r}, {temps[i]!r})")
+            columns = {"T": temps, "J": Js, "delta": deltas, "B": Bs,
+                       "C": [c or 0.0 for c in C.tolist()],  # unentangled points share one 0.0
+                       "witness": witness.tolist(), "Z": Z.tolist(), "T_c": T_cs}
+            yield {name: columns[name] for name in fields}
+
+    return fields, blocks()
+
+
+def sweep(config: SweepConfig) -> list[dict]:
+    """One record (field -> value) per grid point of :func:`sweep_blocks`, in grid order."""
+    fields, blocks = sweep_blocks(config)
     records: list[dict] = []
-    for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
-        firsts, seconds = zip(*block)
-        coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
-        Js, deltas, Bs, T_cs = zip(*coords)
-        T, J, delta, B = (np.array(column) for column in (temps, Js, deltas, Bs))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            C, Z, witness = closed_route_array(J, delta, B, T)
-        for name, column in (("C", C), ("Z", Z), ("witness", witness)):
-            bad = np.flatnonzero(np.isnan(column))
-            if bad.size:
-                i = bad[0]
-                raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "
-                                f"({Js[i]!r}, {deltas[i]!r}, {Bs[i]!r}, {temps[i]!r})")
-        columns = {"T": temps, "J": Js, "delta": deltas, "B": Bs,
-                   "C": [c or 0.0 for c in C.tolist()],  # unentangled points share one 0.0
-                   "witness": witness.tolist(), "Z": Z.tolist(), "T_c": T_cs}
-        rows = zip(*(columns[name] for name in fields))
-        records.extend(map(dict, map(zip, itertools.repeat(fields), rows)))
+    for block in blocks:
+        records.extend(map(dict, map(zip, itertools.repeat(fields), zip(*block.values()))))
     return records

@@ -32,8 +32,12 @@ Results are emitted as CSV (header row, comma separated, LF endings) or
 JSON (one object with ``meta`` and ``rows``), always with 12 significant
 digits, to ``--out`` or stdout; a partition function beyond the float
 range is printed as ``inf`` (``Infinity`` in JSON), and so is the sweep
-witness ``-inf`` of a ``J = 0`` point (``-Infinity``).  Identical configs
-produce byte-identical output.  Exit codes: 0 ok, 1 verification
+witness ``-inf`` of a ``J = 0`` point (``-Infinity``).  A sweep is
+rendered a block at a time, as :func:`spinthermal.analysis.sweep_blocks`
+evaluates it, one column at a time; the text is written once, after the
+last block, so a sweep that fails leaves ``--out`` unwritten.  A column
+name may appear once in ``columns``.  Identical configs produce
+byte-identical output.  Exit codes: 0 ok, 1 verification
 failure, and otherwise the ``exit_code`` of the package error raised
 (:mod:`spinthermal.errors`): 2 for a config or domain error, reported as
 ``config error: ...``, and 3 for a numeric failure such as a NaN result,
@@ -47,10 +51,9 @@ import argparse
 import itertools
 import json
 import math
-import operator
-import re
 import sys
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -152,6 +155,9 @@ def parse_config(text: str) -> RunConfig:
                 cfg.format = value
             elif key == "columns":
                 cfg.columns = tuple(c.strip() for c in value.split(",") if c.strip())
+                for k, name in enumerate(cfg.columns):
+                    if name in cfg.columns[:k]:
+                        raise ValidationError(f"line {lineno}: column {name!r} repeated")
         elif section == "model":
             norm = _normalize_model_key(key)
             if norm not in _MODEL_KEYS:
@@ -242,82 +248,93 @@ def _round12(value):
     return float(format(float(value), ".12g"))
 
 
-def _all_floats(columns: list[str], rows: list[dict]) -> bool:
-    """Whether every row holds a float under every column."""
-    cells = map(operator.itemgetter(*columns), rows)
-    if len(columns) > 1:
-        cells = itertools.chain.from_iterable(cells)
-    try:
-        return all(map(isinstance, cells, itertools.repeat(float)))
-    except KeyError:
-        return False
+def _csv_cells(column: list) -> list[str]:
+    """Cell texts of one CSV column, each as :func:`_fmt` prints it.
+
+    A column of floats is printed by one ``%`` format: ``"%.12g" % x``
+    runs the C routine of ``format(x, ".12g")``, ``inf``, ``nan`` and
+    ``-0`` included.
+    """
+    if all(map(isinstance, column, itertools.repeat(float))):
+        return list(map("%.12g".__mod__, column))
+    return list(map(_fmt, column))
+
+
+def _json_cells(column: list, memo: dict) -> list[str]:
+    """Cell texts of one JSON column, each as ``json.dumps(_round12(v))`` prints it.
+
+    A column of floats is printed ``%.12g``.  A normal finite float of
+    at most 12 significant digits round-trips through a double, so
+    ``repr`` of the rounded value ``float(format(x, ".12g"))`` keeps
+    those digits and only the notation can differ: integral values
+    (``0`` -> ``0.0``), ``inf``, ``-inf`` and ``nan`` (``Infinity``,
+    ``-Infinity``, ``NaN``), decimal exponents +12 to +15, where
+    ``repr`` stays positional (``1e+12`` -> ``1000000000000.0``), and
+    exponents of -300 and below, which take in every subnormal, whose
+    shortest text has fewer digits (``4.94065645841e-324`` ->
+    ``5e-324``).  So a cell whose text has no ``.``, or holds ``e+1`` or
+    ``e-3``, is replaced by ``json.dumps(float(text))``, which is that
+    value's text by construction; ``memo`` keeps it per distinct text.
+    """
+    if not all(map(isinstance, column, itertools.repeat(float))):
+        return [json.dumps(_round12(value)) for value in column]
+    cells = list(map("%.12g".__mod__, column))
+    for i, text in enumerate(cells):
+        if "." not in text or "e+1" in text or "e-3" in text:
+            if text not in memo:
+                memo[text] = json.dumps(float(text))
+            cells[i] = memo[text]
+    return cells
+
+
+def _csv_parts(columns: list[str], blocks) -> Iterator[str]:
+    """The header line, then the lines of each block's rows as one part.
+
+    Each block holds one list of values per column.
+    """
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    yield ",".join(columns) + "\n"
+    for block in blocks:
+        yield "".join(map(template.__mod__, zip(*map(_csv_cells, block))))
+
+
+def _json_parts(meta: dict, columns: list[str], blocks) -> Iterator[str]:
+    """``json.dumps({"meta": meta, "rows": rows}, indent=2)`` in parts, one per
+    block, with ``rows`` the ``column -> value`` objects of the blocks' rows."""
+    fields = ",\n".join(
+        "      " + json.dumps(col).replace("%", "%%") + ": %s" for col in columns)
+    template = "    {\n" + fields + "\n    }"
+    yield json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("[]\n}")]
+    memo: dict = {}
+    separator = "[\n"
+    for block in blocks:
+        body = ",\n".join(map(template.__mod__, zip(*(_json_cells(c, memo) for c in block))))
+        if body:
+            yield separator + body
+            separator = ",\n"
+    yield "[]\n}\n" if separator == "[\n" else "\n  ]\n}\n"
+
+
+def _by_column(columns: list[str], rows: list[dict]) -> list[list]:
+    return [[row.get(col) for row in rows] for col in columns]
 
 
 def render_csv(columns: list[str], rows: list[dict]) -> str:
-    """Header line, then one line per row, every cell as :func:`_fmt` prints it.
-
-    When every cell is a float, a row is printed by one ``%`` format:
-    ``"%.12g" % x`` runs the C routine of ``format(x, ".12g")``, ``inf``,
-    ``nan`` and ``-0`` included.
-    """
-    header = ",".join(columns) + "\n"
-    if columns and _all_floats(columns, rows):
-        template = ",".join(["%.12g"] * len(columns)) + "\n"
-        return header + "".join(map(template.__mod__, map(operator.itemgetter(*columns), rows)))
-    lines = [",".join(_fmt(row.get(col)) for col in columns) + "\n" for row in rows]
-    return header + "".join(lines)
-
-
-# Value tokens (between ``": "`` and the end of their line) whose %.12g
-# text is not what json.dumps prints; see render_json.
-_INTEGRAL_TOKEN = re.compile(r": (-?\d+)(?=,?\n)")
-_REPR_TOKEN = re.compile(r": (-?inf|nan|-?\d(?:\.\d+)?e(?:\+1[2-5]|-3\d\d))(?=,?\n)")
+    """Header line, then one line per row, every cell as :func:`_fmt` prints it."""
+    return "".join(_csv_parts(columns, [_by_column(columns, rows)]))
 
 
 def render_json(meta: dict, columns: list[str], rows: list[dict]) -> str:
-    """``json.dumps(payload, indent=2)`` of meta and the rounded rows.
+    """``json.dumps(payload, indent=2)`` of meta and the rows rounded by :func:`_round12`."""
+    return "".join(_json_parts(meta, columns, [_by_column(columns, rows)]))
 
-    When every cell is a float, a row is printed by one ``%`` format of
-    ``%.12g`` cells in the ``indent=2`` layout.  A token whose text is
-    not what ``json.dumps`` prints of the rounded value
-    ``float(format(x, ".12g"))`` is then replaced by
-    ``json.dumps(float(token))``, that value's text by construction.
-    A normal finite float of at most 12 significant digits round-trips
-    through a double, so ``repr`` keeps the ``%.12g`` digits and only
-    the notation can differ.  That leaves four kinds of token to repair:
-    integral values (``0`` -> ``0.0``, ``-0`` -> ``-0.0``); ``inf``,
-    ``-inf`` and ``nan`` (``Infinity``, ``-Infinity``, ``NaN``); decimal
-    exponents +12 to +15, where ``repr`` stays positional (``1e+12`` ->
-    ``1000000000000.0``); and exponents of -300 and below, which take
-    in every subnormal, whose shortest text has fewer digits
-    (``4.94065645841e-324`` -> ``5e-324``).  A token counts only where a
-    line ends after it; a JSON string never holds a raw newline, so no
-    column name matches.
 
-    Any other table (``None``, ints, strings) goes through the C encoder
-    in one pass (it only runs without ``indent``): the item separator
-    carries the indent of a row's fields, and the row braces are spliced
-    in after; ``"},\\n      {"`` only matches between rows, for the
-    same reason.
+def _emit(cfg: RunConfig, columns: list[str], blocks) -> None:
+    """Render ``blocks`` (see :func:`_csv_parts`) and write the text at once.
+
+    Every block is rendered before anything is written, so an error
+    raised while the blocks are produced leaves ``--out`` unwritten.
     """
-    head = json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("[]\n}")]
-    if rows and columns and _all_floats(columns, rows):
-        fields = ",\n".join(
-            "      " + json.dumps(col).replace("%", "%%") + ": %.12g" for col in columns)
-        template = "    {\n" + fields + "\n    }"
-        body = ",\n".join(map(template.__mod__, map(operator.itemgetter(*columns), rows)))
-        body = _INTEGRAL_TOKEN.sub(r": \1.0", body)
-        body = _REPR_TOKEN.sub(lambda m: ": " + json.dumps(float(m[1])), body)
-        return head + "[\n" + body + "\n  ]\n}\n"
-    rounded = [{col: _round12(row.get(col)) for col in columns} for row in rows]
-    if not rounded or not columns:
-        return json.dumps({"meta": meta, "rows": rounded}, indent=2) + "\n"
-    body = json.dumps(rounded, separators=(",\n      ", ": "))[2:-2]
-    body = body.replace("},\n      {", "\n    },\n    {\n      ")
-    return head + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
-
-
-def _emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
     meta = {
         "command": cfg.command,
         "model": dict(cfg.model),
@@ -328,14 +345,18 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
         "columns": list(columns),
     }
     if cfg.format == "json":
-        text = render_json(meta, columns, rows)
+        parts = list(_json_parts(meta, columns, blocks))
     else:
-        text = render_csv(columns, rows)
+        parts = list(_csv_parts(columns, blocks))
     if cfg.out:
         with open(cfg.out, "w", newline="\n", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
+
+
+def _emit_rows(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
+    _emit(cfg, columns, [_by_column(columns, rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +383,7 @@ def _cmd_eig(cfg: RunConfig) -> int:
         {"k": k, "E": float(spectrum.eigenvalues[k]), "group": group_of[k]}
         for k in range(len(spectrum.eigenvalues))
     ]
-    _emit(cfg, ["k", "E", "group"], rows)
+    _emit_rows(cfg, ["k", "E", "group"], rows)
     return 0
 
 
@@ -376,7 +397,7 @@ def _cmd_thermal(cfg: RunConfig) -> int:
         params = concurrence.closed_form_xstate(*model.closed_form_params(), T)
         row.update({"u": params.u, "v": params.v, "w": params.w, "y": params.y})
         columns += ["u", "v", "w", "y"]
-    _emit(cfg, columns, [row])
+    _emit_rows(cfg, columns, [row])
     return 0
 
 
@@ -389,7 +410,7 @@ def _cmd_concurrence(cfg: RunConfig) -> int:
     row = {"T": T, "C_numeric": numeric, "C_closed": None}
     if model.variant != "xyz" and T > 0.0:
         row["C_closed"] = concurrence.concurrence_closed_form(model, T)
-    _emit(cfg, ["T", "C_numeric", "C_closed"], [row])
+    _emit_rows(cfg, ["T", "C_numeric", "C_closed"], [row])
     return 0
 
 
@@ -424,7 +445,7 @@ def _cmd_critical(cfg: RunConfig) -> int:
         print(f"T_c/|J| = {point.T_c:#.7g}")
         rows = [{"z_c": point.z_c, "x_c": point.x_c, "Tc_per_J": point.T_c}]
     if cfg.out:
-        _emit(cfg, ["z_c", "x_c", "Tc_per_J"], rows)
+        _emit_rows(cfg, ["z_c", "x_c", "Tc_per_J"], rows)
     return 0
 
 
@@ -432,14 +453,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     model = build_model(cfg.model)
     if not cfg.grid:
         raise ValidationError("sweep needs at least one [grid:...] section")
-    records = analysis.sweep(analysis.SweepConfig(model=model, axes=tuple(cfg.grid), T=cfg.T))
-    default_cols = [axis.name for axis in cfg.grid] + ["C"]
-    columns = list(cfg.columns) if cfg.columns else default_cols
-    known = set(records[0]) if records else set(default_cols)
+    fields, blocks = analysis.sweep_blocks(
+        analysis.SweepConfig(model=model, axes=tuple(cfg.grid), T=cfg.T))
+    columns = list(cfg.columns or [axis.name for axis in cfg.grid] + ["C"])
     for col in columns:
-        if col not in known:
+        if col not in fields:
             raise ValidationError(f"unknown output column {col!r}")
-    _emit(cfg, columns, records)
+    _emit(cfg, columns, ([block[col] for col in columns] for block in blocks))
     return 0
 
 
@@ -458,7 +478,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
              "basis": tag}
             for name, ok, detail, tag in checks
         ]
-        _emit(cfg, ["check", "status", "detail", "basis"], rows)
+        _emit_rows(cfg, ["check", "status", "detail", "basis"], rows)
     return 1 if failed else 0
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTemperature, NotPSD
+from .errors import InvalidState, InvalidTemperature, NotPSD
 from .linalg import (PSD_FLOOR, degenerate_groups, hermitian_eigen, kron, map_floats,
                      psd_sqrt)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
@@ -85,10 +85,10 @@ class XStateParams:
         if not all(math.isfinite(x) for x in values):
             return  # extreme-parameter overflow; consistency is meaningless
         if min(self.u, self.v, self.w) < 0.0 or self.Z <= 0.0:
-            raise ValueError("u, v, w must be nonnegative and Z positive")
+            raise InvalidState("u, v, w must be nonnegative and Z positive")
         trace = 2.0 * (self.u + self.v + 2.0 * self.w) / (3.0 * self.Z)
         if abs(trace - 1.0) > _XSTATE_TRACE_TOL:
-            raise ValueError(f"parameters violate unit trace: {trace!r}")
+            raise InvalidState(f"parameters violate unit trace: {trace!r}")
 
     def reduced_matrix(self) -> np.ndarray:
         """The 4x4 density matrix described by these parameters."""

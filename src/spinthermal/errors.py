@@ -38,6 +38,14 @@ class NaNResult(SpinThermalError):
     """A computed quantity came out NaN, so there is no value to report."""
 
 
+class FloatOverflow(SpinThermalError):
+    """A quantity the computation cannot do without lies beyond the float range."""
+
+
+class InvalidState(SpinThermalError, ValueError):
+    """A density matrix or its parameters fail a check every state passes."""
+
+
 class InvalidTemperature(InputError):
     """Temperature outside the domain of the requested operation."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPSD
+from .errors import FloatOverflow, NoConvergence, NotHermitian, NotPSD
 
 HERMITICITY_RTOL = 1e-10
 JACOBI_OFF_TOL = 1e-13       # times the Frobenius norm of the input
@@ -122,6 +122,9 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     NotHermitian
         If ``max |m - m^H|`` exceeds ``1e-10`` times the largest entry
         magnitude, or the matrix is not square / not finite.
+    FloatOverflow
+        If the Frobenius norm of the input overflows (entries above
+        about 1e154), so no tolerance can be set.
     NoConvergence
         If the sweep cap is reached with the off-diagonal norm still
         above threshold.
@@ -131,7 +134,10 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     n = m.shape[0]
     a = (m + m.conj().T) / 2.0
     v = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise FloatOverflow("the Frobenius norm of the matrix is beyond the float range")
     if norm == 0.0:
         return Spectrum(np.zeros(n), v)
     tol = JACOBI_OFF_TOL * norm

@@ -12,11 +12,12 @@ how the zero-temperature concurrence limits arise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTemperature, NotHermitian
+from .errors import InvalidState, InvalidTemperature, NotHermitian
 from .linalg import degenerate_groups, hermitian_eigen
 from .spinmodel import ModelSpec, build_hamiltonian
 
@@ -39,7 +40,7 @@ class DensityMatrix:
             raise NotHermitian("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {trace!r}")
+            raise InvalidState(f"trace must be 1, got {trace!r}")
 
     @property
     def dim(self) -> int:
@@ -51,9 +52,10 @@ def partition_function(spec: ModelSpec, T: float) -> float:
     if T <= 0.0:
         raise InvalidTemperature(f"partition function needs T > 0, got {T}")
     energies = hermitian_eigen(build_hamiltonian(spec)).eigenvalues
-    beta = 1.0 / T
+    beta = min(1.0 / T, sys.float_info.max)  # finite below T = 5.6e-309: beta * 0 is 0
     emin = float(energies.min())
-    shifted = float(np.exp(-beta * (energies - emin)).sum())
+    with np.errstate(over="ignore"):  # an overflowing exponent weighs exp(-inf) = 0
+        shifted = float(np.exp(-beta * (energies - emin)).sum())
     try:
         return math.exp(-beta * emin) * shifted
     except OverflowError:
@@ -77,7 +79,8 @@ def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:
         rho = (cols @ cols.conj().T) / len(ground)
     else:
         energies = spectrum.eigenvalues
-        weights = np.exp(-(energies - energies.min()) / T)
+        with np.errstate(over="ignore"):  # an overflowing exponent weighs exp(-inf) = 0
+            weights = np.exp(-(energies - energies.min()) / T)
         rho = (vecs * weights) @ vecs.conj().T / weights.sum()
     return DensityMatrix((rho + rho.conj().T) / 2.0)
 

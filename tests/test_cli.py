@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinthermal.analysis import SweepAxis, SweepConfig, sweep
+from spinthermal.analysis import SweepAxis, SweepConfig, sweep, sweep_blocks
 from spinthermal.cli import (
     _fmt,
     _round12,
@@ -24,6 +24,7 @@ from spinthermal.errors import (
     ValidationError,
 )
 import spinthermal
+import spinthermal.analysis as analysis_module
 import spinthermal.cli as cli_module
 from spinthermal import concurrence_general, gibbs_density, partial_trace
 
@@ -258,6 +259,85 @@ def test_cli_json_sweep_matches_rounded_dumps(config_text, tmp_path):
     assert text == rounded_dumps(json.loads(text)["meta"], cfg.columns, records)
 
 
+def xxz_across_delta_one(axes):
+    """An xxz sweep of 37 anisotropies over [-1, 2] and 61 temperatures, in
+    ``axes`` order: ``T_c`` is a float below delta = 1 and None from there on."""
+    text = "command = sweep\ncolumns = T,J,delta,C,witness,Z,T_c\n\n"
+    text += "[model]\nmodel = xxz\nJ = -1.0\ndelta = 0.0\n"
+    ranges = {"T": "min = 0.05\nmax = 4.0\nsteps = 61", "delta": "min = -1.0\nmax = 2.0\nsteps = 37"}
+    return text + "".join(f"\n[grid:{axis}]\n{ranges[axis]}\n" for axis in axes)
+
+
+@pytest.mark.parametrize("axes", (("delta", "T"), ("T", "delta")), ids=("delta outer", "T outer"))
+def test_cli_block_rendering_matches_the_per_cell_references(axes, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(xxz_across_delta_one(axes))
+    cfg = parse_config(config.read_text())
+    sweep_config = SweepConfig(build_model(cfg.model), tuple(cfg.grid), cfg.T)
+    T_c_kinds = {frozenset(map(type, block["T_c"])) for block in sweep_blocks(sweep_config)[1]}
+    if axes[0] == "delta":  # blocks of float T_c, of None and of both: 2257 points, 3 blocks
+        assert T_c_kinds == {frozenset({float}), frozenset({float, type(None)}),
+                             frozenset({type(None)})}
+    else:
+        assert T_c_kinds == {frozenset({float, type(None)})}
+    records = sweep(sweep_config)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            assert text == per_cell_csv(cfg.columns, records)
+        else:
+            assert text == rounded_dumps(json.loads(text)["meta"], cfg.columns, records)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, tmp_path,
+                                                              capsys):
+    inner, calls = analysis_module.closed_route_array, []
+
+    def nan_in_the_second_block(J, delta, B, T):
+        C, Z, witness = inner(J, delta, B, T)
+        calls.append(len(C))
+        if len(calls) == 2:
+            Z[-1] = math.nan
+        return C, Z, witness
+
+    monkeypatch.setattr(analysis_module, "closed_route_array", nan_in_the_second_block)
+    config, out = tmp_path / "sweep.cfg", tmp_path / f"sweep.{fmt}"
+    config.write_text(FIELD_GRID_CONFIG)
+    assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: Z is NaN at")
+    assert len(calls) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("config_text", (
+    FIG6_CONFIG.replace("columns = T,C", "columns = T,T,C"),
+    XXZ_TC_GAP_CONFIG.replace("columns = T,delta,C,witness,T_c", "columns = T,T,T_c"),
+), ids=("all floats", "empty T_c"))
+def test_cli_rejects_a_repeated_output_column(config_text, fmt, tmp_path, capsys):
+    # the all-float JSON table printed "T" twice per row, a table with a None once
+    config, out = tmp_path / "sweep.cfg", tmp_path / f"sweep.{fmt}"
+    config.write_text(config_text)
+    assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(": column 'T' repeated\n")
+    assert not out.exists()
+
+
+def test_cli_reports_an_unknown_column_before_evaluating_the_grid(monkeypatch, tmp_path,
+                                                                  capsys):
+    def never(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(analysis_module, "closed_route_array", never)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(FIG6_CONFIG.replace("columns = T,C", "columns = T,Tc"))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "config error: unknown output column 'Tc'\n"
+
+
 def test_cli_critical_stdout(capsys):
     assert main(["critical", "--model", "xx", "--J", "-1"]) == 0
     out = capsys.readouterr().out
@@ -350,6 +430,26 @@ def test_cli_exit_codes(capsys):
     assert main(["critical", "--model", "xxzfield", "--J", "1", "--delta", "1",
                  "--B", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_eig_of_a_norm_beyond_the_float_range_exits_3(capsys):
+    # the squared entries overflowed: eight zero energies, exit 0 and a RuntimeWarning
+    assert main(["eig", "--model", "xx", "--J=1e160"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: the Frobenius norm")
+
+
+@pytest.mark.parametrize("command, model, row", (
+    ("concurrence", ["--J=-0.027", "--B=-1.1e5"], "1e-310,0.333333333333,0.333333333333"),
+    ("thermal", ["--J=0"], "1e-310,8,3,3,3,0"),  # Z was nan: 1/T overflowed, beta * 0 is nan
+))
+def test_cli_at_a_subnormal_temperature_warns_nothing(command, model, row, capsys):
+    # (E - E_min)/T overflows; the weight is exp(-inf) = 0, not a RuntimeWarning
+    assert main([command, "--model", "xx", *model, "--T=1e-310"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1] == row
 
 
 @pytest.mark.parametrize("flags", (["--J", "inf", "--T", "1"], ["--J", "1", "--T", "nan"]))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinthermal import (
+    InvalidState,
     InvalidTemperature,
     ModelSpec,
     NotPSD,
@@ -113,6 +114,15 @@ def test_xstate_params_validation():
         XStateParams(u=1.0, v=1.0, w=1.0, y=0.0, Z=1.0)  # trace != 1
     with pytest.raises(ValueError):
         XStateParams(u=-1.0, v=1.0, w=1.0, y=0.0, Z=2.0)
+
+
+@pytest.mark.parametrize("params", ({"u": 1.0, "v": 1.0, "w": 1.0, "y": 0.0, "Z": 1.0},
+                                    {"u": -1.0, "v": 1.0, "w": 1.0, "y": 0.0, "Z": 2.0}),
+                         ids=("trace", "sign"))
+def test_xstate_params_raise_a_numeric_package_error(params):
+    with pytest.raises(InvalidState) as caught:
+        XStateParams(**params)
+    assert caught.value.exit_code == 3
 
 
 def test_ferromagnetic_zero_temperature_maximum():

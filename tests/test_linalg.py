@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinthermal import (
+    FloatOverflow,
     ModelSpec,
     NoConvergence,
     NotHermitian,
@@ -111,6 +112,12 @@ def test_eigen_rejects_non_finite():
     bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(NotHermitian):
         hermitian_eigen(bad)
+
+
+def test_eigen_rejects_a_norm_beyond_the_float_range():
+    # the squared entries overflow; the tolerance was inf and the diagonal came back
+    with pytest.raises(FloatOverflow, match="Frobenius norm"):
+        hermitian_eigen(build_hamiltonian(ModelSpec.xx(1e160)))
 
 
 def test_eigen_zero_matrix():

@@ -5,6 +5,7 @@ import pytest
 
 from spinthermal import (
     DensityMatrix,
+    InvalidState,
     InvalidTemperature,
     ModelSpec,
     UnsupportedModel,
@@ -108,6 +109,18 @@ def test_gibbs_trace_and_psd():
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4, dtype=complex))
+
+
+def test_a_bad_trace_is_a_numeric_package_error():
+    with pytest.raises(InvalidState, match="trace must be 1") as caught:
+        DensityMatrix(np.eye(4, dtype=complex))
+    assert caught.value.exit_code == 3
+
+
+def test_partition_function_at_a_subnormal_temperature():
+    # 1/T overflows below T = 5.6e-309; beta * 0 was nan, so Z was nan
+    assert partition_function(ModelSpec.xx(0.0), 1e-310) == 8.0
+    assert partition_function(ModelSpec.xx(1.0), 1e-310) == math.inf
 
 
 def test_partial_trace_goldens():
