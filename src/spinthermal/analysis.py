@@ -441,7 +441,5 @@ def sweep_blocks(config: SweepConfig) -> tuple[tuple[str, ...], Iterator[dict[st
 def sweep(config: SweepConfig) -> list[dict]:
     """One record (field -> value) per grid point of :func:`sweep_blocks`, in grid order."""
     fields, blocks = sweep_blocks(config)
-    records: list[dict] = []
-    for block in blocks:
-        records.extend(map(dict, map(zip, itertools.repeat(fields), zip(*block.values()))))
-    return records
+    rows = itertools.chain.from_iterable(zip(*block.values()) for block in blocks)
+    return list(map(dict, map(zip, itertools.repeat(fields), rows)))

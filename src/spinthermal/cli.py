@@ -33,11 +33,10 @@ JSON (one object with ``meta`` and ``rows``), always with 12 significant
 digits, to ``--out`` or stdout; a partition function beyond the float
 range is printed as ``inf`` (``Infinity`` in JSON), and so is the sweep
 witness ``-inf`` of a ``J = 0`` point (``-Infinity``).  A sweep is
-rendered a block at a time, as :func:`spinthermal.analysis.sweep_blocks`
-evaluates it, one column at a time; the text is written once, after the
-last block, so a sweep that fails leaves ``--out`` unwritten.  A column
-name may appear once in ``columns``.  Identical configs produce
-byte-identical output.  Exit codes: 0 ok, 1 verification
+rendered column by column, a block at a time as
+:func:`spinthermal.analysis.sweep_blocks` yields it, and written once
+after the last block, so a failed sweep leaves ``--out`` unwritten.
+Identical configs produce byte-identical output.  Exit codes: 0 ok, 1 verification
 failure, and otherwise the ``exit_code`` of the package error raised
 (:mod:`spinthermal.errors`): 2 for a config or domain error, reported as
 ``config error: ...``, and 3 for a numeric failure such as a NaN result,

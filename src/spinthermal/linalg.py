@@ -73,7 +73,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _check_hermitian(m: np.ndarray) -> None:
+def _check_hermitian(m: np.ndarray) -> float:
+    """The largest entry magnitude of a finite square Hermitian ``m``."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -82,6 +83,7 @@ def _check_hermitian(m: np.ndarray) -> None:
     dev = float(np.abs(m - m.conj().T).max())
     if dev > HERMITICITY_RTOL * max(scale, np.finfo(float).tiny):
         raise NotHermitian(f"max |m - m^H| = {dev:.3e} exceeds tolerance")
+    return scale
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -130,12 +132,15 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
         above threshold.
     """
     m = np.asarray(m, dtype=complex)
-    _check_hermitian(m)
+    scale = _check_hermitian(m)
     n = m.shape[0]
     a = (m + m.conj().T) / 2.0
     v = np.eye(n, dtype=complex)
-    with np.errstate(over="ignore"):
+    if n * scale < 1e150:  # the n * n squares up to scale**2 the norm sums cannot overflow
         norm = float(np.linalg.norm(a))
+    else:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(a))
     if not math.isfinite(norm):
         raise FloatOverflow("the Frobenius norm of the matrix is beyond the float range")
     if norm == 0.0:

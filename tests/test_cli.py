@@ -264,7 +264,8 @@ def xxz_across_delta_one(axes):
     ``axes`` order: ``T_c`` is a float below delta = 1 and None from there on."""
     text = "command = sweep\ncolumns = T,J,delta,C,witness,Z,T_c\n\n"
     text += "[model]\nmodel = xxz\nJ = -1.0\ndelta = 0.0\n"
-    ranges = {"T": "min = 0.05\nmax = 4.0\nsteps = 61", "delta": "min = -1.0\nmax = 2.0\nsteps = 37"}
+    ranges = {"T": "min = 0.05\nmax = 4.0\nsteps = 61",
+              "delta": "min = -1.0\nmax = 2.0\nsteps = 37"}
     return text + "".join(f"\n[grid:{axis}]\n{ranges[axis]}\n" for axis in axes)
 
 
