@@ -10,6 +10,7 @@ from spinthermal import (
     InvalidTemperature,
     ModelSpec,
     NotPSD,
+    SpinThermalError,
     UnsupportedModel,
     XStateParams,
     analytic_eigenstates,
@@ -122,7 +123,7 @@ def test_xstate_params_validation():
 def test_xstate_params_raise_a_numeric_package_error(params):
     with pytest.raises(InvalidState) as caught:
         XStateParams(**params)
-    assert caught.value.exit_code == 3
+    assert isinstance(caught.value, SpinThermalError) and caught.value.exit_code == 3
 
 
 def test_ferromagnetic_zero_temperature_maximum():

@@ -8,6 +8,7 @@ from spinthermal import (
     InvalidState,
     InvalidTemperature,
     ModelSpec,
+    SpinThermalError,
     UnsupportedModel,
     analytic_eigenstates,
     analytic_energies,
@@ -114,7 +115,7 @@ def test_density_matrix_rejects_bad_trace():
 def test_a_bad_trace_is_a_numeric_package_error():
     with pytest.raises(InvalidState, match="trace must be 1") as caught:
         DensityMatrix(np.eye(4, dtype=complex))
-    assert caught.value.exit_code == 3
+    assert isinstance(caught.value, SpinThermalError) and caught.value.exit_code == 3
 
 
 def test_partition_function_at_a_subnormal_temperature():
