@@ -136,7 +136,7 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     n = m.shape[0]
     a = (m + m.conj().T) / 2.0
     v = np.eye(n, dtype=complex)
-    if n * scale < 1e150:  # the n * n squares up to scale**2 the norm sums cannot overflow
+    if n * scale < 1e150:  # then the norm's sum of n * n squares, each <= scale**2, is finite
         norm = float(np.linalg.norm(a))
     else:
         with np.errstate(over="ignore"):

@@ -52,7 +52,7 @@ def partition_function(spec: ModelSpec, T: float) -> float:
     if T <= 0.0:
         raise InvalidTemperature(f"partition function needs T > 0, got {T}")
     energies = hermitian_eigen(build_hamiltonian(spec)).eigenvalues
-    beta = min(1.0 / T, sys.float_info.max)  # finite below T = 5.6e-309: beta * 0 is 0
+    beta = min(1.0 / T, sys.float_info.max)  # 1/T is inf below T = 5.6e-309, and inf * 0 NaN
     emin = float(energies.min())
     with np.errstate(over="ignore"):  # an overflowing exponent weighs exp(-inf) = 0
         shifted = float(np.exp(-beta * (energies - emin)).sum())
