@@ -82,10 +82,10 @@ class XStateParams:
 
     def __post_init__(self) -> None:
         values = (self.u, self.v, self.w, self.y, self.Z)
-        if not all(math.isfinite(x) for x in values):
-            return  # extreme-parameter overflow; consistency is meaningless
-        if min(self.u, self.v, self.w) < 0.0 or self.Z <= 0.0:
-            raise InvalidState("u, v, w must be nonnegative and Z positive")
+        if any(map(math.isnan, values)) or min(self.u, self.v, self.w) < 0.0 or self.Z <= 0.0:
+            raise InvalidState("u, v, w must be nonnegative, Z positive and none NaN")
+        if not all(map(math.isfinite, values)):
+            return  # saturated to +-inf with Z (closed_form_xstate); no trace to check
         trace = 2.0 * (self.u + self.v + 2.0 * self.w) / (3.0 * self.Z)
         if abs(trace - 1.0) > _XSTATE_TRACE_TOL:
             raise InvalidState(f"parameters violate unit trace: {trace!r}")

@@ -4,12 +4,15 @@ Matrices are plain complex numpy arrays (2x2 up to 8x8).  The eigensolver
 is a cyclic Jacobi iteration with complex plane rotations: at these sizes
 it reaches near machine precision, and every spectral quantity downstream
 (Gibbs weights, concurrence eigenvalues, square roots) runs through it.
+It keeps the matrix and its eigenvectors as the two halves of one
+``(2n, n)`` work array, so one column update rotates both.
 Array code in the package calls libm functions only through :func:`map_floats`.
 All functions are pure; nothing here keeps internal state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -87,29 +90,29 @@ def _check_hermitian(m: np.ndarray) -> float:
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(a.diagonal())
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
     return float(np.linalg.norm(off))
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, elem_tol: float) -> None:
-    """Zero a[p, q] with a unitary plane rotation applied to ``a`` and ``v``."""
-    apq = a[p, q]
-    mag = abs(apq)
-    if mag <= elem_tol:
-        return
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+def _rotate(w: np.ndarray, p: int, q: int, apq, mag) -> None:
+    """Zero a[p, q]: rotate columns p, q of ``w`` (``a`` and ``v``), then rows p, q of ``a``."""
+    tau = (w[q, q].real - w[p, p].real) / (2.0 * mag)
     t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
     c = 1.0 / math.sqrt(1.0 + t * t)
     s = t * c * (apq / mag)
-    rot = np.array([[c, -s], [s.conjugate(), c]])
-    idx = [p, q]
-    a[:, idx] = a[:, idx] @ rot
-    a[idx, :] = rot.conj().T @ a[idx, :]
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    v[:, idx] = v[:, idx] @ rot
+    rot = np.empty((2, 2), complex)
+    rot[0, 0] = rot[1, 1] = c
+    rot[0, 1], rot[1, 0] = -s, s.conjugate()
+    cols = w.take((p, q), axis=1) @ rot  # take is w[:, [p, q]] without the list-index overhead
+    w[:, p] = cols[:, 0]
+    w[:, q] = cols[:, 1]
+    rows = rot.conj().T @ w.take((p, q), axis=0)
+    w[p] = rows[0]
+    w[q] = rows[1]
+    w[p, q] = w[q, p] = 0.0
+    w[p, p] = w[p, p].real
+    w[q, q] = w[q, q].real
 
 
 def hermitian_eigen(m: np.ndarray) -> Spectrum:
@@ -134,29 +137,31 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     m = np.asarray(m, dtype=complex)
     scale = _check_hermitian(m)
     n = m.shape[0]
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n * scale < 1e150:  # then the norm's sum of n * n squares, each <= scale**2, is finite
+    # below 1e150 the norm's n * n squares (each <= scale**2) and m + m^H are finite
+    big = n * scale >= 1e150
+    with np.errstate(over="ignore", invalid="ignore") if big else contextlib.nullcontext():
+        w = np.vstack(((m + m.conj().T) / 2.0, np.eye(n, dtype=complex)))
+        a, v = w[:n], w[n:]
         norm = float(np.linalg.norm(a))
-    else:
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(a))
     if not math.isfinite(norm):
         raise FloatOverflow("the Frobenius norm of the matrix is beyond the float range")
     if norm == 0.0:
-        return Spectrum(np.zeros(n), v)
+        return Spectrum(np.zeros(n), np.eye(n, dtype=complex))
     tol = JACOBI_OFF_TOL * norm
     # Skipping elements below elem_tol cannot stall convergence: if every
     # |a[p, q]| <= elem_tol then the off-diagonal norm is already <= tol.
     elem_tol = tol / math.sqrt(n * (n - 1)) if n > 1 else tol
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     converged = False
     for _ in range(JACOBI_SWEEP_CAP):
         if _offdiag_norm(a) <= tol:
             converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, v, p, q, elem_tol)
+        for p, q in pairs:
+            apq = w[p, q]
+            mag = abs(apq)
+            if mag > elem_tol:
+                _rotate(w, p, q, apq, mag)
     else:
         converged = _offdiag_norm(a) <= tol
     if not converged:

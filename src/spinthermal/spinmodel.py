@@ -18,12 +18,13 @@ numerics can be checked against exact expressions.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModel
+from .errors import FloatOverflow, UnsupportedModel
 from .linalg import kron
 
 #: The model variants and the coupling fields each needs; others stay ``None``.
@@ -173,6 +174,14 @@ _ANISOTROPY = tuple(zz - np.eye(8, dtype=complex) for _, _, zz in _AXIS_PRODUCTS
 _SITE_Z = tuple(pauli(n, "z") for n in (1, 2, 3))
 
 
+# H of each variant as (index into its coefficients, operator) terms, in summation order.
+_XXZ_TERMS = tuple(t for hop, zz in zip(_HOPPING, _ANISOTROPY) for t in ((0, hop), (1, zz)))
+_TERMS = {"xx": tuple((0, hop) for hop in _HOPPING), "xxz": _XXZ_TERMS,
+          "xxzfield": _XXZ_TERMS + tuple((2, z) for z in _SITE_Z),
+          "xyz": tuple(t for bond in _AXIS_PRODUCTS for t in enumerate(bond))
+          + tuple(enumerate(_SITE_Z, 3))}
+
+
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """8x8 Hamiltonian of the requested ring model.
 
@@ -180,27 +189,22 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     ``xx + yy``, ``delta*J/2`` on ``zz - 1``, ``J_a/2`` per axis for the
     general model) so the exact energy expressions hold digit for digit.
     The bond and site operators are built once at import; each call
-    scales them and adds them bond by bond, then site by site.
+    scales them and adds them bond by bond, then site by site.  A scaled
+    coupling or an entry beyond the float range raises ``FloatOverflow``.
     """
-    h = np.zeros((8, 8), dtype=complex)
     if spec.variant == "xyz":
-        couplings = (spec.J1, spec.J2, spec.J3)
-        fields = (spec.B1, spec.B2, spec.B3)
-        for bond in _AXIS_PRODUCTS:
-            for coupling, op in zip(couplings, bond):
-                h += (coupling / 2.0) * op
-        for field, op in zip(fields, _SITE_Z):
-            h += field * op
-        return h
-
-    J, delta, B = spec.closed_form_params()
-    for hopping, anisotropy in zip(_HOPPING, _ANISOTROPY):
-        h += (J / 2.0) * hopping
-        if spec.variant in ("xxz", "xxzfield"):
-            h += (delta * J / 2.0) * anisotropy
-    if spec.variant == "xxzfield":
-        for op in _SITE_Z:
-            h += B * op
+        coefs = (spec.J1 / 2.0, spec.J2 / 2.0, spec.J3 / 2.0, spec.B1, spec.B2, spec.B3)
+    else:
+        J, delta, B = spec.closed_form_params()
+        coefs = (J / 2.0, delta * J / 2.0, B)
+    # an entry sums at most 3 terms per coefficient, each at most 2 |c|; an inf c gives inf or nan
+    big = sum(map(abs, coefs)) >= 1e307
+    h = np.zeros((8, 8), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore") if big else contextlib.nullcontext():
+        for k, op in _TERMS[spec.variant]:
+            h += coefs[k] * op
+    if big and not np.isfinite(h).all():
+        raise FloatOverflow("a coupling or an entry of the Hamiltonian is beyond the float range")
     return h
 
 

@@ -441,6 +441,18 @@ def test_cli_eig_of_a_norm_beyond_the_float_range_exits_3(capsys):
     assert captured.err.startswith("numeric failure: the Frobenius norm")
 
 
+@pytest.mark.parametrize("model", (
+    ["--model", "xxz", "--J=1e200", "--delta=1e200"],  # delta * J / 2 is inf
+    ["--model", "xxzfield", "--J=1", "--delta=1", "--B=1.7e308"],
+))
+def test_cli_eig_of_an_overflowing_hamiltonian_exits_3_without_a_warning(model, capsys):
+    assert main(["eig", *model]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numeric failure: a coupling or an entry of the Hamiltonian"
+                            " is beyond the float range\n")
+
+
 @pytest.mark.parametrize("command, model, row", (
     ("concurrence", ["--J=-0.027", "--B=-1.1e5"], "1e-310,0.333333333333,0.333333333333"),
     ("thermal", ["--J=0"], "1e-310,8,3,3,3,0"),  # Z was nan: 1/T overflowed, beta * 0 is nan

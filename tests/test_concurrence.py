@@ -126,6 +126,19 @@ def test_xstate_params_raise_a_numeric_package_error(params):
     assert isinstance(caught.value, SpinThermalError) and caught.value.exit_code == 3
 
 
+@pytest.mark.parametrize("params", (
+    {"u": math.nan, "v": 1.0, "w": 1.0, "y": 0.0, "Z": 1.0},
+    {"u": 1.0, "v": 1.0, "w": 1.0, "y": math.nan, "Z": math.inf},
+    {"u": -math.inf, "v": 1.0, "w": 1.0, "y": 0.0, "Z": 1.0},
+    {"u": 1.0, "v": 1.0, "w": -math.inf, "y": 0.0, "Z": math.inf},
+    {"u": 0.75, "v": 0.75, "w": 0.0, "y": 0.0, "Z": 0.0},
+    {"u": math.inf, "v": math.inf, "w": math.inf, "y": 0.0, "Z": -math.inf},
+), ids=("nan-u", "nan-y", "minus-inf-u", "minus-inf-w", "zero-Z", "minus-inf-Z"))
+def test_xstate_params_reject_nan_negative_infinity_and_nonpositive_Z(params):
+    with pytest.raises(InvalidState):
+        XStateParams(**params)
+
+
 def test_ferromagnetic_zero_temperature_maximum():
     c = concurrence_xstate(closed_form_xstate(-1.0, 0.0, 0.0, 0.01))
     assert abs(c - 1.0 / 3.0) < 1e-6
@@ -233,7 +246,7 @@ def test_closed_route_defect_points():
 def test_closed_form_xstate_saturates():
     params = closed_form_xstate(1.0, 0.0, 0.0, 1e-3)
     assert params.Z == math.inf
-    assert params.u == params.v == params.w == math.inf
+    assert params.u == params.v == params.w == -params.y == math.inf  # XStateParams accepts it
     # a field that empties the |00> block leaves u at 0, not NaN
     params = closed_form_xstate(1.0, 0.0, -400.0, 1.0)
     assert params.Z == math.inf and params.u == 0.0

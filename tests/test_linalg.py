@@ -82,16 +82,33 @@ def test_eigen_xxz_multiset():
 
 
 def test_eigen_random_hermitian_invariants():
+    # 1e150 takes the solver's overflow-guarded set-up, with a norm still finite
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        h = random_hermitian(rng, 8)
-        spec = hermitian_eigen(h)
-        assert abs(np.trace(h).real - spec.eigenvalues.sum()) < 1e-10
-        v = spec.eigenvectors
-        assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
-        recon = (v * spec.eigenvalues) @ v.conj().T
-        assert np.abs(recon - h).max() < 1e-10 * max(1.0, np.abs(h).max())
-        assert (np.diff(spec.eigenvalues) >= -1e-14).all()
+    for n in (2, 3, 4, 8):
+        for scale in (1e-150, 1.0, 1e150):
+            for _ in range(20):
+                h = random_hermitian(rng, n) * scale
+                spec = hermitian_eigen(h)
+                assert abs(np.trace(h).real - spec.eigenvalues.sum()) < 1e-10 * scale
+                v = spec.eigenvectors
+                assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
+                recon = (v * spec.eigenvalues) @ v.conj().T
+                assert np.abs(recon - h).max() < 1e-10 * np.abs(h).max()
+                assert (np.diff(spec.eigenvalues) >= -1e-14 * scale).all()
+
+
+def test_eigen_leaves_its_input_and_shares_no_memory():
+    rng = np.random.default_rng(8)
+    for m in (random_hermitian(rng, 8), build_hamiltonian(ModelSpec.xxz_field(0.7, 0.3, 0.4))):
+        before = m.copy()
+        first, second = hermitian_eigen(m), hermitian_eigen(m)
+        assert m.tobytes() == before.tobytes()
+        assert not np.shares_memory(first.eigenvalues, first.eigenvectors)
+        for out in (first.eigenvalues, first.eigenvectors):
+            assert not np.shares_memory(out, m)
+        # the rotations run on one work array per call: nothing carries over
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
 
 
 def test_eigen_matches_lapack():
@@ -123,6 +140,21 @@ def test_eigen_rejects_a_norm_beyond_the_float_range():
 def test_eigen_zero_matrix():
     spec = hermitian_eigen(np.zeros((4, 4)))
     assert np.array_equal(spec.eigenvalues, np.zeros(4))
+
+
+def test_eigen_zero_matrix_returns_a_fresh_identity():
+    first, second = hermitian_eigen(np.zeros((3, 3))), hermitian_eigen(np.zeros((3, 3)))
+    assert np.array_equal(first.eigenvectors, np.eye(3))
+    assert first.eigenvectors.base is None  # not a view of the work array
+    first.eigenvectors[0, 0] = 7.0
+    assert np.array_equal(second.eigenvectors, np.eye(3))
+
+
+@pytest.mark.parametrize("entry", (1.35e154, 1e200, 1.7e308))
+def test_eigen_of_entries_near_the_float_max_raises_without_a_warning(entry):
+    # the squares overflow from 1.35e154 on, and m + m^H itself at 1.7e308
+    with pytest.raises(FloatOverflow, match="Frobenius norm"):
+        hermitian_eigen(np.array([[1.0, entry], [entry, entry]]))
 
 
 def test_degenerate_groups():

@@ -3,6 +3,7 @@ import pytest
 
 import spinthermal.spinmodel as spinmodel_module
 from spinthermal import (
+    FloatOverflow,
     ModelSpec,
     Q,
     SHIFT_PHASES,
@@ -159,6 +160,21 @@ def test_build_hamiltonian_makes_no_kronecker_product(monkeypatch):
     monkeypatch.setattr(spinmodel_module, "kron", refuse)
     for model, reference in zip(models, expected):
         assert build_hamiltonian(model).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("model", (ModelSpec.xxz(1e200, 1e200),
+                                   ModelSpec.xxz_field(1.0, 1.0, 1.7e308),
+                                   ModelSpec.general_xyz(1.7e308, 1.7e308, 1.7e308)))
+def test_build_hamiltonian_raises_float_overflow_without_a_warning(model):
+    with pytest.raises(FloatOverflow, match="beyond the float range"):
+        build_hamiltonian(model)
+
+
+def test_build_hamiltonian_near_the_float_max_stays_the_kronecker_build():
+    # large enough to take the guarded path, small enough that every entry is finite
+    for model in (ModelSpec.xx(1e308), ModelSpec.xxz_field(1e300, -2.0, 1e307),
+                  ModelSpec.general_xyz(1e308, -1e308, 1e308, 1e307, 0.0, -1e307)):
+        assert build_hamiltonian(model).tobytes() == kron_reference_hamiltonian(model).tobytes()
 
 
 def test_cyclic_shift_permutation():
