@@ -186,34 +186,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def format_config(cfg: RunConfig) -> str:
-    """Serialize a config so that re-parsing yields an equal config."""
-    lines = []
-    if cfg.command:
-        lines.append(f"command = {cfg.command}")
-    if cfg.T is not None:
-        lines.append(f"T = {cfg.T!r}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    lines.append(f"format = {cfg.format}")
-    if cfg.columns is not None:
-        lines.append("columns = " + ",".join(cfg.columns))
-    if cfg.model:
-        lines.append("")
-        lines.append("[model]")
-        for key in _MODEL_KEYS:
-            if key in cfg.model:
-                value = cfg.model[key]
-                lines.append(f"{key} = {value if key == 'model' else repr(value)}")
-    for axis in cfg.grid:
-        lines.append("")
-        lines.append(f"[grid:{axis.name}]")
-        lines.append(f"min = {axis.start!r}")
-        lines.append(f"max = {axis.stop!r}")
-        lines.append(f"steps = {axis.steps}")
-    return "\n".join(lines) + "\n"
-
-
 def build_model(model_fields: dict) -> spinmodel.ModelSpec:
     """Validated :class:`ModelSpec` of the raw [model] mapping, minus unused fields."""
     if "model" not in model_fields:

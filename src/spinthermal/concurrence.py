@@ -126,8 +126,8 @@ def concurrence_general(rho) -> ConcurrenceResult:
     """
     mat = _as_matrix(rho)
     root = psd_sqrt(mat)
-    mixed = root @ spin_flip(mat) @ root
-    vals = hermitian_eigen((mixed + mixed.conj().T) / 2.0).eigenvalues
+    # hermitian_eigen solves for the Hermitian part (m + m^H) / 2 of the product
+    vals = hermitian_eigen(root @ spin_flip(mat) @ root).eigenvalues
     if float(vals.min()) < PSD_FLOOR:
         raise NotPSD(f"spin-flip product eigenvalue {vals.min():.3e} < 0")
     lams = np.sqrt(np.clip(vals, 0.0, None))[::-1]

@@ -12,7 +12,6 @@ All functions are pure; nothing here keeps internal state.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -76,17 +75,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _check_hermitian(m: np.ndarray) -> float:
-    """The largest entry magnitude of a finite square Hermitian ``m``."""
+def check_hermitian(m: np.ndarray) -> None:
+    """Raise ``NotHermitian`` unless ``m`` is square, finite and Hermitian.
+
+    Hermitian means ``max |m - m^H|`` at most ``HERMITICITY_RTOL`` times
+    the largest entry magnitude.  That magnitude is inf or nan where an
+    entry is not finite, so the common case reads ``m`` twice.  Only
+    ``m - m^H`` of a non-Hermitian ``m`` with entries above half the
+    float max can warn (overflow); :func:`hermitian_eigen` silences it.
+    """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotHermitian("matrix has non-finite entries")
     scale = float(np.abs(m).max())
+    # |z| is inf also for finite parts near the float max; only then look at the entries
+    if not math.isfinite(scale) and not np.isfinite(m).all():
+        raise NotHermitian("matrix has non-finite entries")
     dev = float(np.abs(m - m.conj().T).max())
     if dev > HERMITICITY_RTOL * max(scale, np.finfo(float).tiny):
         raise NotHermitian(f"max |m - m^H| = {dev:.3e} exceeds tolerance")
-    return scale
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -125,8 +131,7 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     Raises
     ------
     NotHermitian
-        If ``max |m - m^H|`` exceeds ``1e-10`` times the largest entry
-        magnitude, or the matrix is not square / not finite.
+        If :func:`check_hermitian` rejects the matrix.
     FloatOverflow
         If the Frobenius norm of the input overflows (entries above
         about 1e154), so no tolerance can be set.
@@ -135,11 +140,10 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
         above threshold.
     """
     m = np.asarray(m, dtype=complex)
-    scale = _check_hermitian(m)
-    n = m.shape[0]
-    # below 1e150 the norm's n * n squares (each <= scale**2) and m + m^H are finite
-    big = n * scale >= 1e150
-    with np.errstate(over="ignore", invalid="ignore") if big else contextlib.nullcontext():
+    # the norm's squares overflow from entries of 1.35e154, m + m^H near the float max
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_hermitian(m)
+        n = m.shape[0]
         w = np.vstack(((m + m.conj().T) / 2.0, np.eye(n, dtype=complex)))
         a, v = w[:n], w[n:]
         norm = float(np.linalg.norm(a))

@@ -17,17 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, InvalidTemperature, NotHermitian
-from .linalg import degenerate_groups, hermitian_eigen
+from .errors import InvalidState, InvalidTemperature
+from .linalg import check_hermitian, degenerate_groups, hermitian_eigen
 from .spinmodel import ModelSpec, build_hamiltonian
 
 _TRACE_TOL = 1e-10
-_HERMITICITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix (4x4 or 8x8): Hermitian with unit trace."""
+    """Validated density matrix (4x4 or 8x8): finite, Hermitian, unit trace."""
 
     mat: np.ndarray
 
@@ -36,15 +35,10 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         if mat.shape not in ((4, 4), (8, 8)):
             raise ValueError(f"expected a 4x4 or 8x8 matrix, got {mat.shape}")
-        if float(np.abs(mat - mat.conj().T).max()) > _HERMITICITY_ATOL:
-            raise NotHermitian("density matrix is not Hermitian")
+        check_hermitian(mat)
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > _TRACE_TOL:
             raise InvalidState(f"trace must be 1, got {trace!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 def partition_function(spec: ModelSpec, T: float) -> float:

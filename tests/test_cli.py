@@ -10,7 +10,6 @@ from spinthermal.cli import (
     _round12,
     RunConfig,
     build_model,
-    format_config,
     main,
     parse_config,
     render_csv,
@@ -100,21 +99,19 @@ def test_build_model_names_missing_field():
         build_model({})
 
 
-def test_config_round_trip():
-    cfg = parse_config(FIG6_CONFIG)
-    again = parse_config(format_config(cfg))
-    assert again == cfg
-
-
-def test_round_trip_with_xyz_model():
-    cfg = RunConfig(
+def test_parse_xyz_model_with_format_and_out():
+    cfg = parse_config(
+        "command = eig\nout = spectrum.json\nformat = json\n\n"
+        "[model]\nmodel = xyz\nJ1 = 1.0\nJ2 = -0.5\nJ3 = 0.25\n"
+        "B1 = 0.0\nB2 = 0.0\nB3 = 0.5\n"
+    )
+    assert cfg == RunConfig(
         command="eig",
         model={"model": "xyz", "J1": 1.0, "J2": -0.5, "J3": 0.25,
                "B1": 0.0, "B2": 0.0, "B3": 0.5},
         format="json",
         out="spectrum.json",
     )
-    assert parse_config(format_config(cfg)) == cfg
 
 
 def test_render_csv_formatting():

@@ -157,6 +157,13 @@ def test_eigen_of_entries_near_the_float_max_raises_without_a_warning(entry):
         hermitian_eigen(np.array([[1.0, entry], [entry, entry]]))
 
 
+def test_eigen_of_an_entry_whose_modulus_overflows_raises_float_overflow():
+    # both parts are finite, so the matrix is finite although |z| is inf
+    z = complex(1.3e308, 1.3e308)
+    with pytest.raises(FloatOverflow, match="Frobenius norm"):
+        hermitian_eigen(np.array([[1.0, z], [z.conjugate(), 1.0]]))
+
+
 def test_degenerate_groups():
     spec = hermitian_eigen(build_hamiltonian(ModelSpec.xx(1.0)))
     sizes = sorted(len(g) for g in degenerate_groups(spec.eigenvalues))

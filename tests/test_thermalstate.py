@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spinthermal import (
     InvalidState,
     InvalidTemperature,
     ModelSpec,
+    NotHermitian,
     SpinThermalError,
     UnsupportedModel,
     analytic_eigenstates,
@@ -17,6 +19,7 @@ from spinthermal import (
     partial_trace,
     partition_function,
 )
+from spinthermal.linalg import HERMITICITY_RTOL
 from spinthermal.concurrence import closed_form_xstate
 
 STATES = analytic_eigenstates()
@@ -116,6 +119,53 @@ def test_a_bad_trace_is_a_numeric_package_error():
     with pytest.raises(InvalidState, match="trace must be 1") as caught:
         DensityMatrix(np.eye(4, dtype=complex))
     assert isinstance(caught.value, SpinThermalError) and caught.value.exit_code == 3
+
+
+@pytest.mark.parametrize("mat", (np.full((4, 4), np.nan), np.diag([np.nan, 0.5, 0.25, 0.25])))
+def test_density_matrix_rejects_nan_entries(mat):
+    # nan > tol is False, so a tolerance test alone lets nan through
+    with pytest.raises(NotHermitian, match="non-finite"):
+        DensityMatrix(mat)
+
+
+def test_density_matrix_rejects_an_inf_entry_without_a_warning():
+    mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    mat[0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match="non-finite"):
+            DensityMatrix(mat)
+
+
+def near_hermitian_states(n, factor, count=8, seed=23):
+    """Unit-trace states with ``max |m - m^H|`` at ``factor`` times the relative tolerance."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        p = x @ x.conj().T
+        p /= np.trace(p).real
+        h = (p + p.conj().T) / 2.0
+        i, j = rng.choice(n, 2, replace=False)
+        h[i, j] += factor * HERMITICITY_RTOL * np.abs(h).max()
+        yield h
+
+
+def rejects(fn, mat):
+    try:
+        fn(mat)
+    except NotHermitian:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", (4, 8))
+@pytest.mark.parametrize("factor", (0.5, 1.0, 2.0))
+def test_density_matrix_and_eigensolver_share_the_hermitian_rule(n, factor):
+    for mat in near_hermitian_states(n, factor):
+        verdict = rejects(DensityMatrix, mat)
+        assert verdict == rejects(hermitian_eigen, mat)
+        if factor != 1.0:
+            assert verdict == (factor > 1.0)
 
 
 def test_partition_function_at_a_subnormal_temperature():
