@@ -126,8 +126,10 @@ def concurrence_general(rho) -> ConcurrenceResult:
     """
     mat = _as_matrix(rho)
     root = psd_sqrt(mat)
-    # hermitian_eigen solves for the Hermitian part (m + m^H) / 2 of the product
-    vals = hermitian_eigen(root @ spin_flip(mat) @ root).eigenvalues
+    mixed = root @ spin_flip(mat) @ root
+    # symmetrized before hermitian_eigen's check: for a product state the exact
+    # product is 0, and its rounding noise has no Hermitian symmetry
+    vals = hermitian_eigen((mixed + mixed.conj().T) / 2.0).eigenvalues
     if float(vals.min()) < PSD_FLOOR:
         raise NotPSD(f"spin-flip product eigenvalue {vals.min():.3e} < 0")
     lams = np.sqrt(np.clip(vals, 0.0, None))[::-1]

@@ -80,17 +80,18 @@ def check_hermitian(m: np.ndarray) -> None:
 
     Hermitian means ``max |m - m^H|`` at most ``HERMITICITY_RTOL`` times
     the largest entry magnitude.  That magnitude is inf or nan where an
-    entry is not finite, so the common case reads ``m`` twice.  Only
-    ``m - m^H`` of a non-Hermitian ``m`` with entries above half the
-    float max can warn (overflow); :func:`hermitian_eigen` silences it.
+    entry is not finite, so the common case reads ``m`` twice.  Both reads
+    run under ``np.errstate``: ``m - m^H`` of entries above half the
+    float max overflows to inf, which fails the test without a warning.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.abs(m).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.abs(m).max())
+        dev = float(np.abs(m - m.conj().T).max())
     # |z| is inf also for finite parts near the float max; only then look at the entries
     if not math.isfinite(scale) and not np.isfinite(m).all():
         raise NotHermitian("matrix has non-finite entries")
-    dev = float(np.abs(m - m.conj().T).max())
     if dev > HERMITICITY_RTOL * max(scale, np.finfo(float).tiny):
         raise NotHermitian(f"max |m - m^H| = {dev:.3e} exceeds tolerance")
 
@@ -140,10 +141,10 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
         above threshold.
     """
     m = np.asarray(m, dtype=complex)
+    check_hermitian(m)
+    n = m.shape[0]
     # the norm's squares overflow from entries of 1.35e154, m + m^H near the float max
     with np.errstate(over="ignore", invalid="ignore"):
-        check_hermitian(m)
-        n = m.shape[0]
         w = np.vstack(((m + m.conj().T) / 2.0, np.eye(n, dtype=complex)))
         a, v = w[:n], w[n:]
         norm = float(np.linalg.norm(a))

@@ -49,6 +49,16 @@ def test_product_state_is_separable():
     assert concurrence_general(np.diag([1.0, 0, 0, 0]).astype(complex)).C == 0.0
 
 
+@pytest.mark.parametrize("a, b, c", ((math.pi / 4, math.pi / 4, 0.0), (0.3, 1.1, 0.7),
+                                     (2.0, 0.4, -2.5)))
+def test_product_state_outside_the_computational_basis_is_separable(a, b, c):
+    # the exact spin-flip product is 0, so the computed one is rounding noise
+    # with no Hermitian symmetry; psd_sqrt of a rank-one state leaves C at
+    # the square root of that noise
+    psi = np.kron([math.cos(a), math.sin(a)], [math.cos(b), np.exp(1j * c) * math.sin(b)])
+    assert concurrence_general(np.outer(psi, psi.conj())).C < 1e-7
+
+
 def test_symmetric_state_pair_concurrence():
     # any qubit pair of the symmetric one-excitation state carries 2/3
     reduced = partial_trace(pure_state(STATES[3]))

@@ -137,6 +137,16 @@ def test_density_matrix_rejects_an_inf_entry_without_a_warning():
             DensityMatrix(mat)
 
 
+def test_density_matrix_rejects_an_overflowing_asymmetry_without_a_warning():
+    # m - m^H overflows to inf for entries above half the float max
+    mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    mat[0, 1], mat[1, 0] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match="exceeds tolerance"):
+            DensityMatrix(mat)
+
+
 def near_hermitian_states(n, factor, count=8, seed=23):
     """Unit-trace states with ``max |m - m^H|`` at ``factor`` times the relative tolerance."""
     rng = np.random.default_rng(seed)
