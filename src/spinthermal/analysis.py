@@ -11,6 +11,9 @@ paper's analytic conditions in the Boltzmann factor ``z = exp(J/T)``:
 * field model: ``y**2 - u v = h(delta, z) cosh(2 beta B) - g(delta, z)``,
   evaluated as ``(h - g) + 2 h sinh(beta B)**2``.
 
+Each is finite on part of the domain only; the sweep's witness (from
+:func:`~spinthermal.concurrence.closed_route_array`) is finite on all of it.
+
 Critical points come from plain bisection: the witnesses are monotone
 through their single sign change on the bracketed interval, and at this
 problem size robustness beats speed.  Critical temperatures are reported
@@ -129,7 +132,8 @@ def xx_region(z: float) -> RegionVerdict:
     The witness is ``1 - 3 z**2 - 4 z**3``; it is positive only on the
     ferromagnetic side below the critical factor, and automatically
     negative for every ``z >= 1`` (the antiferromagnetic side is never
-    entangled).
+    entangled).  Finite for ``J/T`` in about [-745, 236], ``-inf`` just above;
+    ``z**3`` raises ``OverflowError`` above 236.6, and ``z = 0`` ``ValueError``.
     """
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
@@ -149,7 +153,9 @@ def xxz_region(delta: float, z: float) -> RegionVerdict:
 
     The witness is ``|y| - v``; computing it as
     ``z**(2 delta) * bracket - 3/2`` through logs keeps very negative
-    anisotropies finite-signed instead of producing inf - inf.
+    anisotropies finite-signed instead of producing inf - inf.  Finite while
+    ``2 (delta - 1) J/T`` is below about 700, +-inf beyond; ``z**-2`` raises
+    ``OverflowError`` for ``J/T`` below about -355, and ``z = 0`` ``ValueError``.
     """
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
@@ -234,6 +240,10 @@ def field_region(delta: float, z: float, beta_B: float) -> RegionVerdict:
     so that the ``z**(4 delta + 2)`` terms of ``h`` and ``g`` cancel
     exactly: at ``delta = 1`` it is ``-6 z**3 - 3``, where the difference
     of the two curves would be rounding noise on the order of ``z**6``.
+    Finite only where ``h``, ``2 h sinh(beta_B)**2`` (``|beta_B|`` below about 354)
+    and each power of ``z`` are: ``J/T`` in about [-177, 355] and ``|J/T|`` times
+    each exponent below 709.  Beyond, a power or ``sinh`` raises ``OverflowError``
+    or the witness is +-inf (nan at ``B = 0``); ``z = 0`` raises ``ValueError``.
     """
     if z <= 0.0:
         raise ValueError(f"z must be positive, got {z}")
@@ -269,18 +279,16 @@ def field_curves_half(p: float) -> FieldCurves:
     return FieldCurves(p=p, g=g, h=h, hmg=hmg)
 
 
-def zero_temperature_concurrence(delta: float, B: float, J: float = 1.0) -> float:
-    """Zero-temperature concurrence limit of the antiferromagnetic ring.
+def zero_temperature_concurrence(delta: float, B: float) -> float:
+    """Zero-temperature concurrence limit of the antiferromagnetic ring at ``J = 1``.
 
     The concurrence of the equal mixture over the degenerate ground
-    group, :func:`~spinthermal.concurrence.closed_route` at ``T = 0``.
-    In a field it is 1/3 for ``delta > |B|/J - 1/2`` (the ground
-    doublet), 2/9 on that line (the ground triplet) and 0 below it
-    (nondegenerate polarized ground state).
+    group, :func:`~spinthermal.concurrence.closed_route` at ``T = 0``;
+    it depends on ``B/J`` alone.  In a field it is 1/3 for
+    ``delta > |B| - 1/2`` (the ground doublet), 2/9 on that line (the
+    ground triplet) and 0 below it (nondegenerate polarized ground state).
     """
-    if J <= 0.0:
-        raise ValueError(f"the limit is for antiferromagnetic J > 0, got {J}")
-    return closed_route(J, delta, B, 0.0)[0]
+    return closed_route(1.0, delta, B, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +367,13 @@ def _validate_sweep(config: SweepConfig) -> None:
 
 def _critical_temperature(variant: str, J: float, delta: float,
                           points: dict) -> Optional[float]:
-    """Critical temperature scaled by |J|, None when undefined/absent.
+    """Critical temperature scaled by |J|; None for the field model, ``J >= 0`` or ``delta >= 1``.
 
     ``T_c/|J|`` depends on the anisotropy alone, so ``points`` keeps the
     critical point per delta (one entry for ``xx``) and each coordinate
     only scales it by its own ``|J|``.
     """
-    if variant not in ("xx", "xxz"):
+    if variant not in ("xx", "xxz") or J >= 0.0:
         return None
     key = delta if variant == "xxz" else None
     if key not in points:
@@ -387,7 +395,8 @@ def sweep_blocks(config: SweepConfig) -> tuple[tuple[str, ...], Iterator[dict[st
     form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``, positive
     exactly where the pair is entangled and ``-inf`` where ``J = 0``),
     ``Z`` and, for the field-free variants, the critical temperature
-    ``T_c`` (``None`` where no critical point exists).
+    ``T_c`` (``None`` where no critical point exists: ``J >= 0`` or
+    ``delta >= 1``).
 
     ``T_c`` is bisected once per distinct anisotropy.  ``C`` and ``Z``
     are those of :func:`~spinthermal.concurrence.closed_route`, bit for
@@ -422,16 +431,14 @@ def sweep_blocks(config: SweepConfig) -> tuple[tuple[str, ...], Iterator[dict[st
             coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
             Js, deltas, Bs, T_cs = zip(*coords)
             T, J, delta, B = (np.array(column) for column in (temps, Js, deltas, Bs))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                C, Z, witness = closed_route_array(J, delta, B, T)
+            C, Z, witness = closed_route_array(J, delta, B, T)
             for name, column in (("C", C), ("Z", Z), ("witness", witness)):
                 bad = np.flatnonzero(np.isnan(column))
                 if bad.size:
                     i = bad[0]
                     raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "
                                     f"({Js[i]!r}, {deltas[i]!r}, {Bs[i]!r}, {temps[i]!r})")
-            columns = {"T": temps, "J": Js, "delta": deltas, "B": Bs,
-                       "C": [c or 0.0 for c in C.tolist()],  # unentangled points share one 0.0
+            columns = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "C": C.tolist(),
                        "witness": witness.tolist(), "Z": Z.tolist(), "T_c": T_cs}
             yield {name: columns[name] for name in fields}
 

@@ -396,6 +396,7 @@ def _format_z_c(z_c: float, x_c: float) -> str:
 
 
 def _cmd_critical(cfg: RunConfig) -> int:
+    """Print the ferromagnetic ring's critical point; ``T_c/|J|`` for either sign of ``J``."""
     model = build_model(cfg.model)
     if model.variant == "xx":
         point = analysis.xx_critical()

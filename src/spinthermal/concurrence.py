@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
-from .linalg import (PSD_FLOOR, degenerate_groups, hermitian_eigen, kron, map_floats,
-                     psd_sqrt)
+from .linalg import (PSD_FLOOR, degenerate_groups, exp_or_inf, hermitian_eigen, kron,
+                     map_floats, psd_sqrt)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
 
 #: Two-qubit spin-flip operator; real antidiagonal (-1, 1, 1, -1).
@@ -157,7 +157,7 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     emin = min(levels)
     if T > 0.0:
         weights = [math.exp((emin - e) / T) for e in levels]
-        scale = _exp_or_inf(-emin / T)
+        scale = exp_or_inf(-emin / T)
     elif T == 0.0:
         ranked = sorted(levels)
         top = ranked[len(degenerate_groups(ranked)[0]) - 1]
@@ -170,16 +170,8 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
                           for column in _SIXTHS_COLUMNS]
     trace = s00 + s11 + 2.0 * s_w
     rho00, rho11, rho_w, rho_y = s00 / trace, s11 / trace, s_w / trace, s_y / trace
-    # max() last: unentangled points share the constant 0.0 (sweeps keep every C)
     C = max(2.0 * (abs(rho_y) - math.sqrt(rho00 * rho11)), 0.0)
     return C, scale * trace / 6.0, rho00, rho11, rho_w, rho_y
-
-
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _log_sum(logs: list, coefficients: tuple) -> float:
@@ -202,6 +194,7 @@ def _log_witness(logs: list, x: float) -> float:
             - 0.5 * (_log_sum(logs, _SIXTHS_COLUMNS[0]) + _log_sum(logs, _SIXTHS_COLUMNS[1])))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
                        T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(C, Z, witness)`` over equal-length 1-D arrays with ``T > 0``.
@@ -210,9 +203,8 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
     does only the IEEE-exact steps, in the scalar order, and every
     ``exp``, ``expm1``, ``log`` and ``fsum`` goes through
     :func:`~spinthermal.linalg.map_floats`, so no value depends on the
-    array's length.  Run it under
-    ``np.errstate(over="ignore", invalid="ignore", divide="ignore")`` to
-    get the silent ``inf`` and ``nan`` of Python float arithmetic.
+    array's length.  Its numpy steps raise no overflow, invalid or divide
+    warning: they give the silent ``inf`` and ``nan`` of Python floats.
 
     ``witness = ln(|rho_y| / sqrt(rho00 rho11))`` has the sign of
     ``|rho_y| - sqrt(rho00 rho11)``, so it is positive exactly where the
@@ -241,7 +233,7 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
     witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
     for i in np.flatnonzero(~normal).tolist():
         witness[i] = _log_witness(logs[i].tolist(), x[i].item())
-    return C, map_floats(_exp_or_inf, -emin / T) * trace / 6.0, witness
+    return C, map_floats(exp_or_inf, -emin / T) * trace / 6.0, witness
 
 
 def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:

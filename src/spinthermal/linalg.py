@@ -39,10 +39,10 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def degenerate_groups(values, tol: float = DEGENERACY_TOL) -> list[list[int]]:
+def degenerate_groups(values) -> list[list[int]]:
     """Indices of ascending ``values`` grouped by near-degeneracy.
 
-    Adjacent values closer than ``tol * (1 + |E|)`` land in one group.
+    Adjacent values closer than ``DEGENERACY_TOL * (1 + |E|)`` land in one group.
     Zero-temperature logic consumes these groups rather than individual
     eigenvectors: the ring spectra are heavily degenerate by
     construction and the split of a degenerate eigenspace into vectors
@@ -51,7 +51,7 @@ def degenerate_groups(values, tol: float = DEGENERACY_TOL) -> list[list[int]]:
     groups = [[0]]
     for i in range(1, len(values)):
         scale = 1.0 + max(abs(values[i]), abs(values[i - 1]))
-        if values[i] - values[i - 1] <= tol * scale:
+        if values[i] - values[i - 1] <= DEGENERACY_TOL * scale:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -68,6 +68,14 @@ def map_floats(fn, arr: np.ndarray) -> np.ndarray:
     ``ValueError``, those of the scalar code.
     """
     return np.fromiter(map(fn, arr.tolist()), float, len(arr))
+
+
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, saturating to ``inf`` where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -38,16 +38,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
-_AXIS_TABLE = {
-    "x": SIGMA_X,
-    "y": SIGMA_Y,
-    "z": SIGMA_Z,
-    "+": SIGMA_PLUS,
-    "-": SIGMA_MINUS,
-}
+_AXIS_TABLE = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 # Primitive cube root of unity; the phase carried by the translation
 # eigenstates of the ring.
@@ -150,17 +142,14 @@ class ModelSpec:
 def pauli(site: int, axis: str) -> np.ndarray:
     """Single-site operator embedded in the three-qubit space.
 
-    ``axis`` is one of ``x``, ``y``, ``z``, ``+``, ``-`` with
-    ``sigma^{+-} = (sigma^x +- i sigma^y) / 2``; ``site`` counts from 1.
+    ``axis`` is one of ``x``, ``y``, ``z``; ``site`` counts from 1.
     """
     if site not in (1, 2, 3):
         raise ValueError(f"site must be 1, 2 or 3, got {site}")
-    try:
-        op = _AXIS_TABLE[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of x, y, z, +, -; got {axis!r}") from None
-    factors = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
-    factors[site - 1] = op
+    if axis not in _AXIS_TABLE:
+        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
+    factors = [IDENTITY_2] * 3
+    factors[site - 1] = _AXIS_TABLE[axis]
     return kron(kron(factors[0], factors[1]), factors[2])
 
 

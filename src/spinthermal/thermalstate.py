@@ -11,14 +11,13 @@ how the zero-temperature concurrence limits arise.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidState, InvalidTemperature
-from .linalg import check_hermitian, degenerate_groups, hermitian_eigen
+from .linalg import check_hermitian, degenerate_groups, exp_or_inf, hermitian_eigen
 from .spinmodel import ModelSpec, build_hamiltonian
 
 _TRACE_TOL = 1e-10
@@ -50,10 +49,7 @@ def partition_function(spec: ModelSpec, T: float) -> float:
     emin = float(energies.min())
     with np.errstate(over="ignore"):  # an overflowing exponent weighs exp(-inf) = 0
         shifted = float(np.exp(-beta * (energies - emin)).sum())
-    try:
-        return math.exp(-beta * emin) * shifted
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(-beta * emin) * shifted  # shifted >= 1, so an inf factor stays inf
 
 
 def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:

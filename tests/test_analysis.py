@@ -310,8 +310,6 @@ def test_zero_temperature_concurrence_branches():
 def test_zero_temperature_concurrence_equality_tolerance():
     assert zero_temperature_concurrence(0.5 + 1e-10, 1.0) == 2.0 / 9.0
     assert zero_temperature_concurrence(0.5 + 1e-6, 1.0) == 1.0 / 3.0
-    with pytest.raises(ValueError):
-        zero_temperature_concurrence(1.0, 1.0, J=-1.0)
 
 
 def test_zero_temperature_concurrence_without_field():
@@ -393,8 +391,7 @@ def assert_array_forms_match(variant, points):
     is finite and the witness is clear of zero; returns how many signs it
     compared."""
     J, delta, B, T = (np.array(column) for column in zip(*points))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        C, Z, witness = closed_route_array(J, delta, B, T)
+    C, Z, witness = closed_route_array(J, delta, B, T)
     got = [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())]
     want = [tuple(x.hex() for x in closed_route(*point)[:2]) for point in points]
     assert got == want
@@ -509,6 +506,17 @@ def test_sweep_critical_temperature_column():
     assert values[-1] is None  # delta = 1
 
 
+@pytest.mark.parametrize("model,axes", [
+    (ModelSpec.xx(1.0), (SweepAxis("J", -1.0, 1.0, 9),)),
+    (ModelSpec.xxz(1.0, 0.0), (SweepAxis("J", -1.0, 1.0, 9), SweepAxis("delta", -2.0, 0.5, 3))),
+])
+def test_sweep_has_no_critical_temperature_where_J_is_not_negative(model, axes):
+    # the antiferromagnetic ring is never entangled; every delta here is below 1
+    records = sweep(SweepConfig(model=model, axes=axes, T=0.5))
+    assert [r["T_c"] is None for r in records] == [r["J"] >= 0.0 for r in records]
+    assert all(r["C"] == 0.0 for r in records if r["J"] >= 0.0)
+
+
 def test_sweep_field_concurrence_shape():
     records = sweep(fig6_config(B=2.0))
     values = [r["C"] for r in records]
@@ -546,8 +554,7 @@ def per_point_sweep(config):
             model = replace(config.model, **point)
             J, delta, B = model.closed_form_params()
             C, Z, *_ = analysis_module.closed_route(J, delta, B, T)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                witness = closed_route_array(*(np.array([x]) for x in (J, delta, B, T)))[2]
+            witness = closed_route_array(*(np.array([x]) for x in (J, delta, B, T)))[2]
             record = {"T": T, "J": J}
             if model.variant == "xxz":
                 record["delta"] = delta

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ min = 0.02
 max = 4
 steps = 200
 """
+
+
+def test_readme_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = tmp_path / "fig.ini"
+    config.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    out = tmp_path / "fig.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "T,C" and len(lines) == 201
 
 
 def test_parse_minimal_config():

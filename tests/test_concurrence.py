@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,13 +279,29 @@ def test_closed_route_array_is_the_scalar_route_bit_for_bit():
     J = rng.choice((-1.0, 0.0, 1.0), n, p=(0.45, 0.1, 0.45)) * 10.0 ** rng.uniform(-3, 3.5, n) * T
     delta = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(-50.0, 50.0, n))
     B = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3, n) * T)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        C, Z, _ = closed_route_array(J, delta, B, T)
+    C, Z, _ = closed_route_array(J, delta, B, T)
     want = [closed_route(*point)[:2]
             for point in zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist())]
     assert [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())] == \
         [(c.hex(), z.hex()) for c, z in want]
     assert math.inf in Z.tolist()  # the saturated partition function is covered
+
+
+@pytest.mark.parametrize("point,want", [
+    # s00 * s11 underflows to 0 and divides the numerator
+    ((1.0, -0.5, 1.0, 0.005),
+     ("0x1.435d857d58933p-578", "0x1.88a122d234b39p+865", "-0x1.cab0bfa2a2000p-1")),
+    ((0.1211, -24.04, -120.95, 0.4656),
+     ("0x1.3f91a03669732p-769", "inf", "-0x1.ef04a9d827f80p+2")),
+    ((1e200, 1e200, 0.0, 1.0), ("nan", "nan", "nan")),  # the level energies overflow
+])
+def test_closed_route_array_sets_its_own_float_context(point, want):
+    """A bare call gives the silent inf and nan of Python floats, with no
+    RuntimeWarning (the test settings make one an error)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = closed_route_array(*(np.array([x]) for x in point))
+    assert tuple(column.item().hex() for column in got) == want
 
 
 _RATIO = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # |J|/T and |B|/T in [1e-3, 1e3]
@@ -384,8 +401,7 @@ MPMATH_WITNESSES = (
 
 def closed_witness(points):
     J, delta, B, T = (np.array(column, float) for column in zip(*points))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return closed_route_array(J, delta, B, T)[2].tolist()
+    return closed_route_array(J, delta, B, T)[2].tolist()
 
 
 def test_witness_matches_the_mpmath_reference():
