@@ -47,7 +47,6 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -219,43 +218,62 @@ def _round12(value):
     return float(format(float(value), ".12g"))
 
 
+def _cells(column: list, format_floats, format_values) -> list[str]:
+    """``format_floats(column)`` for a column of floats, else ``format_values(column)``.
+
+    Where all values are floats or ``None`` and most repeat, each distinct
+    value is formatted once and the cells take their texts from that table.
+    ``0.0`` and ``-0.0`` are one key with two texts, so a column holding
+    both is formatted cell by cell; each NaN object is its own key.
+    """
+    kinds = set(map(type, column))
+    format_all = format_floats if kinds <= {float} else format_values
+    texts = dict.fromkeys(column) if kinds <= {float, type(None)} else {}
+    if not texts or 2 * len(texts) > len(column):
+        return format_all(column)
+    if 0.0 in texts:
+        values = np.array(column, float)  # None reads as NaN
+        if 0.0 < np.signbit(values[values == 0.0]).mean() < 1.0:  # zeros of both signs
+            return format_all(column)
+    texts = dict(zip(texts, format_all(list(texts))))
+    return list(map(texts.__getitem__, column))
+
+
 def _csv_cells(column: list) -> list[str]:
-    """Cell texts of one CSV column, each as :func:`_fmt` prints it.
+    """Cell texts of one CSV column as :func:`_fmt` prints them (floats by ``"%.12g" % x``)."""
+    return _cells(column, lambda values: list(map("%.12g".__mod__, values)),
+                  lambda values: list(map(_fmt, values)))
 
-    A column of floats is printed by one ``%`` format: ``"%.12g" % x``
-    runs the C routine of ``format(x, ".12g")``, ``inf``, ``nan`` and
-    ``-0`` included.
+
+def _json_floats(values: list) -> list[str]:
+    """Texts of floats, each as ``json.dumps(_round12(v))`` prints it.
+
+    Each is printed ``%.12g``.  A normal finite float of at most 12
+    significant digits round-trips through a double, so ``repr`` of the
+    rounded value ``float(format(x, ".12g"))`` keeps those digits and
+    only the notation can differ: integral values (``0`` -> ``0.0``),
+    ``inf``, ``-inf`` and ``nan`` (``Infinity``, ``-Infinity``,
+    ``NaN``), decimal exponents +12 to +15, where ``repr`` stays
+    positional (``1e+12`` -> ``1000000000000.0``), and exponents of -300
+    and below, which take in every subnormal, whose shortest text has
+    fewer digits (``4.94065645841e-324`` -> ``5e-324``).  So a text with
+    no ``.``, or holding ``e+1`` or ``e-3``, is replaced by
+    ``json.dumps(float(text))``, which is that value's text by
+    construction, once per distinct text.
     """
-    if all(map(isinstance, column, itertools.repeat(float))):
-        return list(map("%.12g".__mod__, column))
-    return list(map(_fmt, column))
-
-
-def _json_cells(column: list, memo: dict) -> list[str]:
-    """Cell texts of one JSON column, each as ``json.dumps(_round12(v))`` prints it.
-
-    A column of floats is printed ``%.12g``.  A normal finite float of
-    at most 12 significant digits round-trips through a double, so
-    ``repr`` of the rounded value ``float(format(x, ".12g"))`` keeps
-    those digits and only the notation can differ: integral values
-    (``0`` -> ``0.0``), ``inf``, ``-inf`` and ``nan`` (``Infinity``,
-    ``-Infinity``, ``NaN``), decimal exponents +12 to +15, where
-    ``repr`` stays positional (``1e+12`` -> ``1000000000000.0``), and
-    exponents of -300 and below, which take in every subnormal, whose
-    shortest text has fewer digits (``4.94065645841e-324`` ->
-    ``5e-324``).  So a cell whose text has no ``.``, or holds ``e+1`` or
-    ``e-3``, is replaced by ``json.dumps(float(text))``, which is that
-    value's text by construction; ``memo`` keeps it per distinct text.
-    """
-    if not all(map(isinstance, column, itertools.repeat(float))):
-        return [json.dumps(_round12(value)) for value in column]
-    cells = list(map("%.12g".__mod__, column))
+    cells = list(map("%.12g".__mod__, values))
+    memo: dict = {}
     for i, text in enumerate(cells):
         if "." not in text or "e+1" in text or "e-3" in text:
             if text not in memo:
                 memo[text] = json.dumps(float(text))
             cells[i] = memo[text]
     return cells
+
+
+def _json_cells(column: list) -> list[str]:
+    """Cell texts of one JSON column, each as ``json.dumps(_round12(v))`` prints it."""
+    return _cells(column, _json_floats, lambda values: [json.dumps(_round12(v)) for v in values])
 
 
 def _csv_parts(columns: list[str], blocks) -> Iterator[str]:
@@ -276,10 +294,9 @@ def _json_parts(meta: dict, columns: list[str], blocks) -> Iterator[str]:
         "      " + json.dumps(col).replace("%", "%%") + ": %s" for col in columns)
     template = "    {\n" + fields + "\n    }"
     yield json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("[]\n}")]
-    memo: dict = {}
     separator = "[\n"
     for block in blocks:
-        body = ",\n".join(map(template.__mod__, zip(*(_json_cells(c, memo) for c in block))))
+        body = ",\n".join(map(template.__mod__, zip(*map(_json_cells, block))))
         if body:
             yield separator + body
             separator = ",\n"

@@ -46,14 +46,16 @@ SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
 #: sixths: ``(<00|r|00>, <11|r|11>, <01|r|01> = <10|r|10>, <01|r|10>)``.
 LEVEL_REDUCED_SIXTHS = ((6, 0, 0, 0), (4, 0, 4, -2), (2, 0, 2, 2),
                         (0, 4, 4, -2), (0, 2, 2, 2), (0, 6, 0, 0))
-_SIXTHS_COLUMNS = tuple(zip(*LEVEL_REDUCED_SIXTHS))
+# Each column's nonzero terms as (getter of their levels, sixths), summed into s00, s11, s_w, s_y.
+_CONTRACTIONS = tuple((operator.itemgetter(*(k for k, c in enumerate(col) if c)),
+                       tuple(filter(None, col))) for col in zip(*LEVEL_REDUCED_SIXTHS))
 
 _XSTATE_TRACE_TOL = 1e-10
 
 _EXPM1_CAP = 700.0  # math.expm1 overflows just above 709.78
 _TINY = sys.float_info.min
 _LN2 = math.log(2.0)
-_P1_PLUS_P3 = (0, 1, 0, 1, 0, 0)  # the two chiral doublets, whose weights carry rho_y
+_P1_PLUS_P3 = (operator.itemgetter(1, 3), (1, 1))  # the chiral doublets, which carry rho_y
 
 
 @dataclass(frozen=True)
@@ -166,19 +168,18 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     else:
         raise InvalidTemperature(f"temperature must be >= 0, got {T}")
     # fsum rounds correctly, so rho00 == rho11 exactly at B = 0
-    s00, s11, s_w, s_y = [math.fsum(map(operator.mul, weights, column))
-                          for column in _SIXTHS_COLUMNS]
+    s00, s11, s_w, s_y = [math.fsum(map(operator.mul, get(weights), sixths))
+                          for get, sixths in _CONTRACTIONS]
     trace = s00 + s11 + 2.0 * s_w
     rho00, rho11, rho_w, rho_y = s00 / trace, s11 / trace, s_w / trace, s_y / trace
     C = max(2.0 * (abs(rho_y) - math.sqrt(rho00 * rho11)), 0.0)
     return C, scale * trace / 6.0, rho00, rho11, rho_w, rho_y
 
 
-def _log_sum(logs: list, coefficients: tuple) -> float:
-    """``ln sum(c * exp(a))`` over the terms with ``c > 0``, shifted by their largest ``a``."""
-    terms = [(a, c) for a, c in zip(logs, coefficients) if c]
-    top = max(a for a, _ in terms)
-    return top + math.log(math.fsum(c * math.exp(a - top) for a, c in terms))
+def _log_sum(logs: list, get, sixths: tuple) -> float:
+    """``ln sum(c * exp(a))`` over ``get(logs)`` and ``sixths`` (all > 0), shifted by max ``a``."""
+    top = max(get(logs))
+    return top + math.log(math.fsum(c * math.exp(a - top) for a, c in zip(get(logs), sixths)))
 
 
 def _log_witness(logs: list, x: float) -> float:
@@ -190,8 +191,8 @@ def _log_witness(logs: list, x: float) -> float:
         log_gap = math.log(abs(math.expm1(x)))
     else:
         return -math.inf  # J = 0: rho_y = 0
-    return (_LN2 + log_gap + _log_sum(logs, _P1_PLUS_P3)
-            - 0.5 * (_log_sum(logs, _SIXTHS_COLUMNS[0]) + _log_sum(logs, _SIXTHS_COLUMNS[1])))
+    return (_LN2 + log_gap + _log_sum(logs, *_P1_PLUS_P3)
+            - 0.5 * (_log_sum(logs, *_CONTRACTIONS[0]) + _log_sum(logs, *_CONTRACTIONS[1])))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -199,11 +200,13 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
                        T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(C, Z, witness)`` over equal-length 1-D arrays with ``T > 0``.
 
-    ``C`` and ``Z`` are those of :func:`closed_route`, bit for bit: numpy
-    does only the IEEE-exact steps, in the scalar order, and every
-    ``exp``, ``expm1``, ``log`` and ``fsum`` goes through
-    :func:`~spinthermal.linalg.map_floats`, so no value depends on the
-    array's length.  Its numpy steps raise no overflow, invalid or divide
+    ``C`` and ``Z`` are those of :func:`closed_route`, bit for bit: numpy does
+    only the IEEE-exact steps, in the scalar order, every ``exp``, ``expm1``
+    and ``log`` goes through :func:`~spinthermal.linalg.map_floats`, and
+    ``s00``, ``s11``, ``s_w`` and ``s_y`` each ``math.fsum`` only their
+    column's 3, 3, 4 and 4 nonzero terms (``fsum`` ignores zeros; a NaN weight
+    still reaches ``C`` and ``Z`` through the trace), so no value depends on
+    the array's length.  Its numpy steps raise no overflow, invalid or divide
     warning: they give the silent ``inf`` and ``nan`` of Python floats.
 
     ``witness = ln(|rho_y| / sqrt(rho00 rho11))`` has the sign of
@@ -214,17 +217,18 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
     float range (or ``-3J/T`` exceeds what ``expm1`` takes), the point is
     evaluated from the log weights ``(E_min - E)/T`` instead.
     """
-    levels = np.stack(level_energies(J, delta, B), axis=1)
-    emin = levels.min(axis=1)
-    logs = (emin[:, None] - levels) / T[:, None]
+    levels = np.stack(level_energies(J, delta, B))
+    emin = levels.min(axis=0)
+    logs = (emin - levels) / T
     weights = map_floats(math.exp, logs.ravel()).reshape(levels.shape)
-    s00, s11, s_w, s_y = [map_floats(math.fsum, weights * np.array(column, float))
-                          for column in _SIXTHS_COLUMNS]
+    products = [zip(*[(row * c).tolist() for row, c in zip(get(weights), sixths)])
+                for get, sixths in _CONTRACTIONS]
+    s00, s11, s_w, s_y = [np.fromiter(map(math.fsum, p), float, len(T)) for p in products]
     trace = s00 + s11 + 2.0 * s_w
     gap = 2.0 * (np.abs(s_y / trace) - np.sqrt((s00 / trace) * (s11 / trace)))
     C = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0)
     x = -3.0 * J / T
-    y_weight = weights[:, 1] + weights[:, 3]
+    y_weight = weights[1] + weights[3]
     # beyond the cap expm1 raises; 0 sends the point to the log form
     numerator = 2.0 * np.abs(map_floats(math.expm1, np.where(x > _EXPM1_CAP, 0.0, x))) * y_weight
     # a subnormal factor has lost digits (NaN fails too); the ground level
@@ -232,7 +236,7 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
     normal = np.minimum.reduce((numerator, y_weight, s00, s11)) >= _TINY
     witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
     for i in np.flatnonzero(~normal).tolist():
-        witness[i] = _log_witness(logs[i].tolist(), x[i].item())
+        witness[i] = _log_witness(logs[:, i].tolist(), x[i].item())
     return C, map_floats(exp_or_inf, -emin / T) * trace / 6.0, witness
 
 

@@ -61,11 +61,10 @@ def degenerate_groups(values) -> list[list[int]]:
 def map_floats(fn, arr: np.ndarray) -> np.ndarray:
     """``fn`` applied to Python floats elementwise: a float array as long as ``arr``.
 
-    ``arr`` is 1-D, or 2-D with ``fn`` getting one row as a list.  numpy's
-    own ``exp``, ``power``, ``log`` and ``cosh`` differ from the C
-    library's in the last bit on some inputs; going through ``math`` and
-    ``pow`` keeps every value, and every ``OverflowError`` or
-    ``ValueError``, those of the scalar code.
+    ``arr`` is 1-D.  numpy's own ``exp``, ``power``, ``log`` and ``cosh``
+    differ from the C library's in the last bit on some inputs; going
+    through ``math`` and ``pow`` keeps every value, and every
+    ``OverflowError`` or ``ValueError``, those of the scalar code.
     """
     return np.fromiter(map(fn, arr.tolist()), float, len(arr))
 

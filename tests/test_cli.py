@@ -143,6 +143,11 @@ def per_cell_csv(columns, rows):
 
 SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1 + 0.2)
 
+# Repeated often enough that the renderer formats each distinct value once:
+# 0.0 and -0.0 are one dict key with two texts, two NaN objects two keys.
+REPEATED_SPECIALS = [0.0, -0.0, None, float("nan"), float("nan"), math.inf] * 8
+REPEATED_ONE_ZERO = [-0.0, None, float("nan"), float("nan"), math.inf, 1.5] * 8
+
 
 @pytest.mark.parametrize("columns, rows", (
     (["a", "b"], [{"a": x, "b": y} for x in SPECIAL_FLOATS for y in SPECIAL_FLOATS]),
@@ -153,6 +158,8 @@ SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1 + 0.2)
     (["a", "b"], [{"a": 0.5, "b": 1e16}, {"a": -0.0, "b": "x"}]),
     (["a", "b"], [{"a": 0.5, "b": 1e16}, {"a": -0.0}]),
     (["k"], [{"k": 10**20}]),
+    (["a", "b"], [{"a": x, "b": y} for x, y in zip(REPEATED_SPECIALS, REPEATED_SPECIALS[1:])]),
+    (["a", "b"], [{"a": x, "b": y} for x, y in zip(REPEATED_ONE_ZERO, REPEATED_SPECIALS)]),
 ))
 def test_render_csv_matches_the_per_cell_format(columns, rows):
     assert render_csv(columns, rows) == per_cell_csv(columns, rows)
@@ -199,8 +206,9 @@ def log_uniform_floats(count, seed):
     return (signs * 10.0 ** rng.uniform(-320.0, 308.0, count)).tolist()
 
 
-@pytest.mark.parametrize("values", (JSON_BOUNDARY_FLOATS, log_uniform_floats(6000, 17)),
-                         ids=("boundary", "log-uniform"))
+@pytest.mark.parametrize("values", (JSON_BOUNDARY_FLOATS, log_uniform_floats(6000, 17),
+                                    REPEATED_SPECIALS, REPEATED_ONE_ZERO),
+                         ids=("boundary", "log-uniform", "repeated specials", "repeated one zero"))
 @pytest.mark.parametrize("columns", (["x"], ["T", "50%", 'say "q"', "%s", "Z"]),
                          ids=("one column", "five columns"))
 def test_render_json_all_float_rows_match_rounded_dumps(values, columns):
@@ -277,19 +285,44 @@ def xxz_across_delta_one(axes):
     return text + "".join(f"\n[grid:{axis}]\n{ranges[axis]}\n" for axis in axes)
 
 
-@pytest.mark.parametrize("axes", (("delta", "T"), ("T", "delta")), ids=("delta outer", "T outer"))
-def test_cli_block_rendering_matches_the_per_cell_references(axes, tmp_path):
+# ROADMAP item 1's model at low T: C is 0.0 on all but a few of 3000 points (3 blocks)
+LOW_T_FIELD_CONFIG = """\
+command = sweep
+columns = T,C,witness,Z
+
+[model]
+model = xxzfield
+J = 1.0
+delta = -0.5
+B = 1.0
+
+[grid:T]
+min = 0.005
+max = 0.5
+steps = 3000
+"""
+
+NONE = type(None)
+
+
+@pytest.mark.parametrize("config_text, T_c_kinds", (
+    # blocks of float T_c, of None and of both: 2257 points, 3 blocks
+    (xxz_across_delta_one(("delta", "T")),
+     {frozenset({float}), frozenset({float, NONE}), frozenset({NONE})}),
+    (xxz_across_delta_one(("T", "delta")), {frozenset({float, NONE})}),
+    (LOW_T_FIELD_CONFIG, None),
+), ids=("delta outer", "T outer", "low-T field"))
+def test_cli_block_rendering_matches_the_per_cell_references(config_text, T_c_kinds, tmp_path):
     config = tmp_path / "sweep.cfg"
-    config.write_text(xxz_across_delta_one(axes))
-    cfg = parse_config(config.read_text())
+    config.write_text(config_text)
+    cfg = parse_config(config_text)
     sweep_config = SweepConfig(build_model(cfg.model), tuple(cfg.grid), cfg.T)
-    T_c_kinds = {frozenset(map(type, block["T_c"])) for block in sweep_blocks(sweep_config)[1]}
-    if axes[0] == "delta":  # blocks of float T_c, of None and of both: 2257 points, 3 blocks
-        assert T_c_kinds == {frozenset({float}), frozenset({float, type(None)}),
-                             frozenset({type(None)})}
-    else:
-        assert T_c_kinds == {frozenset({float, type(None)})}
+    if T_c_kinds is not None:
+        blocks = sweep_blocks(sweep_config)[1]
+        assert {frozenset(map(type, block["T_c"])) for block in blocks} == T_c_kinds
     records = sweep(sweep_config)
+    if T_c_kinds is None:
+        assert sum(record["C"] == 0.0 for record in records) > 0.99 * len(records)
     for fmt in ("csv", "json"):
         out = tmp_path / f"sweep.{fmt}"
         assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
