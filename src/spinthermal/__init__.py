@@ -11,23 +11,16 @@ import types
 
 from .analysis import (
     CriticalPoint,
-    FieldCurves,
     RegionVerdict,
     SweepAxis,
     SweepConfig,
-    P1,
-    P2,
     Z0,
-    delta_boundary,
-    field_curves_half,
     field_region,
     sweep,
     xx_critical,
-    xx_region,
     xxx_field_threshold,
     xxz_critical,
     xxz_region,
-    zero_temperature_concurrence,
 )
 from .concurrence import (
     ConcurrenceResult,

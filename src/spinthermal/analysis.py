@@ -4,8 +4,6 @@ Every predicate reports a sign-carrying witness: the pair is entangled
 exactly when the witness is positive.  The region functions are the
 paper's analytic conditions in the Boltzmann factor ``z = exp(J/T)``:
 
-* XX model: ``1 - 3 z**2 - 4 z**3`` (negated boundary cubic, so the
-  sign matches the entangled/not-entangled verdict);
 * XXZ model: ``|y| - v`` evaluated in an overflow-safe arrangement,
   ``z**(2 delta) * (z**-2 / 2 - 2 z) - 3/2`` on the ferromagnetic side;
 * field model: ``y**2 - u v = h(delta, z) cosh(2 beta B) - g(delta, z)``,
@@ -16,8 +14,10 @@ Each is finite on part of the domain only; the sweep's witness (from
 
 Critical points come from plain bisection: the witnesses are monotone
 through their single sign change on the bracketed interval, and at this
-problem size robustness beats speed.  Critical temperatures are reported
-per unit ``|J|`` (they scale linearly in ``|J|``).
+problem size robustness beats speed.  One bisection, in ``ln z``, serves
+both field-free models: the XX ring is the XXZ ring at ``delta = 0``.
+Critical temperatures are reported per unit ``|J|`` (they scale linearly
+in ``|J|``).
 
 A sweep splits its work in two.  What depends only on the
 non-temperature coordinates (the closed-form parameters and the critical
@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .concurrence import closed_route, closed_route_array
+from .concurrence import closed_route_array
 from .errors import InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain
 from .spinmodel import ModelSpec
 
@@ -51,10 +51,6 @@ BISECT_CAP = 200
 
 #: Stationary point of the XXZ witness with respect to the anisotropy.
 Z0 = 4.0 ** (-1.0 / 3.0)
-
-#: Anisotropy -1/2 classification thresholds in p = z**-3.
-P1 = 2.5 + 1.5 * math.sqrt(5.0)
-P2 = 7.0
 
 _EXP_CAP = 700.0  # beyond this an exponent is treated as +inf
 
@@ -77,26 +73,6 @@ class RegionVerdict:
 
     entangled: bool
     witness: float
-
-
-@dataclass(frozen=True)
-class FieldCurves:
-    """The anisotropy -1/2 classification curves in ``p = z**-3``."""
-
-    p: float
-    g: float
-    h: float
-    hmg: float
-
-    @property
-    def case(self) -> int:
-        """1: never entangled; 2: entangled for strong enough field;
-        3: entangled for any field."""
-        if self.h <= 0.0:
-            return 1
-        if self.hmg <= 0.0:
-            return 2
-        return 3
 
 
 def _bisect(fn, lo: float, hi: float) -> float:
@@ -124,28 +100,6 @@ def _scaled_power(log_magnitude: float, sign: float) -> float:
     if log_magnitude > _EXP_CAP:
         return math.copysign(math.inf, sign)
     return math.copysign(math.exp(log_magnitude), sign)
-
-
-def xx_region(z: float) -> RegionVerdict:
-    """Entanglement verdict for the XX ring at Boltzmann factor ``z``.
-
-    The witness is ``1 - 3 z**2 - 4 z**3``; it is positive only on the
-    ferromagnetic side below the critical factor, and automatically
-    negative for every ``z >= 1`` (the antiferromagnetic side is never
-    entangled).  Finite for ``J/T`` in about [-745, 236], ``-inf`` just above;
-    ``z**3`` raises ``OverflowError`` above 236.6, and ``z = 0`` ``ValueError``.
-    """
-    if z <= 0.0:
-        raise ValueError(f"z must be positive, got {z}")
-    witness = 1.0 - 3.0 * z * z - 4.0 * z**3
-    return RegionVerdict(entangled=witness > 0.0, witness=witness)
-
-
-def xx_critical() -> CriticalPoint:
-    """Critical point of the XX ring: the positive root of ``4z^3 + 3z^2 - 1``."""
-    z_c = _bisect(lambda z: 4.0 * z**3 + 3.0 * z * z - 1.0, 0.1, 1.0)
-    x_c = math.log(z_c)
-    return CriticalPoint(z_c=z_c, x_c=x_c, T_c=1.0 / abs(x_c))
 
 
 def xxz_region(delta: float, z: float) -> RegionVerdict:
@@ -209,26 +163,13 @@ def xxz_critical(delta: float) -> Optional[CriticalPoint]:
     return CriticalPoint(z_c=math.exp(x_c), x_c=x_c, T_c=1.0 / abs(x_c))
 
 
-def delta_boundary(z: float, J: float, T: float) -> float:
-    """Anisotropy at which the XXZ witness changes sign, at fixed ``z``.
+def xx_critical() -> CriticalPoint:
+    """Critical point of the XX ring: the positive root of ``4z^3 + 3z^2 - 1``.
 
-    Defined for ferromagnetic points with ``z < z0``; the returned value
-    is below 1, tends to 1 as ``z -> 0`` and diverges to ``-inf``
-    (logarithmically slowly) as ``z -> z0``.  ``z`` must be the
-    Boltzmann factor of ``(J, T)``, i.e. ``exp(J/T)``.
+    The XX ring is the XXZ ring at ``delta = 0``, where the XXZ witness
+    vanishes exactly on that cubic's root.
     """
-    if T <= 0.0:
-        raise InvalidTemperature(f"temperature must be > 0, got {T}")
-    if J >= 0.0:
-        raise OutOfDomain(f"boundary anisotropy needs J < 0, got {J}")
-    if z >= Z0:
-        raise OutOfDomain(f"no entanglement at any anisotropy for z >= {Z0:.6f}")
-    if z <= 0.0:
-        raise ValueError(f"z must be positive, got {z}")
-    beta_j = J / T
-    # ln(3 / (z**-2 - 4 z)) without the overflow of z**-2 at small z.
-    log_ratio = math.log(3.0) + 2.0 * math.log(z) - math.log1p(-4.0 * z**3)
-    return log_ratio / (2.0 * beta_j)
+    return xxz_critical(0.0)
 
 
 def field_region(delta: float, z: float, beta_B: float) -> RegionVerdict:
@@ -262,33 +203,6 @@ def xxx_field_threshold() -> float:
     ``(4 + 3 sqrt(2))**(1/3)``.
     """
     return (4.0 + 3.0 * math.sqrt(2.0)) ** (1.0 / 3.0)
-
-
-def field_curves_half(p: float) -> FieldCurves:
-    """Classification curves of the anisotropy -1/2 ring, in ``p = z**-3``.
-
-    All three are parabolas in ``p``: ``h`` changes sign at
-    :data:`P1` and ``h - g`` at :data:`P2`; the ``case`` property turns
-    their signs into the three-way field classification.
-    """
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    h = 0.5 * (p * p - 5.0 * p - 5.0)
-    g = 0.25 * (11.0 + 8.0 * p - p * p)
-    hmg = 0.25 * (3.0 * p * p - 18.0 * p - 21.0)
-    return FieldCurves(p=p, g=g, h=h, hmg=hmg)
-
-
-def zero_temperature_concurrence(delta: float, B: float) -> float:
-    """Zero-temperature concurrence limit of the antiferromagnetic ring at ``J = 1``.
-
-    The concurrence of the equal mixture over the degenerate ground
-    group, :func:`~spinthermal.concurrence.closed_route` at ``T = 0``;
-    it depends on ``B/J`` alone.  In a field it is 1/3 for
-    ``delta > |B| - 1/2`` (the ground doublet), 2/9 on that line (the
-    ground triplet) and 0 below it (nondegenerate polarized ground state).
-    """
-    return closed_route(1.0, delta, B, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +283,15 @@ def _critical_temperature(variant: str, J: float, delta: float,
                           points: dict) -> Optional[float]:
     """Critical temperature scaled by |J|; None for the field model, ``J >= 0`` or ``delta >= 1``.
 
-    ``T_c/|J|`` depends on the anisotropy alone, so ``points`` keeps the
-    critical point per delta (one entry for ``xx``) and each coordinate
+    ``T_c/|J|`` depends on the anisotropy alone (``delta = 0`` for ``xx``),
+    so ``points`` keeps the critical point per delta and each coordinate
     only scales it by its own ``|J|``.
     """
     if variant not in ("xx", "xxz") or J >= 0.0:
         return None
-    key = delta if variant == "xxz" else None
-    if key not in points:
-        points[key] = xx_critical() if key is None else xxz_critical(key)
-    point = points[key]
+    if delta not in points:
+        points[delta] = xxz_critical(delta)
+    point = points[delta]
     if point is None:
         return None
     return point.T_c * abs(J)

@@ -415,14 +415,11 @@ def _format_z_c(z_c: float, x_c: float) -> str:
 def _cmd_critical(cfg: RunConfig) -> int:
     """Print the ferromagnetic ring's critical point; ``T_c/|J|`` for either sign of ``J``."""
     model = build_model(cfg.model)
-    if model.variant == "xx":
-        point = analysis.xx_critical()
-    elif model.variant == "xxz":
-        point = analysis.xxz_critical(model.delta)
-    else:
+    if model.variant not in ("xx", "xxz"):
         raise ValidationError(
             f"critical supports the xx and xxz models, not {model.variant!r}"
         )
+    point = analysis.xxz_critical(model.closed_form_params()[1])
     if point is None:
         print("z_c = none")
         print("x_c = none")

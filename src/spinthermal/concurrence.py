@@ -92,16 +92,6 @@ class XStateParams:
         if abs(trace - 1.0) > _XSTATE_TRACE_TOL:
             raise InvalidState(f"parameters violate unit trace: {trace!r}")
 
-    def reduced_matrix(self) -> np.ndarray:
-        """The 4x4 density matrix described by these parameters."""
-        scale = 2.0 / (3.0 * self.Z)
-        out = np.zeros((4, 4), dtype=complex)
-        out[0, 0] = scale * self.u
-        out[3, 3] = scale * self.v
-        out[1, 1] = out[2, 2] = scale * self.w
-        out[1, 2] = out[2, 1] = scale * self.y
-        return out
-
 
 def _as_matrix(rho) -> np.ndarray:
     mat = getattr(rho, "mat", rho)

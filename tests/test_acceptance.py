@@ -9,8 +9,6 @@ import numpy as np
 
 from spinthermal import (
     ModelSpec,
-    P1,
-    P2,
     SHIFT_PHASES,
     SweepAxis,
     SweepConfig,
@@ -20,7 +18,6 @@ from spinthermal import (
     concurrence_closed_form,
     concurrence_general,
     cyclic_shift,
-    field_curves_half,
     gibbs_density,
     hermitian_eigen,
     partial_trace,
@@ -28,9 +25,10 @@ from spinthermal import (
     xx_critical,
     xxx_field_threshold,
     xxz_critical,
-    zero_temperature_concurrence,
 )
 from spinthermal.cli import main
+
+from paper_conditions import P1, P2, field_curves_half, zero_temperature_concurrence
 
 STATES = analytic_eigenstates()
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -13,26 +14,22 @@ from spinthermal import (
     ModelSpec,
     NaNResult,
     OutOfDomain,
-    P1,
-    P2,
     SweepAxis,
     SweepConfig,
     Z0,
     concurrence_closed_form,
     concurrence_general,
-    delta_boundary,
-    field_curves_half,
     field_region,
     gibbs_density,
     partial_trace,
     sweep,
     xx_critical,
-    xx_region,
     xxx_field_threshold,
     xxz_critical,
     xxz_region,
-    zero_temperature_concurrence,
 )
+from paper_conditions import (P1, P2, delta_boundary, field_curves_half, xx_critical_temperature,
+                              xx_region, zero_temperature_concurrence)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +57,23 @@ def test_xx_critical_constants():
     roots = np.roots([4.0, 3.0, 0.0, -1.0])
     positive = [r.real for r in roots if abs(r.imag) < 1e-10 and r.real > 0]
     assert abs(point.z_c - positive[0]) < 1e-9
+
+
+def test_xx_critical_temperature_is_correctly_rounded():
+    # sweeps print T_c to 12 significant digits; 2e-13 relative keeps the
+    # printed cell that of the exact root (a bisection in z to an absolute
+    # 1e-12 is off by 1.07e-12)
+    reference = xx_critical_temperature()
+    error = abs(decimal.Decimal(xx_critical().T_c) - reference) / reference
+    assert error < decimal.Decimal("2e-13")
+
+
+def test_xx_sweep_critical_temperatures_are_those_of_xxz_at_zero_anisotropy():
+    axes = (SweepAxis("J", -3.0, 0.5, 41), SweepAxis("T", 0.05, 2.0, 3))
+    xx = sweep(SweepConfig(model=ModelSpec.xx(-1.0), axes=axes))
+    xxz = sweep(SweepConfig(model=ModelSpec.xxz(-1.0, 0.0), axes=axes))
+    assert [r["T_c"] for r in xx] == [r["T_c"] for r in xxz]
+    assert sum(r["T_c"] is not None for r in xx) == 3 * 35  # every J < 0
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +567,7 @@ def per_point_sweep(config):
             T = point.pop("T", config.T)
             model = replace(config.model, **point)
             J, delta, B = model.closed_form_params()
-            C, Z, *_ = analysis_module.closed_route(J, delta, B, T)
+            C, Z, *_ = closed_route(J, delta, B, T)
             witness = closed_route_array(*(np.array([x]) for x in (J, delta, B, T)))[2]
             record = {"T": T, "J": J}
             if model.variant == "xxz":
@@ -609,8 +623,10 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
     monkeypatch.setattr(analysis_module, "xxz_critical", counting)
     records = sweep(config)
     assert bits(records) == bits(expected)
-    # one bisection per distinct anisotropy, however many J values share it
-    distinct = {r["delta"] for r in records} if model.variant == "xxz" else set()
+    # one bisection per distinct anisotropy, however many J values share it;
+    # the xx ring is the xxz ring at delta = 0
+    distinct = ({r["delta"] for r in records} if model.variant == "xxz"
+                else {0.0} if model.variant == "xx" else set())
     assert sorted(calls) == sorted(distinct)
     monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # blocks that straddle rows
     assert bits(sweep(config)) == bits(expected)

@@ -250,6 +250,17 @@ def test_xstate_rejects_xyz():
         closed_form_xstate(*ModelSpec.general_xyz(1, 1, 1).closed_form_params(), 1.0)
 
 
+def xstate_matrix(params):
+    """The 4x4 density matrix of closed-form X-state parameters."""
+    scale = 2.0 / (3.0 * params.Z)
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0] = scale * params.u
+    out[3, 3] = scale * params.v
+    out[1, 1] = out[2, 2] = scale * params.w
+    out[1, 2] = out[2, 1] = scale * params.y
+    return out
+
+
 def test_reduced_state_reconstruction():
     # the numerically traced state must match the closed-form X matrix
     models = []
@@ -262,5 +273,5 @@ def test_reduced_state_reconstruction():
     for model in models:
         for T in (0.1, 0.5, 1.0, 2.0, 5.0):
             reduced = partial_trace(gibbs_density(model, T)).mat
-            expected = closed_form_xstate(*model.closed_form_params(), T).reduced_matrix()
+            expected = xstate_matrix(closed_form_xstate(*model.closed_form_params(), T))
             assert np.abs(reduced - expected).max() < 1e-9, (model, T)
