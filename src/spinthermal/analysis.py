@@ -28,9 +28,11 @@ points are then evaluated :data:`SWEEP_BLOCK` at a time as numpy arrays
 by :func:`~spinthermal.concurrence.closed_route_array`, whose ``C`` and
 ``Z`` are the scalar route's bit for bit and whose witness,
 ``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
-for every variant.  :func:`sweep_blocks` yields the points in grid order,
-a block at a time, as one list per record field; :func:`sweep` turns
-them into records.
+for every variant.  :func:`sweep_blocks` takes the output columns,
+computes ``Z`` and ``T_c`` only where they are named (``C`` and the
+witness always: both are checked for NaN), and yields the points in grid
+order, a block at a time, as one list per named column; :func:`sweep`
+names every record field and turns the blocks into records.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .concurrence import closed_route_array
-from .errors import InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain
+from .errors import (InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain,
+                     ValidationError)
 from .spinmodel import ModelSpec
 
 BISECT_TOL = 1e-12
@@ -297,24 +300,30 @@ def _critical_temperature(variant: str, J: float, delta: float,
     return point.T_c * abs(J)
 
 
-def sweep_blocks(config: SweepConfig) -> tuple[tuple[str, ...], Iterator[dict[str, list]]]:
-    """The variant's record fields and the grid's records, block by block.
+def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
+                 ) -> tuple[tuple[str, ...], Iterator[dict[str, list]]]:
+    """The named record fields and the grid's records, block by block.
 
-    The grid is validated and the per-coordinate data (the closed-form
-    parameters and ``T_c``) computed at the call; the iterator then
-    evaluates :data:`SWEEP_BLOCK` grid points at a time, in grid order
-    (first axis outermost), and yields each block as one list per field.
-    The fields are the resolved model parameters plus ``C`` (closed
-    form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``, positive
-    exactly where the pair is entangled and ``-inf`` where ``J = 0``),
-    ``Z`` and, for the field-free variants, the critical temperature
-    ``T_c`` (``None`` where no critical point exists: ``J >= 0`` or
-    ``delta >= 1``).
+    The record fields are the resolved model parameters plus ``C``
+    (closed form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``,
+    positive exactly where the pair is entangled and ``-inf`` where
+    ``J = 0``), ``Z`` and, for the field-free variants, the critical
+    temperature ``T_c`` (``None`` where no critical point exists:
+    ``J >= 0`` or ``delta >= 1``).  ``columns`` names the fields to
+    yield, in order, and defaults to all of the variant's; a name that is
+    not one of them raises ``ValidationError``.  ``Z`` and ``T_c`` are
+    computed only where ``columns`` names them.
+
+    The grid and ``columns`` are validated and the per-coordinate data
+    (the closed-form parameters and ``T_c``) computed at the call; the
+    iterator then evaluates :data:`SWEEP_BLOCK` grid points at a time, in
+    grid order (first axis outermost), and yields each block as one list
+    per named field.
 
     ``T_c`` is bisected once per distinct anisotropy.  ``C`` and ``Z``
     are those of :func:`~spinthermal.concurrence.closed_route`, bit for
-    bit.  A NaN in ``C``, ``Z`` or the witness raises ``NaNResult``
-    before its block is yielded.
+    bit.  A NaN in ``C``, in ``Z`` where it is named, or in the witness
+    raises ``NaNResult`` before its block is yielded.
     """
     _validate_sweep(config)
     names = [axis.name for axis in config.axes]
@@ -327,16 +336,21 @@ def sweep_blocks(config: SweepConfig) -> tuple[tuple[str, ...], Iterator[dict[st
     other_grids = [grid for name, grid in zip(names, grids) if name != "T"]
     variant = config.model.variant
     base = dict(zip(("J", "delta", "B"), config.model.closed_form_params()))
+    fields = _RECORD_FIELDS[variant]
+    columns = fields if columns is None else tuple(columns)
+    for name in columns:
+        if name not in fields:
+            raise ValidationError(f"unknown output column {name!r}")
+    with_T_c = "T_c" in columns
     coordinates = []
     critical_points: dict = {}
     for values in itertools.product(*other_grids):
         J, delta, B = (base | dict(zip(other_names, map(float, values)))).values()
-        coordinates.append((J, delta, B,
-                            _critical_temperature(variant, J, delta, critical_points)))
+        T_c = _critical_temperature(variant, J, delta, critical_points) if with_T_c else None
+        coordinates.append((J, delta, B, T_c))
     t_inner = names[1:] == ["T"]  # T is the second of two axes
     pairs = (itertools.product(coordinates, temperatures) if t_inner
              else itertools.product(temperatures, coordinates))
-    fields = _RECORD_FIELDS[variant]
 
     def blocks() -> Iterator[dict[str, list]]:
         for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
@@ -344,18 +358,20 @@ def sweep_blocks(config: SweepConfig) -> tuple[tuple[str, ...], Iterator[dict[st
             coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
             Js, deltas, Bs, T_cs = zip(*coords)
             T, J, delta, B = (np.array(column) for column in (temps, Js, deltas, Bs))
-            C, Z, witness = closed_route_array(J, delta, B, T)
-            for name, column in (("C", C), ("Z", Z), ("witness", witness)):
+            computed = {name: column for name, column in zip(
+                ("C", "Z", "witness"), closed_route_array(J, delta, B, T, columns))
+                if column is not None}
+            for name, column in computed.items():
                 bad = np.flatnonzero(np.isnan(column))
                 if bad.size:
                     i = bad[0]
                     raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "
                                     f"({Js[i]!r}, {deltas[i]!r}, {Bs[i]!r}, {temps[i]!r})")
-            columns = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "C": C.tolist(),
-                       "witness": witness.tolist(), "Z": Z.tolist(), "T_c": T_cs}
-            yield {name: columns[name] for name in fields}
+            values = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "T_c": T_cs}
+            yield {name: values[name] if name in values else computed[name].tolist()
+                   for name in columns}
 
-    return fields, blocks()
+    return columns, blocks()
 
 
 def sweep(config: SweepConfig) -> list[dict]:

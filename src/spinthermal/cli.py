@@ -223,12 +223,20 @@ def _cells(column: list, format_floats, format_values) -> list[str]:
 
     Where all values are floats or ``None`` and most repeat, each distinct
     value is formatted once and the cells take their texts from that table.
-    ``0.0`` and ``-0.0`` are one key with two texts, so a column holding
-    both is formatted cell by cell; each NaN object is its own key.
+    The column is hashed only if a sample of about ``2 sqrt(n)`` of its
+    ``n`` cells repeats: the first ``m = isqrt(n) + 1`` cells and every
+    ``m``-th after them, which hold two cells at every distance below
+    ``n - m``, so runs and repeats of any period show in it.  ``0.0`` and
+    ``-0.0`` are one key with two texts, so a column holding both is
+    formatted cell by cell; each NaN object is its own key.
     """
     kinds = set(map(type, column))
     format_all = format_floats if kinds <= {float} else format_values
-    texts = dict.fromkeys(column) if kinds <= {float, type(None)} else {}
+    step = math.isqrt(len(column)) + 1
+    sample = column[:step] + column[step::step]
+    if not kinds <= {float, type(None)} or len(set(sample)) == len(sample):
+        return format_all(column)
+    texts = dict.fromkeys(column)
     if not texts or 2 * len(texts) > len(column):
         return format_all(column)
     if 0.0 in texts:
@@ -439,13 +447,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     model = build_model(cfg.model)
     if not cfg.grid:
         raise ValidationError("sweep needs at least one [grid:...] section")
-    fields, blocks = analysis.sweep_blocks(
-        analysis.SweepConfig(model=model, axes=tuple(cfg.grid), T=cfg.T))
-    columns = list(cfg.columns or [axis.name for axis in cfg.grid] + ["C"])
-    for col in columns:
-        if col not in fields:
-            raise ValidationError(f"unknown output column {col!r}")
-    _emit(cfg, columns, ([block[col] for col in columns] for block in blocks))
+    columns, blocks = analysis.sweep_blocks(
+        analysis.SweepConfig(model=model, axes=tuple(cfg.grid), T=cfg.T),
+        cfg.columns or [axis.name for axis in cfg.grid] + ["C"])
+    _emit(cfg, list(columns), ([block[col] for col in columns] for block in blocks))
     return 0
 
 

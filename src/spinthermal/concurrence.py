@@ -54,6 +54,8 @@ _XSTATE_TRACE_TOL = 1e-10
 
 _EXPM1_CAP = 700.0  # math.expm1 overflows just above 709.78
 _TINY = sys.float_info.min
+_HUGE = sys.float_info.max
+_TAIL_MARGIN = 1.0 + 2.0**-40  # above the roundings of (|d| + sum |g|) * _TAIL_MARGIN itself
 _LN2 = math.log(2.0)
 _P1_PLUS_P3 = (operator.itemgetter(1, 3), (1, 1))  # the chiral doublets, which carry rho_y
 
@@ -185,19 +187,64 @@ def _log_witness(logs: list, x: float) -> float:
             - 0.5 * (_log_sum(logs, *_CONTRACTIONS[0]) + _log_sum(logs, *_CONTRACTIONS[1])))
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e = a + b`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fsum_columns(terms: list) -> np.ndarray:
+    """``math.fsum`` of each point's terms, over equal-length 1-D arrays, bit for bit.
+
+    A TwoSum cascade over the terms gives ``s`` and its errors ``e``, a
+    second one ``t = fl(sum e)`` and its errors ``g``, and
+    ``(r, d) = TwoSum(s, t)``, so the exact sum is ``r + d + sum g``
+    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)).  ``r``
+    is that sum correctly rounded, as ``fsum`` returns it, where every ``g``
+    is 0 (the sum is ``s + t``, ties included) or where ``|d| + sum |g|``
+    is below half the narrower of ``r``'s two gaps, with a margin.  Any
+    other point, and every zero, subnormal or non-finite ``r``, takes
+    ``math.fsum``, so its NaN, ``inf`` and ``ValueError`` are fsum's own.
+    """
+    s, errors = terms[0], []
+    for x in terms[1:]:
+        s, e = _two_sum(s, x)
+        errors.append(e)
+    t, tail = errors[0], 0.0
+    for e in errors[1:]:
+        t, g = _two_sum(t, e)
+        tail = tail + np.abs(g)
+    r, d = _two_sum(s, t)
+    narrow_gap = np.abs(r - np.nextafter(r, 0.0))  # the gap toward 0 is never the wider
+    magnitude = np.abs(r)
+    kept = (((tail == 0.0) | ((np.abs(d) + tail) * _TAIL_MARGIN < 0.5 * narrow_gap))
+            & (magnitude >= _TINY) & (magnitude <= _HUGE))
+    rest = np.flatnonzero(~kept)
+    if rest.size:
+        r[rest] = list(map(math.fsum, zip(*(x[rest].tolist() for x in terms))))
+    return r
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
-                       T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray, T: np.ndarray,
+                       columns=("C", "Z", "witness")) -> tuple:
     """``(C, Z, witness)`` over equal-length 1-D arrays with ``T > 0``.
+
+    ``Z`` is computed only where ``columns`` names it, and is ``None``
+    otherwise.  ``C`` and the witness are always computed: a sweep checks
+    both for NaN, and the witness is NaN at some points where ``C`` is not.
 
     ``C`` and ``Z`` are those of :func:`closed_route`, bit for bit: numpy does
     only the IEEE-exact steps, in the scalar order, every ``exp``, ``expm1``
     and ``log`` goes through :func:`~spinthermal.linalg.map_floats`, and
-    ``s00``, ``s11``, ``s_w`` and ``s_y`` each ``math.fsum`` only their
-    column's 3, 3, 4 and 4 nonzero terms (``fsum`` ignores zeros; a NaN weight
-    still reaches ``C`` and ``Z`` through the trace), so no value depends on
-    the array's length.  Its numpy steps raise no overflow, invalid or divide
-    warning: they give the silent ``inf`` and ``nan`` of Python floats.
+    ``s00``, ``s11``, ``s_w`` and ``s_y`` are the ``math.fsum`` of their
+    column's 3, 3, 4 and 4 nonzero terms, taken over the whole arrays by
+    :func:`_fsum_columns` (a NaN weight still reaches ``C`` and ``Z``
+    through the trace), so no value depends on the array's length.  Its
+    numpy steps raise no overflow, invalid or divide warning: they give
+    the silent ``inf`` and ``nan`` of Python floats.
 
     ``witness = ln(|rho_y| / sqrt(rho00 rho11))`` has the sign of
     ``|rho_y| - sqrt(rho00 rho11)``, so it is positive exactly where the
@@ -211,9 +258,8 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
     emin = levels.min(axis=0)
     logs = (emin - levels) / T
     weights = map_floats(math.exp, logs.ravel()).reshape(levels.shape)
-    products = [zip(*[(row * c).tolist() for row, c in zip(get(weights), sixths)])
-                for get, sixths in _CONTRACTIONS]
-    s00, s11, s_w, s_y = [np.fromiter(map(math.fsum, p), float, len(T)) for p in products]
+    s00, s11, s_w, s_y = [_fsum_columns([row * c for row, c in zip(get(weights), sixths)])
+                          for get, sixths in _CONTRACTIONS]
     trace = s00 + s11 + 2.0 * s_w
     gap = 2.0 * (np.abs(s_y / trace) - np.sqrt((s00 / trace) * (s11 / trace)))
     C = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0)
@@ -227,7 +273,8 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray,
     witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
     for i in np.flatnonzero(~normal).tolist():
         witness[i] = _log_witness(logs[:, i].tolist(), x[i].item())
-    return C, map_floats(exp_or_inf, -emin / T) * trace / 6.0, witness
+    Z = map_floats(exp_or_inf, -emin / T) * trace / 6.0 if "Z" in columns else None
+    return C, Z, witness
 
 
 def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinthermal.analysis as analysis_module
+import spinthermal.concurrence as concurrence_module
+from spinthermal.analysis import sweep_blocks
+from spinthermal.errors import ValidationError
 from spinthermal.concurrence import closed_form_xstate, closed_route, closed_route_array
 from spinthermal import (
     InvalidGrid,
@@ -636,11 +639,55 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
 def test_sweep_raises_on_a_nan_before_emitting(monkeypatch):
     inner = analysis_module.closed_route_array
 
-    def with_nan(J, delta, B, T):
-        C, Z, witness = inner(J, delta, B, T)
+    def with_nan(J, delta, B, T, columns):
+        C, Z, witness = inner(J, delta, B, T, columns)
         witness[len(witness) // 2] = math.nan
         return C, Z, witness
 
     monkeypatch.setattr(analysis_module, "closed_route_array", with_nan)
     with pytest.raises(NaNResult, match="witness is NaN"):
         sweep(fig6_config(steps=20))
+
+
+def block_bits(blocks):
+    """Each block's columns with floats as ``float.hex``."""
+    return [{name: [v.hex() if isinstance(v, float) else v for v in column]
+             for name, column in block.items()} for block in blocks]
+
+
+@pytest.mark.parametrize("case", sorted(HOIST_CASES))
+def test_sweep_computes_only_the_named_columns(case, monkeypatch):
+    """The named columns are those of the full sweep, bit for bit; the ``Z``
+    pass and the ``T_c`` bisections run only where their column is named."""
+    model, axes, T = HOIST_CASES[case]
+    config = SweepConfig(model=model, axes=axes, T=T)
+    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # several blocks
+    fields, full = sweep_blocks(config)
+    full = block_bits(full)
+    z_points, bisections = [], []
+    inner_exp, inner_critical = concurrence_module.exp_or_inf, analysis_module.xxz_critical
+    monkeypatch.setattr(concurrence_module, "exp_or_inf",
+                        lambda x: z_points.append(x) or inner_exp(x))
+    monkeypatch.setattr(analysis_module, "xxz_critical",
+                        lambda delta: bisections.append(delta) or inner_critical(delta))
+    for columns in ([axis.name for axis in axes] + ["C"], ("witness", "C"), ("C", "Z"), fields):
+        z_points.clear()
+        bisections.clear()
+        named, blocks = sweep_blocks(config, columns)
+        assert named == tuple(columns)
+        got = block_bits(blocks)
+        assert got == [{name: block[name] for name in columns} for block in full]
+        points = sum(len(block["C"]) for block in full)
+        assert len(z_points) == (points if "Z" in columns else 0)
+        assert bool(bisections) == ("T_c" in columns and model.variant != "xxzfield")
+
+
+def test_sweep_rejects_an_unknown_column_at_the_call(monkeypatch):
+    def never(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(analysis_module, "closed_route_array", never)
+    xx_config = SweepConfig(ModelSpec.xx(-1.0), (SweepAxis("T", 0.1, 1.0, 3),))
+    for config, name in ((fig6_config(), "T_c"), (fig6_config(), "Tc"), (xx_config, "delta")):
+        with pytest.raises(ValidationError, match=f"^unknown output column '{name}'$"):
+            sweep_blocks(config, ("T", name))

@@ -165,6 +165,23 @@ def test_render_csv_matches_the_per_cell_format(columns, rows):
     assert render_csv(columns, rows) == per_cell_csv(columns, rows)
 
 
+@pytest.mark.parametrize("column", (
+    [float(k // run) for run in (2, 5, 200) for k in range(run * 9)],
+    *([float(k % period) for k in range(1024)] for period in (1, 2, 33, 64, 200, 256, 512)),
+    [None if k % 300 < 100 else float(k % 300) for k in range(1024)],
+), ids=("runs", "period 1", "period 2", "period 33", "period 64", "period 200", "period 256",
+        "period 512", "None and floats"))
+def test_cells_format_each_value_of_a_repeating_column_once(column):
+    formatted = []
+
+    def spy(values):
+        formatted.append(list(values))
+        return list(map(_fmt, values))
+
+    assert cli_module._cells(column, spy, spy) == list(map(_fmt, column))
+    assert formatted == [list(dict.fromkeys(column))]
+
+
 JSON_META = {"command": "sweep", "model": {"model": "xx", "J": 1.0}, "T": None,
              "grid": [{"axis": "T", "min": 0.1, "max": 1.0, "steps": 2}],
              "columns": ["T", "C", "tag"]}
@@ -338,8 +355,8 @@ def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, 
                                                               capsys):
     inner, calls = analysis_module.closed_route_array, []
 
-    def nan_in_the_second_block(J, delta, B, T):
-        C, Z, witness = inner(J, delta, B, T)
+    def nan_in_the_second_block(J, delta, B, T, columns):
+        C, Z, witness = inner(J, delta, B, T, columns)
         calls.append(len(C))
         if len(calls) == 2:
             Z[-1] = math.nan
@@ -365,6 +382,19 @@ def test_cli_rejects_a_repeated_output_column(config_text, fmt, tmp_path, capsys
     config.write_text(config_text)
     assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 2
     assert capsys.readouterr().err.endswith(": column 'T' repeated\n")
+    assert not out.exists()
+
+
+def test_cli_sweep_without_the_witness_column_still_fails_on_a_nan_witness(tmp_path, capsys):
+    # where a level weight's exponent overflows to -inf the witness is NaN
+    # and C is 0; the witness is computed and checked whether or not it is named
+    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    config.write_text("command = sweep\ncolumns = B,C\nT = 1e-310\n"
+                      "[model]\nmodel = xxzfield\nJ = 1\ndelta = 1\nB = 0\n"
+                      "[grid:B]\nmin = 1\nmax = 5\nsteps = 3\n")
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numeric failure: witness is NaN at (J, delta, B, T) = "
+                                       "(1.0, 1.0, 1.0, 1e-310)\n")
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import math
+import operator
+import re
 import warnings
 
 import numpy as np
@@ -22,8 +24,10 @@ from spinthermal import (
     partial_trace,
     spin_flip,
 )
-from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
-                                     closed_route_array)
+import spinthermal.concurrence as concurrence_module
+from spinthermal.analysis import SweepAxis, SweepConfig, sweep_blocks
+from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, _fsum_columns, closed_form_xstate,
+                                     closed_route, closed_route_array)
 from spinthermal.spinmodel import LEVELS
 
 STATES = analytic_eigenstates()
@@ -285,6 +289,105 @@ def test_closed_route_array_is_the_scalar_route_bit_for_bit():
     assert [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())] == \
         [(c.hex(), z.hex()) for c, z in want]
     assert math.inf in Z.tolist()  # the saturated partition function is covered
+
+
+def extreme_points(rng, n):
+    """``(J, delta, B, T)`` arrays with magnitudes from subnormal to 1e308, zeros mixed in."""
+    J, delta, B = (rng.choice((-1.0, 0.0, 1.0), n, p=(0.45, 0.1, 0.45))
+                   * 10.0 ** rng.uniform(-320.0, 308.0, n) for _ in range(3))
+    return J, delta, B, 10.0 ** rng.uniform(-320.0, 308.0, n)
+
+
+def test_Z_is_nan_only_where_C_is():
+    """A sweep that does not name ``Z`` skips it and checks ``C`` for NaN,
+    which covers every point where ``Z`` would be NaN."""
+    J, delta, B, T = extreme_points(np.random.default_rng(29), 20000)
+    C, Z, _ = closed_route_array(np.append(J, 1e200), np.append(delta, 1e200),
+                                 np.append(B, 0.0), np.append(T, 1.0))
+    assert np.isnan(C[-1]) and np.isnan(C).sum() > 100
+    assert not (np.isnan(Z) & ~np.isnan(C)).any()
+
+
+def fsum_columns_hex(points):
+    """:func:`_fsum_columns` over the points' terms, and ``math.fsum`` of each point."""
+    terms = [np.array(column, float) for column in zip(*points)]
+    return [x.hex() for x in _fsum_columns(terms).tolist()], [math.fsum(p).hex() for p in points]
+
+
+_TERM = st.builds(operator.mul,  # a level weight in [0, 1] times its sixths
+                  st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+                      (0.0, 1.0, 5e-324, 2.0**-1022, 2.0**-1022 - 5e-324, 2.0**-53))),
+                  st.sampled_from((6.0, 4.0, 2.0, -2.0)))
+
+
+def fsum_columns_hex_by_size(points):
+    """:func:`fsum_columns_hex` of the 3-term and of the 4-term points."""
+    groups = [[p for p in points if len(p) == size] for size in (3, 4)]
+    return [fsum_columns_hex(group) for group in groups if group]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(points=st.lists(st.one_of(st.tuples(*[_TERM] * 3), st.tuples(*[_TERM] * 4)),
+                       min_size=1, max_size=16))
+def test_fsum_columns_is_fsum(points):
+    for got, want in fsum_columns_hex_by_size(points):
+        assert got == want
+
+
+ULP = 2.0**-52
+
+
+@pytest.mark.parametrize("points", (
+    # exact half-ulp ties, to even either way, and just off them
+    [(1.0, ULP / 2, 0.0), (1.0 + ULP, ULP / 2, 0.0), (1.0, ULP / 4, ULP / 4),
+     (1.0, ULP / 2, 2.0**-120), (1.0, ULP / 2, -(2.0**-120)), (3.0, -ULP, ULP / 2, 0.0 - 0.0),
+     (6.0, ULP * 2, 2.0**-200, -(2.0**-200)), (1.0 + ULP, -ULP / 2, 2.0**-70, -(2.0**-70))],
+    # powers of two, and sums just below them, where the gap below is the narrower
+    [(1.0, 0.5, 0.5), (4.0, -ULP, ULP), (2.0, -ULP / 2, 0.0), (2.0, -ULP, 0.0),
+     (2.0, -ULP / 4, -(2.0**-60)), (2.0, -ULP / 4, 2.0**-60), (-2.0, 2.0**-54, 2.0**-60, 0.0),
+     # s + t is the tie just below 2 and rounds up to it, the last errors push the sum below
+     (2.0, -ULP / 2, 2.0**-200, -(2.0**-199)), (-2.0, ULP / 2, -(2.0**-200), 2.0**-199)],
+    # zeros of both signs and all-zero columns
+    [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, -0.0, -0.0),
+     (1.0, -1.0, 0.0), (-2.0, 2.0, -0.0, 0.0), (5e-324, -5e-324, 0.0)],
+    # subnormal and smallest normal sums
+    [(5e-324, 5e-324, 0.0), (2.0**-1022, -5e-324, 0.0), (2.0**-1021, -(2.0**-1022), 5e-324)],
+    # NaN and infinities
+    [(math.nan, 1.0, 2.0), (1.0, math.inf, 2.0), (-math.inf, 0.0, -0.0, 1.0),
+     (math.inf, math.nan, 1.0)],
+), ids=("ties", "powers of two", "zeros", "subnormal", "non-finite"))
+def test_fsum_columns_is_fsum_on_constructed_sums(points):
+    for got, want in fsum_columns_hex_by_size(points):
+        assert got == want
+
+
+def test_fsum_columns_raises_as_fsum_does_on_opposite_infinities():
+    with pytest.raises(ValueError) as expected:
+        math.fsum((1.0, math.inf, -math.inf))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        fsum_columns_hex([(1.0, 2.0, 3.0), (1.0, math.inf, -math.inf)])
+
+
+@pytest.mark.parametrize("model, axes", (
+    (ModelSpec.xxz(-1.0, 0.0),
+     (SweepAxis("T", 0.05, 4.0, 200), SweepAxis("delta", -3.0, 0.99, 200))),
+    (ModelSpec.xxz_field(1.0, 1.0, 0.0),
+     (SweepAxis("T", 0.02, 4.0, 200), SweepAxis("B", 0.0, 3.0, 200))),
+), ids=("xxz T x delta", "field T x B"))
+def test_few_level_sums_fall_back_to_fsum_on_the_benchmark_grids(model, axes, monkeypatch):
+    inner, fsum, sums, fallbacks = concurrence_module._fsum_columns, math.fsum, [], []
+
+    def counted(terms):
+        sums.append(len(terms[0]))
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "fsum", lambda values: fallbacks.append(values) or fsum(values))
+            return inner(terms)
+
+    monkeypatch.setattr(concurrence_module, "_fsum_columns", counted)
+    for _ in sweep_blocks(SweepConfig(model, axes), ("C",))[1]:
+        pass
+    assert sum(sums) == 4 * 200 * 200
+    assert len(fallbacks) <= sum(sums) // 1000
 
 
 @pytest.mark.parametrize("point,want", [
