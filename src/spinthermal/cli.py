@@ -33,9 +33,11 @@ JSON (one object with ``meta`` and ``rows``), always with 12 significant
 digits, to ``--out`` or stdout; a partition function beyond the float
 range is printed as ``inf`` (``Infinity`` in JSON), and so is the sweep
 witness ``-inf`` of a ``J = 0`` point (``-Infinity``).  A sweep is
-rendered column by column, a block at a time as
-:func:`spinthermal.analysis.sweep_blocks` yields it, and written once
-after the last block, so a failed sweep leaves ``--out`` unwritten.
+rendered a block at a time as :func:`spinthermal.analysis.sweep_blocks`
+yields it (CSV rows by one row template per block, JSON cells column
+by column), and written once after the last block, so a failed sweep
+leaves ``--out`` unwritten; an unreadable ``--config`` or unopenable
+``--out`` path is a config error.
 Identical configs produce byte-identical output.  Exit codes: 0 ok, 1 verification
 failure, and otherwise the ``exit_code`` of the package error raised
 (:mod:`spinthermal.errors`): 2 for a config or domain error, reported as
@@ -218,41 +220,6 @@ def _round12(value):
     return float(format(float(value), ".12g"))
 
 
-def _cells(column: list, format_floats, format_values) -> list[str]:
-    """``format_floats(column)`` for a column of floats, else ``format_values(column)``.
-
-    Where all values are floats or ``None`` and most repeat, each distinct
-    value is formatted once and the cells take their texts from that table.
-    The column is hashed only if a sample of about ``2 sqrt(n)`` of its
-    ``n`` cells repeats: the first ``m = isqrt(n) + 1`` cells and every
-    ``m``-th after them, which hold two cells at every distance below
-    ``n - m``, so runs and repeats of any period show in it.  ``0.0`` and
-    ``-0.0`` are one key with two texts, so a column holding both is
-    formatted cell by cell; each NaN object is its own key.
-    """
-    kinds = set(map(type, column))
-    format_all = format_floats if kinds <= {float} else format_values
-    step = math.isqrt(len(column)) + 1
-    sample = column[:step] + column[step::step]
-    if not kinds <= {float, type(None)} or len(set(sample)) == len(sample):
-        return format_all(column)
-    texts = dict.fromkeys(column)
-    if not texts or 2 * len(texts) > len(column):
-        return format_all(column)
-    if 0.0 in texts:
-        values = np.array(column, float)  # None reads as NaN
-        if 0.0 < np.signbit(values[values == 0.0]).mean() < 1.0:  # zeros of both signs
-            return format_all(column)
-    texts = dict(zip(texts, format_all(list(texts))))
-    return list(map(texts.__getitem__, column))
-
-
-def _csv_cells(column: list) -> list[str]:
-    """Cell texts of one CSV column as :func:`_fmt` prints them (floats by ``"%.12g" % x``)."""
-    return _cells(column, lambda values: list(map("%.12g".__mod__, values)),
-                  lambda values: list(map(_fmt, values)))
-
-
 def _json_floats(values: list) -> list[str]:
     """Texts of floats, each as ``json.dumps(_round12(v))`` prints it.
 
@@ -280,19 +247,54 @@ def _json_floats(values: list) -> list[str]:
 
 
 def _json_cells(column: list) -> list[str]:
-    """Cell texts of one JSON column, each as ``json.dumps(_round12(v))`` prints it."""
-    return _cells(column, _json_floats, lambda values: [json.dumps(_round12(v)) for v in values])
+    """Cell texts of one JSON column, each as ``json.dumps(_round12(v))`` prints it.
+
+    A column of floats goes through :func:`_json_floats`.  Where all values
+    are floats or ``None`` and most repeat, each distinct value is
+    formatted once and the cells take their texts from that table.  The
+    column is hashed only if a sample of about ``2 sqrt(n)`` of its ``n``
+    cells repeats: the first ``m = isqrt(n) + 1`` cells and every ``m``-th
+    after them, which hold two cells at every distance below ``n - m``, so
+    runs and repeats of any period show in it.  ``0.0`` and ``-0.0`` are
+    one key with two texts, so a column holding both is formatted cell by
+    cell; each NaN object is its own key.
+    """
+    kinds = set(map(type, column))
+    values = column
+    step = math.isqrt(len(column)) + 1
+    sample = column[:step] + column[step::step]
+    if kinds <= {float, type(None)} and len(set(sample)) < len(sample):
+        distinct = dict.fromkeys(column)
+        if 2 * len(distinct) <= len(column):
+            values = list(distinct)
+            if 0.0 in distinct:
+                zeros = np.array(column, float)  # None reads as NaN
+                if 0.0 < np.signbit(zeros[zeros == 0.0]).mean() < 1.0:  # zeros of both signs
+                    values = column
+    if kinds <= {float}:
+        texts = _json_floats(values)
+    else:
+        texts = [json.dumps(_round12(v)) for v in values]
+    if values is column:
+        return texts
+    return list(map(dict(zip(values, texts)).__getitem__, column))
 
 
 def _csv_parts(columns: list[str], blocks) -> Iterator[str]:
     """The header line, then the lines of each block's rows as one part.
 
-    Each block holds one list of values per column.
+    Each block holds one list of values per column.  Its rows are printed
+    by one ``%`` row template: ``%.12g`` for a column whose cells are all
+    exactly ``float``, and ``%s`` for any other column, whose cells go
+    through :func:`_fmt` first.
     """
-    template = ",".join(["%s"] * len(columns)) + "\n"
     yield ",".join(columns) + "\n"
     for block in blocks:
-        yield "".join(map(template.__mod__, zip(*map(_csv_cells, block))))
+        floats = [set(map(type, column)) <= {float} for column in block]
+        template = ",".join("%.12g" if is_float else "%s" for is_float in floats) + "\n"
+        cells = [column if is_float else list(map(_fmt, column))
+                 for is_float, column in zip(floats, block)]
+        yield "".join(map(template.__mod__, zip(*cells)))
 
 
 def _json_parts(meta: dict, columns: list[str], blocks) -> Iterator[str]:
@@ -345,7 +347,11 @@ def _emit(cfg: RunConfig, columns: list[str], blocks) -> None:
     else:
         parts = list(_csv_parts(columns, blocks))
     if cfg.out:
-        with open(cfg.out, "w", newline="\n", encoding="utf-8") as handle:
+        try:
+            handle = open(cfg.out, "w", newline="\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot open output {cfg.out!r}: {exc.strerror}") from None
+        with handle:
             handle.writelines(parts)
     else:
         sys.stdout.writelines(parts)
@@ -622,8 +628,13 @@ def _config_from_args(argv) -> RunConfig:
     args = parser.parse_args(argv)
 
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            cfg = parse_config(handle.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", exc)  # the OS reason, or the decoding error
+            raise ValidationError(f"cannot read config {args.config!r}: {reason}") from None
+        cfg = parse_config(text)
     else:
         cfg = RunConfig()
     cfg.command = args.command

@@ -171,15 +171,28 @@ def test_render_csv_matches_the_per_cell_format(columns, rows):
     [None if k % 300 < 100 else float(k % 300) for k in range(1024)],
 ), ids=("runs", "period 1", "period 2", "period 33", "period 64", "period 200", "period 256",
         "period 512", "None and floats"))
-def test_cells_format_each_value_of_a_repeating_column_once(column):
-    formatted = []
+def test_cells_format_each_value_of_a_repeating_column_once(column, monkeypatch):
+    # JSON's repeat table; CSV cells are covered by test_render_csv_matches_the_per_cell_format
+    json_floats, round12 = cli_module._json_floats, cli_module._round12
+    float_calls, rounded = [], []
 
-    def spy(values):
-        formatted.append(list(values))
-        return list(map(_fmt, values))
+    def spy_floats(values):
+        float_calls.append(list(values))
+        return json_floats(values)
 
-    assert cli_module._cells(column, spy, spy) == list(map(_fmt, column))
-    assert formatted == [list(dict.fromkeys(column))]
+    def spy_round12(value):
+        rounded.append(value)
+        return round12(value)
+
+    expected = [json.dumps(_round12(value)) for value in column]
+    monkeypatch.setattr(cli_module, "_json_floats", spy_floats)
+    monkeypatch.setattr(cli_module, "_round12", spy_round12)
+    assert cli_module._json_cells(column) == expected
+    distinct = list(dict.fromkeys(column))
+    if None in distinct:
+        assert (float_calls, rounded) == ([], distinct)
+    else:
+        assert (float_calls, rounded) == ([distinct], [])
 
 
 JSON_META = {"command": "sweep", "model": {"model": "xx", "J": 1.0}, "T": None,
@@ -276,20 +289,46 @@ max = 3.0
 steps = 30
 """
 
+# The xxz benchmark grid: T_c is a float on every row
+XXZ_TC_GRID_CONFIG = """\
+command = sweep
+columns = T,delta,C,witness,T_c
 
-@pytest.mark.parametrize("config_text", (FIELD_GRID_CONFIG, FIG6_CONFIG, XXZ_TC_GAP_CONFIG),
-                         ids=("field 200x200", "figure", "xxz with empty T_c"))
+[model]
+model = xxz
+J = -1.0
+delta = 0.0
+
+[grid:T]
+min = 0.05
+max = 4.0
+steps = 200
+
+[grid:delta]
+min = -3.0
+max = 0.99
+steps = 200
+"""
+
+
+@pytest.mark.parametrize("config_text",
+                         (FIELD_GRID_CONFIG, FIG6_CONFIG, XXZ_TC_GAP_CONFIG, XXZ_TC_GRID_CONFIG),
+                         ids=("field 200x200", "figure", "xxz with empty T_c", "xxz 200x200"))
 def test_cli_json_sweep_matches_rounded_dumps(config_text, tmp_path):
-    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.json"
+    config = tmp_path / "sweep.cfg"
     config.write_text(config_text)
-    assert main(["sweep", "--config", str(config), "--format", "json",
-                 "--out", str(out)]) == 0
     cfg = parse_config(config_text)
     records = sweep(SweepConfig(build_model(cfg.model), tuple(cfg.grid), cfg.T))
-    if "T_c" in cfg.columns:
+    if config_text is XXZ_TC_GAP_CONFIG:
         assert any(record["T_c"] is None for record in records)
-    text = out.read_text()
-    assert text == rounded_dumps(json.loads(text)["meta"], cfg.columns, records)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            assert text == per_cell_csv(cfg.columns, records)
+        else:
+            assert text == rounded_dumps(json.loads(text)["meta"], cfg.columns, records)
 
 
 def xxz_across_delta_one(axes):
@@ -564,6 +603,42 @@ def test_main_exits_with_the_code_of_the_error_raised(error, monkeypatch, capsys
     else:
         assert main(["eig"]) == 3
         assert capsys.readouterr().err == "numeric failure: synthetic fault\n"
+
+
+@pytest.mark.parametrize("path, reason", (
+    ("missing.cfg", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+    ("latin1.cfg", "'utf-8' codec can't decode byte 0xe9"),
+), ids=("missing", "directory", "not utf-8"))
+def test_cli_reports_an_unreadable_config_path(path, reason, tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes("command = eig\n# \u00e9\n".encode("latin-1"))
+    before = set(tmp_path.iterdir())
+    out = tmp_path / "eig.csv"
+    assert main(["eig", "--model", "xx", "--J", "1", "--config", str(tmp_path / path),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read config "
+                                   f"{str(tmp_path / path)!r}: {reason}")
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("path, reason", (
+    ("no-such-directory/out.csv", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+), ids=("missing directory", "directory"))
+def test_cli_reports_an_unopenable_output_path(path, reason, tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    config = tmp_path / "fig6.cfg"
+    config.write_text(FIG6_CONFIG)
+    before = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")}
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: cannot open output "
+                            f"{str(tmp_path / path)!r}: {reason}\n")
+    assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == before
 
 
 def test_main_lets_a_foreign_exception_through(monkeypatch):
