@@ -1,8 +1,10 @@
 """Entanglement regions, critical temperatures, and figure-style sweeps.
 
-Every predicate reports a sign-carrying witness: the pair is entangled
-exactly when the witness is positive.  The region functions are the
-paper's analytic conditions in the Boltzmann factor ``z = exp(J/T)``:
+Every predicate reports a sign-carrying witness with the sign of
+``|rho_y| - sqrt(rho00 rho11)``, whose positive part is half the
+concurrence; a computed ``C`` can disagree with it where a level weight
+underflows.  The region functions are the paper's analytic conditions in
+the Boltzmann factor ``z = exp(J/T)``:
 
 * XXZ model: ``|y| - v`` evaluated in an overflow-safe arrangement,
   ``z**(2 delta) * (z**-2 / 2 - 2 z) - 3/2`` on the ferromagnetic side;
@@ -29,10 +31,10 @@ by :func:`~spinthermal.concurrence.closed_route_array`, whose ``C`` and
 ``Z`` are the scalar route's bit for bit and whose witness,
 ``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
 for every variant.  :func:`sweep_blocks` takes the output columns,
-computes ``Z`` and ``T_c`` only where they are named (``C`` and the
-witness always: both are checked for NaN), and yields the points in grid
-order, a block at a time, as one list per named column; :func:`sweep`
-names every record field and turns the blocks into records.
+computes ``C``, ``witness``, ``Z`` and ``T_c`` only where they are named,
+and yields the points in grid order, a block at a time, as one list per
+named column; :func:`sweep` names every record field and turns the
+blocks into records.
 """
 
 from __future__ import annotations
@@ -305,14 +307,15 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     """The named record fields and the grid's records, block by block.
 
     The record fields are the resolved model parameters plus ``C``
-    (closed form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``,
-    positive exactly where the pair is entangled and ``-inf`` where
-    ``J = 0``), ``Z`` and, for the field-free variants, the critical
-    temperature ``T_c`` (``None`` where no critical point exists:
-    ``J >= 0`` or ``delta >= 1``).  ``columns`` names the fields to
-    yield, in order, and defaults to all of the variant's; a name that is
-    not one of them raises ``ValidationError``.  ``Z`` and ``T_c`` are
-    computed only where ``columns`` names them.
+    (closed form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``, with
+    the sign of ``|rho_y| - sqrt(rho00 rho11)``, which ``C`` can miss
+    where a level weight underflows, and ``-inf`` where ``J = 0``), ``Z``
+    and, for the field-free variants, the critical temperature ``T_c``
+    (``None`` where no critical point exists: ``J >= 0`` or
+    ``delta >= 1``).  ``columns`` names the fields to yield, in order,
+    and defaults to all of the variant's; a name that is not one of them
+    raises ``ValidationError``.  Each of ``C``, ``witness``, ``Z`` and
+    ``T_c`` is computed only where ``columns`` names it.
 
     The grid and ``columns`` are validated and the per-coordinate data
     (the closed-form parameters and ``T_c``) computed at the call; the
@@ -322,8 +325,8 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
 
     ``T_c`` is bisected once per distinct anisotropy.  ``C`` and ``Z``
     are those of :func:`~spinthermal.concurrence.closed_route`, bit for
-    bit.  A NaN in ``C``, in ``Z`` where it is named, or in the witness
-    raises ``NaNResult`` before its block is yielded.
+    bit.  A NaN in a named ``C``, ``Z`` or ``witness`` raises
+    ``NaNResult`` before its block is yielded.
     """
     _validate_sweep(config)
     names = [axis.name for axis in config.axes]

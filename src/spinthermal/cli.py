@@ -37,7 +37,8 @@ rendered a block at a time as :func:`spinthermal.analysis.sweep_blocks`
 yields it (CSV rows by one row template per block, JSON cells column
 by column), and written once after the last block, so a failed sweep
 leaves ``--out`` unwritten; an unreadable ``--config`` or unopenable
-``--out`` path is a config error.
+``--out`` path is a config error, and an ``--out`` that is a directory or
+lies in a missing one is reported before any work or output.
 Identical configs produce byte-identical output.  Exit codes: 0 ok, 1 verification
 failure, and otherwise the ``exit_code`` of the package error raised
 (:mod:`spinthermal.errors`): 2 for a config or domain error, reported as
@@ -49,8 +50,10 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -350,11 +353,27 @@ def _emit(cfg: RunConfig, columns: list[str], blocks) -> None:
         try:
             handle = open(cfg.out, "w", newline="\n", encoding="utf-8")
         except OSError as exc:
-            raise ValidationError(f"cannot open output {cfg.out!r}: {exc.strerror}") from None
+            raise _output_error(cfg.out, exc.strerror) from None
         with handle:
             handle.writelines(parts)
     else:
         sys.stdout.writelines(parts)
+
+
+def _output_error(path: str, reason: str) -> ValidationError:
+    return ValidationError(f"cannot open output {path!r}: {reason}")
+
+
+def _check_output_path(path: str) -> None:
+    """Raise :func:`_emit`'s error for an output path that is a directory or
+    whose directory is missing, before any work is done; the open itself
+    still reports every other error, such as a denied permission."""
+    if not os.path.basename(path) or os.path.isdir(path):  # open refuses "x/" as a directory
+        raise _output_error(path, os.strerror(errno.EISDIR))
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # a trailing "/" needs a directory
+    except OSError as exc:
+        raise _output_error(path, exc.strerror) from None
 
 
 def _emit_rows(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
@@ -410,7 +429,7 @@ def _cmd_concurrence(cfg: RunConfig) -> int:
     reduced = thermalstate.partial_trace(rho)
     numeric = concurrence.concurrence_general(reduced).C
     row = {"T": T, "C_numeric": numeric, "C_closed": None}
-    if model.variant != "xyz" and T > 0.0:
+    if model.variant != "xyz":
         row["C_closed"] = concurrence.concurrence_closed_form(model, T)
     _emit_rows(cfg, ["T", "C_numeric", "C_closed"], [row])
     return 0
@@ -608,6 +627,8 @@ def run(cfg: RunConfig) -> int:
     """Execute a resolved config; returns the process exit code."""
     if cfg.command not in COMMANDS:
         raise ValidationError(f"missing or unknown command {cfg.command!r}")
+    if cfg.out:
+        _check_output_path(cfg.out)
     return _DISPATCH[cfg.command](cfg)
 
 

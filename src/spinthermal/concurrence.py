@@ -232,9 +232,8 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray, T: np.nd
                        columns=("C", "Z", "witness")) -> tuple:
     """``(C, Z, witness)`` over equal-length 1-D arrays with ``T > 0``.
 
-    ``Z`` is computed only where ``columns`` names it, and is ``None``
-    otherwise.  ``C`` and the witness are always computed: a sweep checks
-    both for NaN, and the witness is NaN at some points where ``C`` is not.
+    Each of the three is computed only where ``columns`` names it, and is
+    ``None`` otherwise.
 
     ``C`` and ``Z`` are those of :func:`closed_route`, bit for bit: numpy does
     only the IEEE-exact steps, in the scalar order, every ``exp``, ``expm1``
@@ -247,8 +246,8 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray, T: np.nd
     the silent ``inf`` and ``nan`` of Python floats.
 
     ``witness = ln(|rho_y| / sqrt(rho00 rho11))`` has the sign of
-    ``|rho_y| - sqrt(rho00 rho11)``, so it is positive exactly where the
-    pair is entangled; it is ``-inf`` where ``J = 0`` (``rho_y = 0``).
+    ``|rho_y| - sqrt(rho00 rho11)``; ``C`` can disagree with it where a
+    level weight underflows.  It is ``-inf`` where ``J = 0`` (``rho_y = 0``).
     Since ``E_symmetric - E_single = 3J``, ``|s_y| = 2 |expm1(-3J/T)| (p1 + p3)``
     has no cancellation.  Where a factor of the ratio leaves the normal
     float range (or ``-3J/T`` exceeds what ``expm1`` takes), the point is
@@ -261,19 +260,24 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray, T: np.nd
     s00, s11, s_w, s_y = [_fsum_columns([row * c for row, c in zip(get(weights), sixths)])
                           for get, sixths in _CONTRACTIONS]
     trace = s00 + s11 + 2.0 * s_w
-    gap = 2.0 * (np.abs(s_y / trace) - np.sqrt((s00 / trace) * (s11 / trace)))
-    C = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0)
-    x = -3.0 * J / T
-    y_weight = weights[1] + weights[3]
-    # beyond the cap expm1 raises; 0 sends the point to the log form
-    numerator = 2.0 * np.abs(map_floats(math.expm1, np.where(x > _EXPM1_CAP, 0.0, x))) * y_weight
-    # a subnormal factor has lost digits (NaN fails too); the ground level
-    # puts at least 2 in s00 or s11, so s00 s11 >= 2 min(s00, s11)
-    normal = np.minimum.reduce((numerator, y_weight, s00, s11)) >= _TINY
-    witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
-    for i in np.flatnonzero(~normal).tolist():
-        witness[i] = _log_witness(logs[:, i].tolist(), x[i].item())
-    Z = map_floats(exp_or_inf, -emin / T) * trace / 6.0 if "Z" in columns else None
+    C = Z = witness = None
+    if "C" in columns:
+        gap = 2.0 * (np.abs(s_y / trace) - np.sqrt((s00 / trace) * (s11 / trace)))
+        C = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0)
+    if "Z" in columns:
+        Z = map_floats(exp_or_inf, -emin / T) * trace / 6.0
+    if "witness" in columns:
+        x = -3.0 * J / T
+        y_weight = weights[1] + weights[3]
+        # beyond the cap expm1 raises; 0 sends the point to the log form
+        expm1_x = map_floats(math.expm1, np.where(x > _EXPM1_CAP, 0.0, x))
+        numerator = 2.0 * np.abs(expm1_x) * y_weight
+        # a subnormal factor has lost digits (NaN fails too); the ground level
+        # puts at least 2 in s00 or s11, so s00 s11 >= 2 min(s00, s11)
+        normal = np.minimum.reduce((numerator, y_weight, s00, s11)) >= _TINY
+        witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
+        for i in np.flatnonzero(~normal).tolist():
+            witness[i] = _log_witness(logs[:, i].tolist(), x[i].item())
     return C, Z, witness
 
 
@@ -289,12 +293,8 @@ def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStatePara
 
 
 def concurrence_closed_form(spec: ModelSpec, T: float) -> float:
-    """Concurrence of :func:`closed_route` for the spec's model.
+    """Concurrence of :func:`closed_route` for the spec's model at ``T >= 0``.
 
-    Raises ``UnsupportedModel`` for the general XYZ variant and
-    ``InvalidTemperature`` for ``T <= 0``.
+    Raises ``UnsupportedModel`` for the general XYZ variant.
     """
-    J, delta, B = spec.closed_form_params()
-    if T <= 0.0:
-        raise InvalidTemperature(f"closed forms need T > 0, got {T}")
-    return closed_route(J, delta, B, T)[0]
+    return closed_route(*spec.closed_form_params(), T)[0]

@@ -657,21 +657,36 @@ def block_bits(blocks):
 
 @pytest.mark.parametrize("case", sorted(HOIST_CASES))
 def test_sweep_computes_only_the_named_columns(case, monkeypatch):
-    """The named columns are those of the full sweep, bit for bit; the ``Z``
-    pass and the ``T_c`` bisections run only where their column is named."""
+    """The named columns are those of the full sweep, bit for bit; ``C``,
+    the witness, the ``Z`` pass and the ``T_c`` bisections are computed
+    only where their column is named."""
     model, axes, T = HOIST_CASES[case]
     config = SweepConfig(model=model, axes=axes, T=T)
     monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # several blocks
     fields, full = sweep_blocks(config)
     full = block_bits(full)
-    z_points, bisections = [], []
-    inner_exp, inner_critical = concurrence_module.exp_or_inf, analysis_module.xxz_critical
+    z_points, libm, returned, bisections = [], set(), set(), []
+    inner_exp, inner_map = concurrence_module.exp_or_inf, concurrence_module.map_floats
+    inner_route, inner_critical = analysis_module.closed_route_array, analysis_module.xxz_critical
+
+    def route(*args):
+        values = inner_route(*args)
+        returned.update(name for name, v in zip(("C", "Z", "witness"), values) if v is not None)
+        return values
+
     monkeypatch.setattr(concurrence_module, "exp_or_inf",
                         lambda x: z_points.append(x) or inner_exp(x))
+    monkeypatch.setattr(concurrence_module, "map_floats",
+                        lambda fn, arr: libm.add(fn) or inner_map(fn, arr))
+    monkeypatch.setattr(analysis_module, "closed_route_array", route)
     monkeypatch.setattr(analysis_module, "xxz_critical",
                         lambda delta: bisections.append(delta) or inner_critical(delta))
-    for columns in ([axis.name for axis in axes] + ["C"], ("witness", "C"), ("C", "Z"), fields):
+    axis_names = [axis.name for axis in axes]
+    for columns in (axis_names + ["C"], ("witness", "C"), ("C", "Z"), ("Z", "witness"),
+                    axis_names, fields):
         z_points.clear()
+        libm.clear()
+        returned.clear()
         bisections.clear()
         named, blocks = sweep_blocks(config, columns)
         assert named == tuple(columns)
@@ -679,6 +694,9 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
         assert got == [{name: block[name] for name in columns} for block in full]
         points = sum(len(block["C"]) for block in full)
         assert len(z_points) == (points if "Z" in columns else 0)
+        assert returned == {"C", "Z", "witness"} & set(columns)
+        # expm1 and log serve the witness alone
+        assert bool(libm & {math.expm1, math.log}) == ("witness" in columns)
         assert bool(bisections) == ("T_c" in columns and model.variant != "xxzfield")
 
 

@@ -424,13 +424,23 @@ def test_cli_rejects_a_repeated_output_column(config_text, fmt, tmp_path, capsys
     assert not out.exists()
 
 
-def test_cli_sweep_without_the_witness_column_still_fails_on_a_nan_witness(tmp_path, capsys):
-    # where a level weight's exponent overflows to -inf the witness is NaN
-    # and C is 0; the witness is computed and checked whether or not it is named
-    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
-    config.write_text("command = sweep\ncolumns = B,C\nT = 1e-310\n"
+# where a level weight's exponent overflows to -inf the witness is NaN;
+# C there is the T = 0 value, 1/3 at B = 1 and 0 beyond the crossing at 3/2
+NAN_WITNESS_CONFIG = ("command = sweep\ncolumns = B,C\nT = 1e-310\n"
                       "[model]\nmodel = xxzfield\nJ = 1\ndelta = 1\nB = 0\n"
                       "[grid:B]\nmin = 1\nmax = 5\nsteps = 3\n")
+
+
+def test_cli_sweep_without_the_witness_column_skips_a_nan_witness(tmp_path):
+    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    config.write_text(NAN_WITNESS_CONFIG)
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_text() == "B,C\n1,0.333333333333\n3,0\n5,0\n"
+
+
+def test_cli_sweep_naming_the_witness_column_fails_on_a_nan_witness(tmp_path, capsys):
+    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    config.write_text(NAN_WITNESS_CONFIG.replace("columns = B,C", "columns = B,C,witness"))
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
     assert capsys.readouterr().err == ("numeric failure: witness is NaN at (J, delta, B, T) = "
                                        "(1.0, 1.0, 1.0, 1e-310)\n")
@@ -484,6 +494,26 @@ def test_cli_concurrence_both_routes(capsys):
     assert lines[0] == "T,C_numeric,C_closed"
     numeric, closed = (float(x) for x in lines[1].split(",")[1:])
     assert abs(numeric - closed) < 1e-9
+
+
+@pytest.mark.parametrize("J, delta, B, C", (
+    # antiferromagnet: 1/3 for 0 < |B| < J (delta + 1/2), 2/9 on that line, 0 beyond
+    (1.0, 1.0, 1.0, 1.0 / 3.0), (1.0, 1.0, 1.5, 2.0 / 9.0), (1.0, 1.0, 2.0, 0.0),
+    (2.0, 0.5, 1.0, 1.0 / 3.0), (2.0, 0.5, 2.0, 2.0 / 9.0), (2.0, 0.5, 3.0, 0.0),
+    (1.0, 1.0, -1.5, 2.0 / 9.0), (1.0, 1.0, 0.0, 0.0),
+    # ferromagnet, delta < 1: 2/3 for 0 < |B| < |J| (1 - delta), 1/3 on that line, 0 beyond
+    (-1.0, -3.0, 0.25, 2.0 / 3.0), (-1.0, -3.0, 4.0, 1.0 / 3.0), (-1.0, -3.0, 5.0, 0.0),
+    (-2.0, 0.0, 1.0, 2.0 / 3.0), (-2.0, 0.0, 2.0, 1.0 / 3.0), (-2.0, 0.0, 3.0, 0.0),
+    (-2.0, 0.0, 0.0, 1.0 / 3.0),
+))
+def test_cli_concurrence_at_zero_temperature(J, delta, B, C, capsys):
+    assert main(["concurrence", "--model", "xxzfield", f"--J={J}", f"--delta={delta}",
+                 f"--B={B}", "--T=0"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "T,C_numeric,C_closed"
+    T, numeric, closed = row.split(",")
+    assert (T, closed) == ("0", format(C, ".12g"))
+    assert abs(float(numeric) - C) <= 1e-8  # 5.5e-9 off at (-1, -3, 0.25)
 
 
 def test_cli_sweep_csv_header(tmp_path, capsys):
@@ -628,7 +658,11 @@ def test_cli_reports_an_unreadable_config_path(path, reason, tmp_path, capsys):
     ("no-such-directory/out.csv", "No such file or directory"),
     ("a-directory", "Is a directory"),
 ), ids=("missing directory", "directory"))
-def test_cli_reports_an_unopenable_output_path(path, reason, tmp_path, capsys):
+def test_cli_reports_an_unopenable_output_path(path, reason, monkeypatch, tmp_path, capsys):
+    def never(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(analysis_module, "closed_route_array", never)
     (tmp_path / "a-directory").mkdir()
     config = tmp_path / "fig6.cfg"
     config.write_text(FIG6_CONFIG)
@@ -638,6 +672,24 @@ def test_cli_reports_an_unopenable_output_path(path, reason, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"config error: cannot open output "
                             f"{str(tmp_path / path)!r}: {reason}\n")
+    assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command", ("critical", "verify"))
+@pytest.mark.parametrize("path, reason", (
+    ("no-such-directory/out.csv", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+    ("no-such-name/", "Is a directory"),
+    ("a-file/out.csv", "Not a directory"),
+), ids=("missing directory", "directory", "trailing separator", "file as directory"))
+def test_cli_reports_an_unopenable_output_path_before_printing(command, path, reason,
+                                                               tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-file").write_text("")
+    out = f"{tmp_path}/{path}"  # a Path would drop the trailing separator
+    before = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")}
+    assert main([command, "--model", "xx", "--J", "-1", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"config error: cannot open output {out!r}: {reason}\n")
     assert {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == before
 
 

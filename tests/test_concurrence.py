@@ -205,7 +205,7 @@ def test_closed_form_rejections():
     with pytest.raises(UnsupportedModel):
         concurrence_closed_form(ModelSpec.general_xyz(1, 1, 1), 1.0)
     with pytest.raises(InvalidTemperature):
-        concurrence_closed_form(ModelSpec.xx(1.0), 0.0)
+        concurrence_closed_form(ModelSpec.xx(1.0), -1.0)
 
 
 def test_numeric_vs_closed_spot_grid():
