@@ -345,6 +345,7 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
         if name not in fields:
             raise ValidationError(f"unknown output column {name!r}")
     with_T_c = "T_c" in columns
+    closed_names = [name for name in ("C", "Z", "witness") if name in columns]
     coordinates = []
     critical_points: dict = {}
     for values in itertools.product(*other_grids):
@@ -360,12 +361,12 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
             firsts, seconds = zip(*block)
             coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
             Js, deltas, Bs, T_cs = zip(*coords)
-            T, J, delta, B = (np.array(column) for column in (temps, Js, deltas, Bs))
-            computed = {name: column for name, column in zip(
-                ("C", "Z", "witness"), closed_route_array(J, delta, B, T, columns))
-                if column is not None}
-            for name, column in computed.items():
-                bad = np.flatnonzero(np.isnan(column))
+            computed = {}
+            if closed_names:  # axes and T_c alone need no level sums
+                arrays = (np.array(column) for column in (Js, deltas, Bs, temps))
+                computed = dict(zip(("C", "Z", "witness"), closed_route_array(*arrays, columns)))
+            for name in closed_names:
+                bad = np.flatnonzero(np.isnan(computed[name]))
                 if bad.size:
                     i = bad[0]
                     raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "

@@ -607,7 +607,7 @@ def run_verification() -> list[tuple[str, bool, str, str]]:
                         thermalstate.partial_trace(rho)).C
                     closed = concurrence.concurrence_closed_form(model, T)
                     worst = max(worst, abs(numeric - closed))
-    record("numeric-vs-closed", worst <= 1e-8, f"max|dC|={worst:.2e} on 24 points",
+    record("numeric-vs-closed", worst <= 1e-12, f"max|dC|={worst:.2e} on 24 points",
            "cross-route")
 
     return checks

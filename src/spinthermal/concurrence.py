@@ -3,11 +3,12 @@
 Three routes are provided:
 
 * :func:`concurrence_general`: the spin-flip definition for an
-  arbitrary 4x4 density matrix.  The eigenvalues of ``rho @ rho_tilde``
-  (not Hermitian in general) are obtained through the Hermitian,
-  positive-semidefinite similarity ``sqrt(rho) @ rho_tilde @ sqrt(rho)``,
-  which has the same spectrum, so all spectral work stays inside the
-  Jacobi solver.
+  arbitrary 4x4 density matrix.  The square roots of the eigenvalues of
+  ``rho @ rho_tilde`` (not Hermitian in general) are the singular values
+  of ``tau = L^T (sy x sy) L``, where ``rho = L L^H`` comes from one
+  Hermitian solve of ``rho``; the one-sided Jacobi SVD takes them with an
+  absolute error near machine epsilon, so a lambda that is 0 in exact
+  arithmetic stays near 0 instead of the square root of a rounding error.
 * :func:`concurrence_xstate`: the shortcut for the X-shaped reduced
   states produced by the ring models, parameterized by
   :class:`XStateParams`.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
 from .linalg import (PSD_FLOOR, degenerate_groups, exp_or_inf, hermitian_eigen, kron,
-                     map_floats, psd_sqrt)
+                     map_floats, singular_values)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
 
 #: Two-qubit spin-flip operator; real antidiagonal (-1, 1, 1, -1).
@@ -112,23 +113,23 @@ def spin_flip(rho) -> np.ndarray:
 def concurrence_general(rho) -> ConcurrenceResult:
     """Concurrence of an arbitrary two-qubit density matrix.
 
-    Accepts a plain 4x4 array or anything exposing ``.mat``.  The four
-    lambdas are the square roots of the eigenvalues of the spin-flipped
-    product, descending; the concurrence is
-    ``max(l1 - l2 - l3 - l4, 0)``.  An eigenvalue of that product below
-    ``PSD_FLOOR`` raises ``NotPSD``.
+    Accepts a plain 4x4 array or anything exposing ``.mat``.  One
+    Hermitian solve ``rho = V D V^H`` gives the factor
+    ``L = V sqrt(max(D, 0))`` with ``rho = L L^H``; an eigenvalue of
+    ``rho`` below ``PSD_FLOOR`` raises ``NotPSD``.  ``rho @ rho_tilde``
+    then has the spectrum of ``tau^H tau`` for the complex symmetric
+    ``tau = L^T (sy x sy) L``, so the four lambdas are the singular values
+    of ``tau``, descending, and the concurrence is
+    ``max(l1 - l2 - l3 - l4, 0)``.
     """
-    mat = _as_matrix(rho)
-    root = psd_sqrt(mat)
-    mixed = root @ spin_flip(mat) @ root
-    # symmetrized before hermitian_eigen's check: for a product state the exact
-    # product is 0, and its rounding noise has no Hermitian symmetry
-    vals = hermitian_eigen((mixed + mixed.conj().T) / 2.0).eigenvalues
+    spectrum = hermitian_eigen(_as_matrix(rho))
+    vals = spectrum.eigenvalues
     if float(vals.min()) < PSD_FLOOR:
-        raise NotPSD(f"spin-flip product eigenvalue {vals.min():.3e} < 0")
-    lams = np.sqrt(np.clip(vals, 0.0, None))[::-1]
-    diff = float(lams[0] - lams[1] - lams[2] - lams[3])
-    return ConcurrenceResult(lambdas=tuple(float(x) for x in lams), C=max(diff, 0.0))
+        raise NotPSD(f"density matrix eigenvalue {vals.min():.3e} below {PSD_FLOOR:.0e}")
+    factor = spectrum.eigenvectors * np.sqrt(np.clip(vals, 0.0, None))
+    lams = singular_values(factor.T @ SPIN_FLIP @ factor)
+    return ConcurrenceResult(lambdas=tuple(lams),
+                             C=max(lams[0] - lams[1] - lams[2] - lams[3], 0.0))
 
 
 def concurrence_xstate(params: XStateParams) -> float:

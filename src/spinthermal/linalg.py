@@ -3,15 +3,17 @@
 Matrices are plain complex numpy arrays (2x2 up to 8x8).  The eigensolver
 is a cyclic Jacobi iteration with complex plane rotations: at these sizes
 it reaches near machine precision, and every spectral quantity downstream
-(Gibbs weights, concurrence eigenvalues, square roots) runs through it.
-It keeps the matrix and its eigenvectors as the two halves of one
-``(2n, n)`` work array, so one column update rotates both.
+(Gibbs weights, the factor of the concurrence's density matrix) runs
+through it.  Its rotations, and those of the one-sided Jacobi SVD that
+gives the concurrence's lambdas, run on Python ``complex`` lists, with
+no numpy call per rotation.
 Array code in the package calls libm functions only through :func:`map_floats`.
 All functions are pure; nothing here keeps internal state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,30 +105,20 @@ def check_hermitian(m: np.ndarray) -> None:
         raise NotHermitian(f"max |m - m^H| = {dev:.3e} exceeds tolerance")
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _rotate(w: np.ndarray, p: int, q: int, apq, mag) -> None:
-    """Zero a[p, q]: rotate columns p, q of ``w`` (``a`` and ``v``), then rows p, q of ``a``."""
-    tau = (w[q, q].real - w[p, p].real) / (2.0 * mag)
+def _rotation(app: float, aqq: float, apq: complex, mag: float) -> tuple[float, float, complex]:
+    """``(t, c, s)`` of the rotation ``R = [[c, -s], [conj(s), c]]`` that makes
+    ``R^H [[app, apq], [conj(apq), aqq]] R`` diagonal, ``mag = |apq| > 0``;
+    the diagonal becomes ``(app + t mag, aqq - t mag)``."""
+    tau = (aqq - app) / (2.0 * mag)
     t = -math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
     c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c * (apq / mag)
-    rot = np.empty((2, 2), complex)
-    rot[0, 0] = rot[1, 1] = c
-    rot[0, 1], rot[1, 0] = -s, s.conjugate()
-    cols = w.take((p, q), axis=1) @ rot  # take is w[:, [p, q]] without the list-index overhead
-    w[:, p] = cols[:, 0]
-    w[:, q] = cols[:, 1]
-    rows = rot.conj().T @ w.take((p, q), axis=0)
-    w[p] = rows[0]
-    w[q] = rows[1]
-    w[p, q] = w[q, p] = 0.0
-    w[p, p] = w[p, p].real
-    w[q, q] = w[q, q].real
+    return t, c, t * c * (apq / mag)
+
+
+def _rotate_pair(x: list, y: list, c: float, s: complex) -> tuple[list, list]:
+    """``[x, y] R`` for vectors ``x``, ``y``: ``(c x + conj(s) y, c y - s x)``."""
+    sc = s.conjugate()
+    return [c * u + sc * v for u, v in zip(x, y)], [c * v - s * u for u, v in zip(x, y)]
 
 
 def hermitian_eigen(m: np.ndarray) -> Spectrum:
@@ -134,7 +126,11 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
 
     Sweeps run until the off-diagonal Frobenius norm drops below
     ``JACOBI_OFF_TOL`` times the norm of the input, capped at
-    ``JACOBI_SWEEP_CAP`` sweeps.
+    ``JACOBI_SWEEP_CAP`` sweeps.  The rotations run on Python ``complex``
+    lists: each replaces rows ``p`` and ``q`` of the matrix and fills its
+    columns ``p`` and ``q`` by conjugation, so it stays exactly Hermitian,
+    and rotates columns ``p`` and ``q`` of the eigenvectors as rows of
+    their transpose.
 
     Raises
     ------
@@ -152,9 +148,8 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     n = m.shape[0]
     # the norm's squares overflow from entries of 1.35e154, m + m^H near the float max
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.vstack(((m + m.conj().T) / 2.0, np.eye(n, dtype=complex)))
-        a, v = w[:n], w[n:]
-        norm = float(np.linalg.norm(a))
+        h = (m + m.conj().T) / 2.0
+        norm = float(np.linalg.norm(h))
     if not math.isfinite(norm):
         raise FloatOverflow("the Frobenius norm of the matrix is beyond the float range")
     if norm == 0.0:
@@ -163,27 +158,72 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     # Skipping elements below elem_tol cannot stall convergence: if every
     # |a[p, q]| <= elem_tol then the off-diagonal norm is already <= tol.
     elem_tol = tol / math.sqrt(n * (n - 1)) if n > 1 else tol
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    a = h.tolist()
+    vt = np.eye(n, dtype=complex).tolist()  # row k is eigenvector k
+
+    def off_norm() -> float:
+        return math.sqrt(2.0) * math.hypot(*[abs(a[p][q]) for p, q in pairs])
+
     converged = False
     for _ in range(JACOBI_SWEEP_CAP):
-        if _offdiag_norm(a) <= tol:
+        if off_norm() <= tol:
             converged = True
             break
         for p, q in pairs:
-            apq = w[p, q]
+            apq = a[p][q]
             mag = abs(apq)
             if mag > elem_tol:
-                _rotate(w, p, q, apq, mag)
+                t, c, s = _rotation(a[p][p].real, a[q][q].real, apq, mag)
+                # rows p, q of R^H a; off the 2x2 block they are those of R^H a R
+                row_p, row_q = _rotate_pair(a[p], a[q], c, s.conjugate())
+                row_p[p], row_q[q] = a[p][p].real + t * mag, a[q][q].real - t * mag
+                row_p[q] = row_q[p] = 0j
+                a[p], a[q] = row_p, row_q
+                for row, x, y in zip(a, row_p, row_q):
+                    row[p], row[q] = x.conjugate(), y.conjugate()
+                vt[p], vt[q] = _rotate_pair(vt[p], vt[q], c, s)
     else:
-        converged = _offdiag_norm(a) <= tol
+        converged = off_norm() <= tol
     if not converged:
         raise NoConvergence(
-            f"off-diagonal norm {_offdiag_norm(a):.3e} above {tol:.3e} "
+            f"off-diagonal norm {off_norm():.3e} above {tol:.3e} "
             f"after {JACOBI_SWEEP_CAP} sweeps"
         )
-    d = a.diagonal().real.copy()
+    d = np.array([a[k][k].real for k in range(n)])
     order = np.argsort(d, kind="stable")
-    return Spectrum(d[order], v[:, order])
+    return Spectrum(d[order], np.array(vt, dtype=complex)[order].T)
+
+
+def singular_values(m: np.ndarray) -> list[float]:
+    """Singular values of a complex matrix, descending.
+
+    One-sided (Hestenes) Jacobi: cyclic sweeps rotate pairs of columns
+    ``x``, ``y`` of ``m`` until each pair is orthogonal to within
+    ``JACOBI_OFF_TOL``, ``|x^H y| <= JACOBI_OFF_TOL |x| |y|``; the column
+    norms are then the singular values.  A small singular value comes out
+    with an error of about machine epsilon times the norm of ``m``.
+
+    Raises ``NoConvergence`` if ``JACOBI_SWEEP_CAP`` sweeps all rotate.
+    """
+    cols = np.asarray(m, dtype=complex).T.tolist()
+    pairs = list(itertools.combinations(range(len(cols)), 2))
+    for _ in range(JACOBI_SWEEP_CAP):
+        rotated = False
+        for p, q in pairs:
+            x, y = cols[p], cols[q]
+            xx = sum(u.real * u.real + u.imag * u.imag for u in x)
+            yy = sum(v.real * v.real + v.imag * v.imag for v in y)
+            xy = sum(u.conjugate() * v for u, v in zip(x, y))
+            mag = abs(xy)
+            if mag > JACOBI_OFF_TOL * math.sqrt(xx) * math.sqrt(yy):
+                _, c, s = _rotation(xx, yy, xy, mag)
+                cols[p], cols[q] = _rotate_pair(x, y, c, s)
+                rotated = True
+        if not rotated:
+            return sorted((math.hypot(*map(abs, col)) for col in cols), reverse=True)
+    raise NoConvergence(
+        f"columns not orthogonal to {JACOBI_OFF_TOL:.0e} after {JACOBI_SWEEP_CAP} sweeps")
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -659,17 +659,19 @@ def block_bits(blocks):
 def test_sweep_computes_only_the_named_columns(case, monkeypatch):
     """The named columns are those of the full sweep, bit for bit; ``C``,
     the witness, the ``Z`` pass and the ``T_c`` bisections are computed
-    only where their column is named."""
+    only where their column is named, and ``closed_route_array`` runs only
+    where one of ``C``, ``Z`` and ``witness`` is."""
     model, axes, T = HOIST_CASES[case]
     config = SweepConfig(model=model, axes=axes, T=T)
     monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # several blocks
     fields, full = sweep_blocks(config)
     full = block_bits(full)
-    z_points, libm, returned, bisections = [], set(), set(), []
+    z_points, libm, returned, bisections, route_calls = [], set(), set(), [], []
     inner_exp, inner_map = concurrence_module.exp_or_inf, concurrence_module.map_floats
     inner_route, inner_critical = analysis_module.closed_route_array, analysis_module.xxz_critical
 
     def route(*args):
+        route_calls.append(len(args[0]))
         values = inner_route(*args)
         returned.update(name for name, v in zip(("C", "Z", "witness"), values) if v is not None)
         return values
@@ -683,11 +685,12 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
                         lambda delta: bisections.append(delta) or inner_critical(delta))
     axis_names = [axis.name for axis in axes]
     for columns in (axis_names + ["C"], ("witness", "C"), ("C", "Z"), ("Z", "witness"),
-                    axis_names, fields):
+                    axis_names, axis_names + ["T_c"] * ("T_c" in fields), fields):
         z_points.clear()
         libm.clear()
         returned.clear()
         bisections.clear()
+        route_calls.clear()
         named, blocks = sweep_blocks(config, columns)
         assert named == tuple(columns)
         got = block_bits(blocks)
@@ -695,6 +698,7 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
         points = sum(len(block["C"]) for block in full)
         assert len(z_points) == (points if "Z" in columns else 0)
         assert returned == {"C", "Z", "witness"} & set(columns)
+        assert route_calls == ([len(block["C"]) for block in full] if returned else [])
         # expm1 and log serve the witness alone
         assert bool(libm & {math.expm1, math.log}) == ("witness" in columns)
         assert bool(bisections) == ("T_c" in columns and model.variant != "xxzfield")

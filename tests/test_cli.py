@@ -513,7 +513,7 @@ def test_cli_concurrence_at_zero_temperature(J, delta, B, C, capsys):
     assert header == "T,C_numeric,C_closed"
     T, numeric, closed = row.split(",")
     assert (T, closed) == ("0", format(C, ".12g"))
-    assert abs(float(numeric) - C) <= 1e-8  # 5.5e-9 off at (-1, -3, 0.25)
+    assert abs(float(numeric) - C) <= 1e-12
 
 
 def test_cli_sweep_csv_header(tmp_path, capsys):

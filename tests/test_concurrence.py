@@ -57,11 +57,11 @@ def test_product_state_is_separable():
 @pytest.mark.parametrize("a, b, c", ((math.pi / 4, math.pi / 4, 0.0), (0.3, 1.1, 0.7),
                                      (2.0, 0.4, -2.5)))
 def test_product_state_outside_the_computational_basis_is_separable(a, b, c):
-    # the exact spin-flip product is 0, so the computed one is rounding noise
-    # with no Hermitian symmetry; psd_sqrt of a rank-one state leaves C at
-    # the square root of that noise
+    # rho is rank one, so tau = L^T (sy x sy) L has one nonzero singular value
+    # and three of rounding size, about 1e-16, where the square roots of the
+    # spin-flip product's eigenvalues gave about 1e-8
     psi = np.kron([math.cos(a), math.sin(a)], [math.cos(b), np.exp(1j * c) * math.sin(b)])
-    assert concurrence_general(np.outer(psi, psi.conj())).C < 1e-7
+    assert concurrence_general(np.outer(psi, psi.conj())).C < 1e-12
 
 
 def test_symmetric_state_pair_concurrence():
@@ -102,9 +102,8 @@ def test_spin_flip_involution():
     ).max() < 1e-15
 
 
-def test_negative_spin_flip_eigenvalue_is_not_psd(monkeypatch, capsys):
-    # the first hermitian_eigen call (inside psd_sqrt) runs as usual; the
-    # second, on the spin-flipped product, reports an eigenvalue below PSD_FLOOR
+def test_negative_density_matrix_eigenvalue_is_not_psd(monkeypatch, capsys):
+    # the one hermitian_eigen call, on rho itself, reports an eigenvalue below PSD_FLOOR
     import spinthermal.concurrence as concurrence_mod
     from spinthermal.cli import main
     from spinthermal.linalg import PSD_FLOOR, Spectrum
@@ -114,10 +113,10 @@ def test_negative_spin_flip_eigenvalue_is_not_psd(monkeypatch, capsys):
                         eigenvectors=np.eye(4, dtype=complex))
 
     monkeypatch.setattr(concurrence_mod, "hermitian_eigen", negative)
-    with pytest.raises(NotPSD, match="spin-flip product eigenvalue"):
+    with pytest.raises(NotPSD, match="density matrix eigenvalue"):
         concurrence_general(np.eye(4) / 4.0)
     assert main(["concurrence", "--model", "xx", "--J", "1", "--T", "1"]) == 3
-    assert capsys.readouterr().err.startswith("numeric failure: spin-flip product")
+    assert capsys.readouterr().err.startswith("numeric failure: density matrix eigenvalue")
 
 
 def test_xstate_trivial_zero():
@@ -216,7 +215,7 @@ def test_numeric_vs_closed_spot_grid():
         B = rng.uniform(-3, 3)
         T = rng.uniform(0.05, 5.0)
         model = ModelSpec.xxz_field(J, delta, B)
-        assert abs(pipeline(model, T) - concurrence_closed_form(model, T)) <= 1e-8
+        assert abs(pipeline(model, T) - concurrence_closed_form(model, T)) <= 1e-11
 
 
 def test_scale_free_in_j_over_t():
@@ -424,7 +423,29 @@ def test_closed_route_matches_numeric_route(variant, T, j_ratio, j_sign, delta,
              "xxzfield": lambda: ModelSpec.xxz_field(J, delta, b_sign * b_ratio * T)}[variant]()
     closed = concurrence_closed_form(model, T)
     assert math.isfinite(closed)
-    assert abs(closed - pipeline(model, T)) <= 1e-8
+    assert abs(closed - pipeline(model, T)) <= 1e-11
+
+
+def test_numeric_route_matches_closed_route_on_wide_points():
+    # |J|/T and |B|/T up to 1e3: with the Wootters lambdas as singular values the
+    # worst point here is 5.5e-14 off; as square roots of eigenvalues it was 5.5e-9
+    rng = np.random.default_rng(2024)
+    for i in range(1200):
+        T = 10.0 ** rng.uniform(-2.0, 1.0)
+        J, B = rng.choice((-1.0, 1.0), 2) * 10.0 ** rng.uniform(-2.0, 3.0, 2) * T
+        delta = rng.uniform(-3.0, 2.0)
+        model = (ModelSpec.xx(J), ModelSpec.xxz(J, delta), ModelSpec.xxz_field(J, delta, B))[i % 3]
+        assert abs(pipeline(model, T) - concurrence_closed_form(model, T)) <= 1e-11
+
+
+@pytest.mark.parametrize("J", (1.0, -1.0))
+def test_numeric_route_matches_closed_route_at_zero_temperature(J):
+    # the ground mixtures are rank deficient, so exact zero lambdas abound
+    for delta in np.linspace(-3.0, 2.0, 21):
+        for B in np.linspace(0.0, 3.0, 25):
+            model = ModelSpec.xxz_field(J, float(delta), float(B))
+            closed = closed_route(J, float(delta), float(B), 0.0)[0]
+            assert abs(pipeline(model, 0.0) - closed) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

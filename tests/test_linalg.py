@@ -12,7 +12,7 @@ from spinthermal import (
     kron,
     psd_sqrt,
 )
-from spinthermal.linalg import degenerate_groups
+from spinthermal.linalg import degenerate_groups, singular_values
 from spinthermal.spinmodel import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 I2 = np.eye(2, dtype=complex)
@@ -112,12 +112,34 @@ def test_eigen_leaves_its_input_and_shares_no_memory():
 
 
 def test_eigen_matches_lapack():
+    # random spectra, and degenerate ones: the identity and ring Hamiltonians
     rng = np.random.default_rng(6)
-    for n in (2, 4, 8):
-        h = random_hermitian(rng, n)
-        got = hermitian_eigen(h).eigenvalues
-        ref = np.linalg.eigvalsh(h)
-        assert np.abs(got - ref).max() < 1e-12
+    rings = [build_hamiltonian(spec) for spec in (
+        ModelSpec.xx(1.0), ModelSpec.xxz(-1.0, -0.5), ModelSpec.xxz_field(1.0, 1.0, 1.0),
+        ModelSpec.xxz_field(-1.0, -3.0, 0.25), ModelSpec.general_xyz(1.0, 0.5, -0.3))]
+    for n in (1, 2, 4, 8):
+        matrices = [random_hermitian(rng, n) for _ in range(25)] + [np.eye(n, dtype=complex)]
+        for h in matrices + (rings if n == 8 else []):
+            spec = hermitian_eigen(h)
+            vals, v = spec.eigenvalues, spec.eigenvectors
+            scale = 1.0 + np.abs(vals).max()
+            assert np.abs(vals - np.linalg.eigh(h)[0]).max() <= 1e-14 * scale
+            # the off-diagonal tolerance, 1e-13 of the norm, bounds the residual
+            assert np.abs(h @ v - v * vals).max() <= 1e-12 * scale
+            assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-14
+
+
+def test_singular_values_match_lapack():
+    rng = np.random.default_rng(7)
+    for rank in range(5):
+        for _ in range(20):
+            x, y = (rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+                    for _ in range(2))
+            m = x @ y.conj().T
+            got = singular_values(m)
+            want = np.linalg.svd(m, compute_uv=False)
+            assert np.abs(np.array(got) - want).max() <= 1e-14 * (1.0 + want[0])
+            assert got == sorted(got, reverse=True)
 
 
 def test_eigen_rejects_non_hermitian():
@@ -213,3 +235,5 @@ def test_no_convergence_raised_at_sweep_cap(monkeypatch):
     monkeypatch.setattr(linalg_mod, "JACOBI_SWEEP_CAP", 0)
     with pytest.raises(NoConvergence):
         linalg_mod.hermitian_eigen(build_hamiltonian(ModelSpec.xx(1.0)))
+    with pytest.raises(NoConvergence, match="after 0 sweeps"):
+        linalg_mod.singular_values(I4)
