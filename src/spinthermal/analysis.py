@@ -21,13 +21,16 @@ both field-free models: the XX ring is the XXZ ring at ``delta = 0``.
 Critical temperatures are reported per unit ``|J|`` (they scale linearly
 in ``|J|``).
 
-A sweep splits its work in two.  What depends only on the
-non-temperature coordinates (the closed-form parameters and the critical
-temperature) is computed once per distinct coordinate and kept for the
-length of the call; the critical point itself is bisected once per
-distinct anisotropy and scaled by each coordinate's ``|J|``.  The grid
-points are then evaluated :data:`SWEEP_BLOCK` at a time as numpy arrays
-by :func:`~spinthermal.concurrence.closed_route_array`, whose ``C`` and
+A sweep's axes are ``T`` and the variant's fields in
+:data:`~spinthermal.spinmodel.REQUIRED_FIELDS`; a field set outside them
+is ignored and is not an axis.  A sweep splits its work in two.  What
+depends only on the non-temperature coordinates (the closed-form
+parameters and the critical temperature) is computed once per distinct
+coordinate and kept for the length of the call; the critical point
+itself is bisected once per distinct anisotropy and scaled by each
+coordinate's ``|J|``.  The grid points are then evaluated
+:data:`SWEEP_BLOCK` at a time as numpy arrays by
+:func:`~spinthermal.concurrence.closed_route_array`, whose ``C`` and
 ``Z`` are the scalar route's bit for bit and whose witness,
 ``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
 for every variant.  :func:`sweep_blocks` takes the output columns,
@@ -49,7 +52,7 @@ import numpy as np
 from .concurrence import closed_route_array
 from .errors import (InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain,
                      ValidationError)
-from .spinmodel import ModelSpec
+from .spinmodel import REQUIRED_FIELDS, ModelSpec
 
 BISECT_TOL = 1e-12
 BISECT_CAP = 200
@@ -58,6 +61,9 @@ BISECT_CAP = 200
 Z0 = 4.0 ** (-1.0 / 3.0)
 
 _EXP_CAP = 700.0  # beyond this an exponent is treated as +inf
+
+#: The variants with a critical temperature: the field-free rings.
+CRITICAL_VARIANTS = ("xx", "xxz")
 
 
 @dataclass(frozen=True)
@@ -213,17 +219,8 @@ def xxx_field_threshold() -> float:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-_AXIS_NAMES = ("T", "J", "delta", "B")
-
 #: Grid points a sweep evaluates as one set of arrays.
 SWEEP_BLOCK = 1024
-
-#: Record keys per variant, in output order.
-_RECORD_FIELDS = {
-    "xx": ("T", "J", "C", "witness", "Z", "T_c"),
-    "xxz": ("T", "J", "delta", "C", "witness", "Z", "T_c"),
-    "xxzfield": ("T", "J", "delta", "B", "C", "witness", "Z"),
-}
 
 
 @dataclass(frozen=True)
@@ -261,8 +258,6 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise InvalidGrid(f"need 1 or 2 axes, got {len(config.axes)}")
     seen = set()
     for axis in config.axes:
-        if axis.name not in _AXIS_NAMES:
-            raise InvalidGrid(f"unknown axis {axis.name!r}")
         if axis.name in seen:
             raise InvalidGrid(f"axis {axis.name!r} repeated")
         seen.add(axis.name)
@@ -276,7 +271,7 @@ def _validate_sweep(config: SweepConfig) -> None:
                 f"axis {axis.name!r} range is empty or reversed: "
                 f"[{axis.start!r}, {axis.stop!r}]"
             )
-        if axis.name != "T" and getattr(config.model, axis.name, None) is None:
+        if axis.name != "T" and axis.name not in REQUIRED_FIELDS[config.model.variant]:
             raise InvalidGrid(
                 f"axis {axis.name!r} does not apply to variant {config.model.variant!r}"
             )
@@ -286,13 +281,14 @@ def _validate_sweep(config: SweepConfig) -> None:
 
 def _critical_temperature(variant: str, J: float, delta: float,
                           points: dict) -> Optional[float]:
-    """Critical temperature scaled by |J|; None for the field model, ``J >= 0`` or ``delta >= 1``.
+    """Critical temperature scaled by |J|; None outside :data:`CRITICAL_VARIANTS`, for
+    ``J >= 0`` or for ``delta >= 1``.
 
     ``T_c/|J|`` depends on the anisotropy alone (``delta = 0`` for ``xx``),
     so ``points`` keeps the critical point per delta and each coordinate
     only scales it by its own ``|J|``.
     """
-    if variant not in ("xx", "xxz") or J >= 0.0:
+    if variant not in CRITICAL_VARIANTS or J >= 0.0:
         return None
     if delta not in points:
         points[delta] = xxz_critical(delta)
@@ -306,11 +302,12 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
                  ) -> tuple[tuple[str, ...], Iterator[dict[str, list]]]:
     """The named record fields and the grid's records, block by block.
 
-    The record fields are the resolved model parameters plus ``C``
+    The record fields are ``T`` and the variant's
+    :data:`~spinthermal.spinmodel.REQUIRED_FIELDS` plus ``C``
     (closed form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``, with
     the sign of ``|rho_y| - sqrt(rho00 rho11)``, which ``C`` can miss
     where a level weight underflows, and ``-inf`` where ``J = 0``), ``Z``
-    and, for the field-free variants, the critical temperature ``T_c``
+    and, for :data:`CRITICAL_VARIANTS`, the critical temperature ``T_c``
     (``None`` where no critical point exists: ``J >= 0`` or
     ``delta >= 1``).  ``columns`` names the fields to yield, in order,
     and defaults to all of the variant's; a name that is not one of them
@@ -339,7 +336,8 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     other_grids = [grid for name, grid in zip(names, grids) if name != "T"]
     variant = config.model.variant
     base = dict(zip(("J", "delta", "B"), config.model.closed_form_params()))
-    fields = _RECORD_FIELDS[variant]
+    fields = ("T", *REQUIRED_FIELDS[variant], "C", "witness", "Z") + (
+        ("T_c",) if variant in CRITICAL_VARIANTS else ())
     columns = fields if columns is None else tuple(columns)
     for name in columns:
         if name not in fields:

@@ -169,23 +169,35 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     return C, scale * trace / 6.0, rho00, rho11, rho_w, rho_y
 
 
-def _log_sum(logs: list, get, sixths: tuple) -> float:
-    """``ln sum(c * exp(a))`` over ``get(logs)`` and ``sixths`` (all > 0), shifted by max ``a``."""
-    top = max(get(logs))
-    return top + math.log(math.fsum(c * math.exp(a - top) for a, c in zip(get(logs), sixths)))
+def _log_sum(values: list, get, sixths: tuple, T: float = 1.0) -> tuple[float, float]:
+    """``(top, rest)`` with ``ln sum(c * exp(a / T)) = top / T + rest`` over ``get(values)``
+    and ``sixths`` (all > 0), where ``top`` is the largest ``a``."""
+    top = max(get(values))
+    return top, math.log(math.fsum(c * math.exp((a - top) / T)
+                                   for a, c in zip(get(values), sixths)))
 
 
-def _log_witness(logs: list, x: float) -> float:
-    """``ln(|s_y| / sqrt(s00 s11))`` of one point from its log weights ``logs``
-    and ``x = -3J/T``, with no weight or sum leaving the float range."""
+def _log_witness(gaps: list, J: float, T: float) -> float:
+    """``ln(|s_y| / sqrt(s00 s11))`` of one point from its level gaps ``E_min - E``,
+    with no weight or sum leaving the float range.  Where every log weight of a
+    level group is ``-inf``, the ``1/T`` terms are combined as gaps before one
+    division by ``T``: ``max(-3J, 0) + max_y - (max_00 + max_11)/2``, each ``max``
+    a group's largest gap; so the witness is ``+-inf`` by its sign, not NaN."""
+    logs = [gap / T for gap in gaps]
+    x = -3.0 * J / T
     if x > _EXPM1_CAP:
         log_gap = x  # ln(e**x - 1) = x + log1p(-e**-x), and e**-x is below an ulp
     elif x:
         log_gap = math.log(abs(math.expm1(x)))
     else:
         return -math.inf  # J = 0: rho_y = 0
-    return (_LN2 + log_gap + _log_sum(logs, *_P1_PLUS_P3)
-            - 0.5 * (_log_sum(logs, *_CONTRACTIONS[0]) + _log_sum(logs, *_CONTRACTIONS[1])))
+    groups = (_P1_PLUS_P3, *_CONTRACTIONS[:2])
+    if not any(all(a == -math.inf for a in get(logs)) for get, _ in groups):
+        (ty, ry), (t00, r00), (t11, r11) = [_log_sum(logs, *group) for group in groups]
+        return _LN2 + log_gap + (ty + ry) - 0.5 * ((t00 + r00) + (t11 + r11))
+    lead, log_gap = (-3.0 * J, 0.0) if x > _EXPM1_CAP else (0.0, log_gap)
+    (ty, ry), (t00, r00), (t11, r11) = [_log_sum(gaps, *group, T) for group in groups]
+    return (lead + ty - 0.5 * (t00 + t11)) / T + (_LN2 + log_gap + ry - 0.5 * (r00 + r11))
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +264,14 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray, T: np.nd
     Since ``E_symmetric - E_single = 3J``, ``|s_y| = 2 |expm1(-3J/T)| (p1 + p3)``
     has no cancellation.  Where a factor of the ratio leaves the normal
     float range (or ``-3J/T`` exceeds what ``expm1`` takes), the point is
-    evaluated from the log weights ``(E_min - E)/T`` instead.
+    evaluated from the log weights ``(E_min - E)/T`` instead; where every log
+    weight of a level group is ``-inf`` it is ``+-inf`` or finite, never NaN
+    (see :func:`_log_witness`).
     """
     levels = np.stack(level_energies(J, delta, B))
     emin = levels.min(axis=0)
-    logs = (emin - levels) / T
+    gaps = emin - levels
+    logs = gaps / T
     weights = map_floats(math.exp, logs.ravel()).reshape(levels.shape)
     s00, s11, s_w, s_y = [_fsum_columns([row * c for row, c in zip(get(weights), sixths)])
                           for get, sixths in _CONTRACTIONS]
@@ -278,7 +293,7 @@ def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray, T: np.nd
         normal = np.minimum.reduce((numerator, y_weight, s00, s11)) >= _TINY
         witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
         for i in np.flatnonzero(~normal).tolist():
-            witness[i] = _log_witness(logs[:, i].tolist(), x[i].item())
+            witness[i] = _log_witness(gaps[:, i].tolist(), J[i].item(), T[i].item())
     return C, Z, witness
 
 

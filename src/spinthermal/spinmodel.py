@@ -66,9 +66,10 @@ def basis_index(q1: int, q2: int, q3: int) -> int:
 class ModelSpec:
     """Which Hamiltonian to build, with its couplings.
 
-    Fields that do not belong to the chosen ``variant`` stay ``None`` and
-    are ignored.  Use the classmethod constructors rather than filling
-    fields by hand.
+    Fields that do not belong to the chosen ``variant`` (its
+    :data:`REQUIRED_FIELDS`) stay ``None``; one set anyway is ignored, by
+    the Hamiltonian and the closed forms alike, and is not a sweep axis.
+    Use the classmethod constructors rather than filling fields by hand.
     """
 
     variant: str
@@ -127,16 +128,16 @@ class ModelSpec:
     def closed_form_params(self) -> tuple[float, float, float]:
         """Effective ``(J, delta, B)`` for the models with closed forms.
 
-        The XX model is delta = 0, the field-free models are B = 0.
-        Raises ``UnsupportedModel`` for the general XYZ variant.
+        A uniform field the variant lacks is 0.0 (the XX model is delta = 0,
+        the field-free models are B = 0); one set outside the variant's
+        :data:`REQUIRED_FIELDS` is ignored.  Raises ``UnsupportedModel`` for
+        the general XYZ variant.
         """
-        if self.variant == "xx":
-            return float(self.J), 0.0, 0.0
-        if self.variant == "xxz":
-            return float(self.J), float(self.delta), 0.0
-        if self.variant == "xxzfield":
-            return float(self.J), float(self.delta), float(self.B)
-        raise UnsupportedModel("no closed form for the general XYZ model")
+        if self.variant == "xyz":
+            raise UnsupportedModel("no closed form for the general XYZ model")
+        fields = REQUIRED_FIELDS[self.variant]
+        return tuple(float(getattr(self, name)) if name in fields else 0.0
+                     for name in ("J", "delta", "B"))
 
 
 def pauli(site: int, axis: str) -> np.ndarray:
@@ -162,12 +163,12 @@ _ANISOTROPY = tuple(zz - np.eye(8, dtype=complex) for _, _, zz in _AXIS_PRODUCTS
 _SITE_Z = tuple(pauli(n, "z") for n in (1, 2, 3))
 
 
-# H of each variant as (index into its coefficients, operator) terms, in summation order.
-_XXZ_TERMS = tuple(t for hop, zz in zip(_HOPPING, _ANISOTROPY) for t in ((0, hop), (1, zz)))
-_TERMS = {"xx": tuple((0, hop) for hop in _HOPPING), "xxz": _XXZ_TERMS,
-          "xxzfield": _XXZ_TERMS + tuple((2, z) for z in _SITE_Z),
-          "xyz": tuple(t for bond in _AXIS_PRODUCTS for t in enumerate(bond))
-          + tuple(enumerate(_SITE_Z, 3))}
+# H as (index into the coefficients, operator) terms, in summation order: the
+# uniform models' hopping and anisotropy bond by bond, then the field site by site.
+_UNIFORM_TERMS = (tuple(t for hop, zz in zip(_HOPPING, _ANISOTROPY) for t in ((0, hop), (1, zz)))
+                  + tuple((2, z) for z in _SITE_Z))
+_XYZ_TERMS = (tuple(t for bond in _AXIS_PRODUCTS for t in enumerate(bond))
+              + tuple(enumerate(_SITE_Z, 3)))
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
@@ -177,18 +178,21 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     ``xx + yy``, ``delta*J/2`` on ``zz - 1``, ``J_a/2`` per axis for the
     general model) so the exact energy expressions hold digit for digit.
     The bond and site operators are built once at import; each call
-    scales them and adds them bond by bond, then site by site.  A scaled
-    coupling or an entry beyond the float range raises ``FloatOverflow``.
+    scales them and adds them bond by bond, then site by site, skipping
+    zero coefficients (no entry is ever -0, so a zero term changes no bit).
+    A scaled coupling or an entry beyond the float range raises ``FloatOverflow``.
     """
     if spec.variant == "xyz":
         coefs = (spec.J1 / 2.0, spec.J2 / 2.0, spec.J3 / 2.0, spec.B1, spec.B2, spec.B3)
+        terms = _XYZ_TERMS
     else:
         J, delta, B = spec.closed_form_params()
-        coefs = (J / 2.0, delta * J / 2.0, B)
+        coefs, terms = (J / 2.0, delta * J / 2.0, B), _UNIFORM_TERMS
     h = np.zeros((8, 8), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf coefficient times a zero is nan
-        for k, op in _TERMS[spec.variant]:
-            h += coefs[k] * op
+        for k, op in terms:
+            if coefs[k]:
+                h += coefs[k] * op
     if not np.isfinite(h).all():
         raise FloatOverflow("a coupling or an entry of the Hamiltonian is beyond the float range")
     return h
@@ -245,9 +249,7 @@ def analytic_energies(spec: ModelSpec) -> np.ndarray:
     """Exact energies of the eight analytic eigenstates, in state order.
 
     Only the uniform models have a closed spectrum here; the general XYZ
-    variant raises ``UnsupportedModel``.
+    variant raises ``UnsupportedModel`` (from ``closed_form_params``).
     """
-    if spec.variant == "xyz":
-        raise UnsupportedModel("no analytic spectrum for the general XYZ model")
     levels = level_energies(*spec.closed_form_params())
     return np.array([levels[n] for n, states in enumerate(LEVELS) for _ in states])

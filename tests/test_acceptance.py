@@ -110,7 +110,7 @@ def test_criterion_03_reduced_matrix_goldens():
 
 
 def test_criterion_04_oracle_equivalence():
-    with criterion("4 numeric vs closed forms, >= 500 points, 1e-8"):
+    with criterion("4 numeric vs closed forms, >= 500 points, 1e-11"):
         points = 0
         worst = 0.0
         for J in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
@@ -140,7 +140,7 @@ def test_criterion_04_oracle_equivalence():
                         ))
                         points += 1
         assert points >= 500
-        assert worst <= 1e-8
+        assert worst <= 1e-11
         print(f"  ({points} points, max deviation {worst:.2e})", end=" ")
 
 

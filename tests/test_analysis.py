@@ -486,6 +486,25 @@ def test_sweep_validation():
         sweep(SweepConfig(model=model, axes=(SweepAxis("T", 0.5, math.inf, 5),)))
 
 
+def test_sweep_rejects_an_axis_outside_the_variant_even_where_the_field_is_set():
+    # the xx spec carries a stray delta; sweeping it printed XXZ concurrences under xx's columns
+    model = ModelSpec("xx", J=-1.0, delta=2.0)
+    with pytest.raises(InvalidGrid, match="does not apply to variant 'xx'"):
+        sweep(SweepConfig(model, (SweepAxis("delta", -1.0, 0.5, 4),), T=1.0))
+    records = sweep(SweepConfig(model, (SweepAxis("T", 0.5, 1.0, 3),)))
+    assert records == sweep(SweepConfig(ModelSpec.xx(-1.0), (SweepAxis("T", 0.5, 1.0, 3),)))
+
+
+@pytest.mark.parametrize("model, fields", (
+    (ModelSpec.xx(-1.0), ("T", "J", "C", "witness", "Z", "T_c")),
+    (ModelSpec.xxz(-1.0, 0.5), ("T", "J", "delta", "C", "witness", "Z", "T_c")),
+    (ModelSpec.xxz_field(1.0, 1.0, 2.0), ("T", "J", "delta", "B", "C", "witness", "Z")),
+))
+def test_sweep_record_fields_of_each_variant(model, fields):
+    names, _ = sweep_blocks(SweepConfig(model, (SweepAxis("T", 0.5, 1.0, 2),)))
+    assert names == fields
+
+
 def test_sweep_grid_ordering_and_fields():
     config = SweepConfig(
         model=ModelSpec.xxz(-1.0, 0.0),

@@ -424,27 +424,28 @@ def test_cli_rejects_a_repeated_output_column(config_text, fmt, tmp_path, capsys
     assert not out.exists()
 
 
-# where a level weight's exponent overflows to -inf the witness is NaN;
-# C there is the T = 0 value, 1/3 at B = 1 and 0 beyond the crossing at 3/2
-NAN_WITNESS_CONFIG = ("command = sweep\ncolumns = B,C\nT = 1e-310\n"
-                      "[model]\nmodel = xxzfield\nJ = 1\ndelta = 1\nB = 0\n"
-                      "[grid:B]\nmin = 1\nmax = 5\nsteps = 3\n")
+# a level weight's exponent overflows to -inf; C there is the T = 0 value,
+# 1/3 at B = 1 and 0 beyond the crossing at 3/2
+LOW_T_WITNESS_CONFIG = ("command = sweep\ncolumns = B,C\nT = 1e-310\n"
+                        "[model]\nmodel = xxzfield\nJ = 1\ndelta = 1\nB = 0\n"
+                        "[grid:B]\nmin = 1\nmax = 5\nsteps = 3\n")
 
 
 def test_cli_sweep_without_the_witness_column_skips_a_nan_witness(tmp_path):
     config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
-    config.write_text(NAN_WITNESS_CONFIG)
+    config.write_text(LOW_T_WITNESS_CONFIG)
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     assert out.read_text() == "B,C\n1,0.333333333333\n3,0\n5,0\n"
 
 
-def test_cli_sweep_naming_the_witness_column_fails_on_a_nan_witness(tmp_path, capsys):
+def test_cli_sweep_naming_the_witness_column_prints_an_infinite_witness(tmp_path, capsys):
+    # the witness was nan and the sweep exited 3; the pair is entangled at every B
+    # (|rho_y| falls as exp(-3/T) slower than sqrt(rho00 rho11)), where C underflows
     config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
-    config.write_text(NAN_WITNESS_CONFIG.replace("columns = B,C", "columns = B,C,witness"))
-    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("numeric failure: witness is NaN at (J, delta, B, T) = "
-                                       "(1.0, 1.0, 1.0, 1e-310)\n")
-    assert not out.exists()
+    config.write_text(LOW_T_WITNESS_CONFIG.replace("columns = B,C", "columns = B,C,witness"))
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text() == "B,C,witness\n1,0.333333333333,inf\n3,0,inf\n5,0,inf\n"
 
 
 def test_cli_reports_an_unknown_column_before_evaluating_the_grid(monkeypatch, tmp_path,
@@ -609,6 +610,31 @@ def test_cli_at_a_subnormal_temperature_warns_nothing(command, model, row, capsy
 def test_cli_rejects_non_finite_flags(flags, capsys):
     assert main(["concurrence", "--model", "xx", *flags]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", (
+    (["--J", "abc"], "--J: J = 'abc' is not a number"),
+    (["--J", "inf"], "--J: J must be finite, got 'inf'"),
+    (["--format", "xml"], "--format: format must be csv or json"),
+))
+def test_cli_reports_a_bad_flag_as_a_config_error(flags, message, capsys):
+    # argparse printed its usage and exited through SystemExit for the first and third
+    assert main(["concurrence", "--model", "xx", "--J", "1", "--T", "1", *flags]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_cli_flags_and_config_lines_give_the_same_json(tmp_path, capsys):
+    config = tmp_path / "point.cfg"
+    config.write_text("T = 0.7\nformat = json\n[model]\nmodel = XXZfield\n"
+                      "J = -1\nΔ = 0.5\nB = 2\n")
+    assert main(["thermal", "--config", str(config)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["thermal", "--model", "XXZfield", "--J=-1", "--delta", "0.5", "--B", "2",
+                 "--T", "0.7", "--format", "json"]) == 0
+    from_flags = capsys.readouterr().out
+    assert from_flags == from_config
+    assert json.loads(from_flags)["meta"]["model"] == {"model": "xxzfield", "J": -1.0,
+                                                       "delta": 0.5, "B": 2.0}
 
 
 EXPORTED_ERRORS = [error for error in map(vars(spinthermal).get, spinthermal.__all__)

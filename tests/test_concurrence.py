@@ -28,7 +28,7 @@ import spinthermal.concurrence as concurrence_module
 from spinthermal.analysis import SweepAxis, SweepConfig, sweep_blocks
 from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, _fsum_columns, closed_form_xstate,
                                      closed_route, closed_route_array)
-from spinthermal.spinmodel import LEVELS
+from spinthermal.spinmodel import LEVELS, level_energies
 
 STATES = analytic_eigenstates()
 
@@ -540,6 +540,37 @@ def test_witness_is_minus_infinity_only_at_zero_coupling():
                            (0.0, -2.0, -1.0, 10.0)]) == [-math.inf] * 3
     assert all(math.isfinite(w) for w in closed_witness([(1e-12, 0.5, 0.3, 1.0),
                                                          (-1e-300, 1.0, 0.0, 1.0)]))
+
+
+def gap_bracket(J, delta, B):
+    """``max(-3J, 0) + max_y - (max_00 + max_11)/2`` over the level gaps ``E_min - E``,
+    each ``max`` the largest gap of its level group: the witness times ``T`` as ``T -> 0``."""
+    levels = level_energies(J, delta, B)
+    gaps = [min(levels) - e for e in levels]
+    top = [max(gaps[k] for k in group) for group in ((1, 3), (0, 1, 2), (3, 4, 5))]
+    return max(-3.0 * J, 0.0) + top[0] - 0.5 * (top[1] + top[2])
+
+
+@pytest.mark.parametrize("J, delta, B, T", (
+    (1.0, 1.0, 5.0, 1e-310), (1.0, 0.5, 1e300, 1e-10), (-1.0, 0.2, 5.0, 1e-310),
+))
+def test_witness_where_a_level_group_underflows_takes_the_sign_of_the_gaps(J, delta, B, T):
+    # every log weight of one level group is -inf; the witness was nan (-inf - -inf)
+    [w] = closed_witness([(J, delta, B, T)])
+    bracket = gap_bracket(J, delta, B)
+    assert not math.isnan(w)
+    if bracket:
+        assert w == math.copysign(math.inf, bracket)
+    else:  # B = 1e300 absorbs J and delta: the rounded gaps cancel, and the 1/T terms with them
+        assert abs(w - math.log(1.0 / 3.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("delta", (0.0, 0.5))
+def test_witness_where_the_gaps_cancel_is_its_finite_limit(delta):
+    # the ferromagnetic ring at B = 0 as T -> 0: the ground doublet alone,
+    # where rho_y = 2 sqrt(rho00 rho11)
+    assert gap_bracket(-1.0, delta, 0.0) == 0.0
+    assert closed_witness([(-1.0, delta, 0.0, 1e-310)]) == [math.log(2.0)]
 
 
 @pytest.mark.parametrize("variant", ("xx", "xxz", "xxzfield"))

@@ -173,6 +173,77 @@ def test_build_hamiltonian_near_the_float_max_stays_the_kronecker_build():
         assert build_hamiltonian(model).tobytes() == kron_reference_hamiltonian(model).tobytes()
 
 
+def per_variant_term_sum(spec):
+    """H as each variant's own terms, zero coefficients included: ``J/2`` hopping
+    (and ``delta*J/2`` anisotropy) bond by bond, then ``B`` site by site, or
+    ``J_a/2`` per bond and axis, then ``B_a``; ``FloatOverflow`` where an entry
+    or a coefficient leaves the float range."""
+    eye = np.eye(8, dtype=complex)
+    bonds = [[pauli(n, axis) @ pauli(m, axis) for axis in "xyz"]
+             for n, m in ((1, 2), (2, 3), (3, 1))]
+    sites = [pauli(n, "z") for n in (1, 2, 3)]
+    if spec.variant == "xyz":
+        couplings = (spec.J1, spec.J2, spec.J3)
+        terms = [(J / 2.0, op) for bond in bonds for J, op in zip(couplings, bond)]
+        terms += zip((spec.B1, spec.B2, spec.B3), sites)
+    else:
+        terms = []
+        for xx, yy, zz in bonds:
+            terms.append((spec.J / 2.0, xx + yy))
+            if spec.variant != "xx":
+                terms.append((spec.delta * spec.J / 2.0, zz - eye))
+        if spec.variant == "xxzfield":
+            terms += [(spec.B, z) for z in sites]
+    h = np.zeros((8, 8), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coefficient, op in terms:
+            h += coefficient * op
+    if not np.isfinite(h).all():
+        raise FloatOverflow("beyond the float range")
+    return h
+
+
+def seeded_specs_with_zero_terms():
+    rng = np.random.default_rng(20)
+    pool = (0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1e200, -1.7e308)
+
+    def coupling():
+        if rng.random() < 0.6:
+            return float(rng.choice(pool))
+        return float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0))
+
+    specs = [ModelSpec.xx(0.0), ModelSpec.xxz(-0.0, 0.0), ModelSpec.xxz(1.0, -0.0),
+             ModelSpec.xxz_field(0.0, 0.0, 0.0), ModelSpec.xxz_field(-1.0, 0.0, -0.0),
+             ModelSpec.general_xyz(0.0, -0.0, 0.0)]
+    for _ in range(150):
+        specs.append(ModelSpec.xx(coupling()))
+        specs.append(ModelSpec.xxz(coupling(), coupling()))
+        specs.append(ModelSpec.xxz_field(coupling(), coupling(), coupling()))
+        specs.append(ModelSpec.general_xyz(*(coupling() for _ in range(6))))
+    return specs
+
+
+def test_build_hamiltonian_skipping_zero_terms_is_bitwise_the_per_variant_sums():
+    overflows = 0
+    for spec in seeded_specs_with_zero_terms():
+        try:
+            expected = per_variant_term_sum(spec)
+        except FloatOverflow:
+            overflows += 1
+            with pytest.raises(FloatOverflow):
+                build_hamiltonian(spec)
+            continue
+        assert build_hamiltonian(spec).tobytes() == expected.tobytes(), spec
+    assert 0 < overflows < 600
+
+
+def test_build_hamiltonian_ignores_fields_outside_the_variant():
+    stray = ModelSpec("xx", J=-1.0, delta=2.0, B=3.0, J1=1.0)
+    assert stray.closed_form_params() == (-1.0, 0.0, 0.0)
+    assert build_hamiltonian(stray).tobytes() == build_hamiltonian(ModelSpec.xx(-1.0)).tobytes()
+    assert ModelSpec("xxz", J=1.0, delta=0.5, B=3.0).closed_form_params() == (1.0, 0.5, 0.0)
+
+
 def test_cyclic_shift_permutation():
     p = cyclic_shift()
     assert np.allclose(p @ ket(0, 0, 1), ket(1, 0, 0))
