@@ -50,6 +50,7 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -61,14 +62,15 @@ from typing import Iterator
 import numpy as np
 
 from . import analysis, concurrence, spinmodel, thermalstate
-from .errors import InputError, ParseError, SpinThermalError, UnknownKey, ValidationError
+from .errors import (InputError, ParseError, SpinThermalError, UnknownKey, UnsupportedModel,
+                     ValidationError)
 
 COMMANDS = ("eig", "thermal", "concurrence", "critical", "sweep", "verify")
 
 _TOP_KEYS = ("command", "T", "out", "format", "columns")
 _MODEL_KEYS = ("model", *dict.fromkeys(sum(spinmodel.REQUIRED_FIELDS.values(), ())))
 _GRID_KEYS = ("min", "max", "steps")
-_AXIS_ALIASES = {"t": "T", "j": "J", "delta": "delta", "Δ": "delta", "b": "B"}
+_AXIS_ALIASES = {"Δ": "delta", **{name.lower(): name for name in ("T", *_MODEL_KEYS[1:])}}
 
 
 @dataclass
@@ -411,7 +413,7 @@ def _cmd_thermal(cfg: RunConfig) -> int:
     Z = thermalstate.partition_function(model, T)
     row = {"T": T, "Z": Z}
     columns = ["T", "Z"]
-    if model.variant != "xyz":
+    with contextlib.suppress(UnsupportedModel):  # the variant has no closed form
         params = concurrence.closed_form_xstate(*model.closed_form_params(), T)
         row.update({"u": params.u, "v": params.v, "w": params.w, "y": params.y})
         columns += ["u", "v", "w", "y"]
@@ -426,7 +428,7 @@ def _cmd_concurrence(cfg: RunConfig) -> int:
     reduced = thermalstate.partial_trace(rho)
     numeric = concurrence.concurrence_general(reduced).C
     row = {"T": T, "C_numeric": numeric, "C_closed": None}
-    if model.variant != "xyz":
+    with contextlib.suppress(UnsupportedModel):  # the variant has no closed form
         row["C_closed"] = concurrence.concurrence_closed_form(model, T)
     _emit_rows(cfg, ["T", "C_numeric", "C_closed"], [row])
     return 0

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
-from .linalg import (PSD_FLOOR, degenerate_groups, exp_or_inf, hermitian_eigen, kron,
-                     map_floats, singular_values)
+from .linalg import (PSD_FLOOR, TRACE_TOL, degenerate_groups, exp_or_inf, hermitian_eigen,
+                     kron, map_floats, singular_values)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
 
 #: Two-qubit spin-flip operator; real antidiagonal (-1, 1, 1, -1).
@@ -50,8 +50,6 @@ LEVEL_REDUCED_SIXTHS = ((6, 0, 0, 0), (4, 0, 4, -2), (2, 0, 2, 2),
 # Each column's nonzero terms as (getter of their levels, sixths), summed into s00, s11, s_w, s_y.
 _CONTRACTIONS = tuple((operator.itemgetter(*(k for k, c in enumerate(col) if c)),
                        tuple(filter(None, col))) for col in zip(*LEVEL_REDUCED_SIXTHS))
-
-_XSTATE_TRACE_TOL = 1e-10
 
 _EXPM1_CAP = 700.0  # math.expm1 overflows just above 709.78
 _TINY = sys.float_info.min
@@ -92,7 +90,7 @@ class XStateParams:
         if not all(map(math.isfinite, values)):
             return  # saturated to +-inf with Z (closed_form_xstate); no trace to check
         trace = 2.0 * (self.u + self.v + 2.0 * self.w) / (3.0 * self.Z)
-        if abs(trace - 1.0) > _XSTATE_TRACE_TOL:
+        if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidState(f"parameters violate unit trace: {trace!r}")
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import FloatOverflow, NoConvergence, NotHermitian, NotPSD
 
 HERMITICITY_RTOL = 1e-10
+TRACE_TOL = 1e-10            # |trace - 1| allowed of a density matrix or X-state
 JACOBI_OFF_TOL = 1e-13       # times the Frobenius norm of the input
 JACOBI_SWEEP_CAP = 100
 PSD_FLOOR = -1e-12           # eigenvalues below this reject the matrix
@@ -44,16 +45,17 @@ class Spectrum:
 def degenerate_groups(values) -> list[list[int]]:
     """Indices of ascending ``values`` grouped by near-degeneracy.
 
-    Adjacent values closer than ``DEGENERACY_TOL * (1 + |E|)`` land in one group.
-    Zero-temperature logic consumes these groups rather than individual
-    eigenvectors: the ring spectra are heavily degenerate by
-    construction and the split of a degenerate eigenspace into vectors
-    is arbitrary.
+    Adjacent values at most ``DEGENERACY_TOL * max(|E_first|, |E_last|)``
+    apart land in one group; the tolerance scales with the spectrum, as
+    the Jacobi error does.  Zero-temperature logic consumes these groups
+    rather than individual eigenvectors: the ring spectra are heavily
+    degenerate by construction and the split of a degenerate eigenspace
+    into vectors is arbitrary.
     """
+    tol = DEGENERACY_TOL * max(abs(values[0]), abs(values[-1]))
     groups = [[0]]
     for i in range(1, len(values)):
-        scale = 1.0 + max(abs(values[i]), abs(values[i - 1]))
-        if values[i] - values[i - 1] <= DEGENERACY_TOL * scale:
+        if values[i] - values[i - 1] <= tol:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -126,19 +128,20 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
 
     Sweeps run until the off-diagonal Frobenius norm drops below
     ``JACOBI_OFF_TOL`` times the norm of the input, capped at
-    ``JACOBI_SWEEP_CAP`` sweeps.  The rotations run on Python ``complex``
-    lists: each replaces rows ``p`` and ``q`` of the matrix and fills its
-    columns ``p`` and ``q`` by conjugation, so it stays exactly Hermitian,
-    and rotates columns ``p`` and ``q`` of the eigenvectors as rows of
-    their transpose.
+    ``JACOBI_SWEEP_CAP`` sweeps; both norms are ``math.hypot`` of moduli,
+    which squares nothing, and the zero matrix converges at once.  The
+    rotations run on Python ``complex`` lists: each replaces rows ``p``
+    and ``q`` of the matrix and fills its columns ``p`` and ``q`` by
+    conjugation, so it stays exactly Hermitian, and rotates columns ``p``
+    and ``q`` of the eigenvectors as rows of their transpose.
 
     Raises
     ------
     NotHermitian
         If :func:`check_hermitian` rejects the matrix.
     FloatOverflow
-        If the Frobenius norm of the input overflows (entries above
-        about 1e154), so no tolerance can be set.
+        If twice the Frobenius norm of the input is beyond the float
+        range, where a rotation's ``aqq - app`` or ``2 |apq|`` could overflow.
     NoConvergence
         If the sweep cap is reached with the off-diagonal norm still
         above threshold.
@@ -146,14 +149,12 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     m = np.asarray(m, dtype=complex)
     check_hermitian(m)
     n = m.shape[0]
-    # the norm's squares overflow from entries of 1.35e154, m + m^H near the float max
+    # hypot squares nothing; m + m^H or an entry's modulus can still overflow
     with np.errstate(over="ignore", invalid="ignore"):
         h = (m + m.conj().T) / 2.0
-        norm = float(np.linalg.norm(h))
-    if not math.isfinite(norm):
-        raise FloatOverflow("the Frobenius norm of the matrix is beyond the float range")
-    if norm == 0.0:
-        return Spectrum(np.zeros(n), np.eye(n, dtype=complex))
+        norm = math.hypot(*np.abs(h).ravel().tolist())
+    if not math.isfinite(2.0 * norm):  # bounds every aqq - app and 2 |apq| of a rotation
+        raise FloatOverflow("the Frobenius norm of the matrix is beyond half the float range")
     tol = JACOBI_OFF_TOL * norm
     # Skipping elements below elem_tol cannot stall convergence: if every
     # |a[p, q]| <= elem_tol then the off-diagonal norm is already <= tol.
@@ -202,7 +203,8 @@ def singular_values(m: np.ndarray) -> list[float]:
     ``x``, ``y`` of ``m`` until each pair is orthogonal to within
     ``JACOBI_OFF_TOL``, ``|x^H y| <= JACOBI_OFF_TOL |x| |y|``; the column
     norms are then the singular values.  A small singular value comes out
-    with an error of about machine epsilon times the norm of ``m``.
+    with an error of about machine epsilon times the norm of ``m``.  It
+    squares the columns, in range for its one caller's ``tau`` of a unit-trace state.
 
     Raises ``NoConvergence`` if ``JACOBI_SWEEP_CAP`` sweeps all rotate.
     """

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, InvalidTemperature
-from .linalg import check_hermitian, degenerate_groups, exp_or_inf, hermitian_eigen
+from .linalg import TRACE_TOL, check_hermitian, degenerate_groups, exp_or_inf, hermitian_eigen
 from .spinmodel import ModelSpec, build_hamiltonian
-
-_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class DensityMatrix:
             raise ValueError(f"expected a 4x4 or 8x8 matrix, got {mat.shape}")
         check_hermitian(mat)
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > _TRACE_TOL:
+        if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidState(f"trace must be 1, got {trace!r}")
 
 

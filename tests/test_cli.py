@@ -125,6 +125,35 @@ def test_parse_xyz_model_with_format_and_out():
     )
 
 
+def test_parse_grid_axes_are_t_and_the_model_fields_in_any_case():
+    text = "".join(f"[grid:{axis}]\nmin = 0\nmax = 1\nsteps = 2\n"
+                   for axis in ("t", "Δ", "b3", "J1"))
+    assert [axis.name for axis in parse_config(text).grid] == ["T", "delta", "B3", "J1"]
+    with pytest.raises(ParseError, match="unknown grid axis 'model'"):
+        parse_config("[grid:model]\nmin = 0\nmax = 1\nsteps = 2\n")
+
+
+def test_cli_sweep_rejects_a_field_axis_outside_the_variant(tmp_path, capsys):
+    config = tmp_path / "j1.cfg"
+    config.write_text("T = 1\n[grid:J1]\nmin = 0\nmax = 1\nsteps = 2\n")
+    assert main(["sweep", "--config", str(config), "--model", "xx", "--J=1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: axis 'J1' does not apply to variant 'xx'\n")
+
+
+XYZ_MODEL = "[model]\nmodel = xyz\nJ1 = 1\nJ2 = 0.5\nJ3 = -0.3\nB1 = 0.1\nB2 = 0\nB3 = 0.4\n"
+
+
+def test_cli_general_xyz_prints_no_closed_form_columns(tmp_path, capsys):
+    config = tmp_path / "xyz.cfg"
+    config.write_text(XYZ_MODEL)
+    assert main(["thermal", "--config", str(config), "--T=1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "T,Z"
+    assert main(["concurrence", "--config", str(config), "--T=1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "T,C_numeric,C_closed" and row.endswith(",")
+
+
 def test_render_csv_formatting():
     text = render_csv(["a", "b"], [{"a": 1.0 / 3.0, "b": None}, {"a": 2, "b": "x"}])
     lines = text.split("\n")
@@ -575,11 +604,37 @@ def test_cli_exit_codes(capsys):
 
 
 def test_cli_eig_of_a_norm_beyond_the_float_range_exits_3(capsys):
-    # the squared entries overflowed: eight zero energies, exit 0 and a RuntimeWarning
-    assert main(["eig", "--model", "xx", "--J=1e160"]) == 3
+    # hopping entries of 1e308: m + m^H overflows
+    assert main(["eig", "--model", "xx", "--J=1e308"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: the Frobenius norm")
+
+
+@pytest.mark.parametrize("J, energies", (
+    ("1e-170", ("-1e-170",) * 4 + ("0",) * 2 + ("2e-170",) * 2),  # printed eight 0
+    ("1e160", ("-1e+160",) * 4 + ("0",) * 2 + ("2e+160",) * 2),  # exited 3
+))
+def test_cli_eig_prints_the_ring_levels_at_any_scale(J, energies, capsys):
+    assert main(["eig", "--model", "xx", f"--J={J}"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[1] for row in rows] == list(energies)
+    assert [row[2] for row in rows] == ["0"] * 4 + ["1"] * 2 + ["2"] * 2
+
+
+@pytest.mark.parametrize("argv, row", (
+    # C_numeric read 0 beside C_closed, and 1e155 exited 3
+    (["--model", "xx", "--J=-1e-170", "--T=1e-170"], "1e-170,0.1065789038,0.1065789038"),
+    (["--model", "xx", "--J=-1e155", "--T=1e155"], "1e+155,0.1065789038,0.1065789038"),
+    # both routes read 0: DEGENERACY_TOL (1 + |E|) grouped every level at |J| = 1e-9
+    (["--model", "xxzfield", "--J=1e-9", "--delta=1", "--B=5e-10", "--T=0"],
+     "0,0.333333333333,0.333333333333"),
+    (["--model", "xxzfield", "--J=-1e-9", "--delta=-0.5", "--B=5e-10", "--T=0"],
+     "0,0.666666666667,0.666666666667"),
+))
+def test_cli_concurrence_depends_on_the_ratios_alone(argv, row, capsys):
+    assert main(["concurrence", *argv]) == 0
+    assert capsys.readouterr().out == f"T,C_numeric,C_closed\n{row}\n"
 
 
 @pytest.mark.parametrize("model", (

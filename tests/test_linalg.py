@@ -154,9 +154,26 @@ def test_eigen_rejects_non_finite():
 
 
 def test_eigen_rejects_a_norm_beyond_the_float_range():
-    # the squared entries overflow; the tolerance was inf and the diagonal came back
+    # eight entries of 8e307: m + m^H stays finite and the norm, 2.3e308, does not
     with pytest.raises(FloatOverflow, match="Frobenius norm"):
-        hermitian_eigen(build_hamiltonian(ModelSpec.xx(1e160)))
+        hermitian_eigen(np.diag([8e307] * 8))
+    # a norm of 1.8e308, within the range but beyond half of it: 2 |apq| overflowed
+    # in the rotation, and an eigenvalue came back inf
+    z = complex(8e307, 8e307)
+    with pytest.raises(FloatOverflow, match="Frobenius norm"):
+        hermitian_eigen(np.array([[0.0, z], [z.conjugate(), 8e307]]))
+
+
+@pytest.mark.parametrize("J", (1e-170, 1e160))
+def test_eigen_of_a_ring_whose_squared_entries_underflow_or_overflow(J):
+    # a norm from squared entries was 0 at 1e-170, and the eight energies came back 0;
+    # at 1e160 it was inf, and the solve raised FloatOverflow
+    h = build_hamiltonian(ModelSpec.xx(J))
+    spec = hermitian_eigen(h)
+    assert np.abs(spec.eigenvalues - J * np.array([-1, -1, -1, -1, 0, 0, 2, 2])).max() <= 1e-14 * J
+    v = spec.eigenvectors
+    assert np.abs(h @ v - v * spec.eigenvalues).max() <= 1e-12 * J
+    assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-14
 
 
 def test_eigen_zero_matrix():
@@ -165,16 +182,28 @@ def test_eigen_zero_matrix():
 
 
 def test_eigen_zero_matrix_returns_a_fresh_identity():
-    first, second = hermitian_eigen(np.zeros((3, 3))), hermitian_eigen(np.zeros((3, 3)))
+    zero = np.zeros((3, 3))
+    first, second = hermitian_eigen(zero), hermitian_eigen(zero)
     assert np.array_equal(first.eigenvectors, np.eye(3))
-    assert first.eigenvectors.base is None  # not a view of the work array
+    # no other call and no input shares its memory
+    for out in (first.eigenvalues, first.eigenvectors):
+        for other in (zero, second.eigenvalues, second.eigenvectors):
+            assert not np.shares_memory(out, other)
     first.eigenvectors[0, 0] = 7.0
     assert np.array_equal(second.eigenvectors, np.eye(3))
 
 
-@pytest.mark.parametrize("entry", (1.35e154, 1e200, 1.7e308))
+@pytest.mark.parametrize("entry", (1.35e154, 1e200))
+def test_eigen_of_entries_whose_squares_overflow(entry):
+    # np.linalg.norm squared them to inf; hypot squares nothing
+    m = np.array([[1.0, entry], [entry, entry]])
+    want = np.linalg.eigvalsh(m / entry) * entry
+    assert np.abs(hermitian_eigen(m).eigenvalues - want).max() <= 1e-15 * entry
+
+
+@pytest.mark.parametrize("entry", (1.7e308,))
 def test_eigen_of_entries_near_the_float_max_raises_without_a_warning(entry):
-    # the squares overflow from 1.35e154 on, and m + m^H itself at 1.7e308
+    # m + m^H overflows at 1.7e308
     with pytest.raises(FloatOverflow, match="Frobenius norm"):
         hermitian_eigen(np.array([[1.0, entry], [entry, entry]]))
 
@@ -190,6 +219,16 @@ def test_degenerate_groups():
     spec = hermitian_eigen(build_hamiltonian(ModelSpec.xx(1.0)))
     sizes = sorted(len(g) for g in degenerate_groups(spec.eigenvalues))
     assert sizes == [2, 2, 4]
+
+
+def test_degenerate_groups_are_scale_free():
+    # the tolerance is relative to the spectrum: 1 + |E| grouped all of a ring at J = 1e-9
+    values = hermitian_eigen(build_hamiltonian(ModelSpec.xxz_field(1.0, 1.0, 0.5))).eigenvalues
+    want = degenerate_groups(values)
+    assert [len(g) for g in want] == [2, 2, 1, 1, 1, 1]  # -3.5, -2.5, -1.5, -0.5, 0.5, 1.5
+    for k in (-1000, -30, 30, 1000):
+        assert degenerate_groups(np.ldexp(values, k)) == want
+    assert degenerate_groups([0.0, 0.0, 0.0]) == [[0, 1, 2]]
 
 
 def test_psd_sqrt_identity():
