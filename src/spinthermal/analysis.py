@@ -12,7 +12,7 @@ the Boltzmann factor ``z = exp(J/T)``:
   evaluated as ``(h - g) + 2 h sinh(beta B)**2``.
 
 Each is finite on part of the domain only; the sweep's witness (from
-:func:`~spinthermal.concurrence.closed_route_array`) is finite on all of it.
+:func:`~spinthermal.sweepengine.closed_route_array`) is finite on all of it.
 
 Critical points come from plain bisection: the witnesses are monotone
 through their single sign change on the bracketed interval, and at this
@@ -29,8 +29,8 @@ parameters and the critical temperature) is computed once per distinct
 coordinate and kept for the length of the call; the critical point
 itself is bisected once per distinct anisotropy and scaled by each
 coordinate's ``|J|``.  The grid points are then evaluated
-:data:`SWEEP_BLOCK` at a time as numpy arrays by
-:func:`~spinthermal.concurrence.closed_route_array`, whose ``C`` and
+:data:`~spinthermal.sweepengine.SWEEP_BLOCK` at a time as numpy arrays by
+:func:`~spinthermal.sweepengine.closed_route_array`, whose ``C`` and
 ``Z`` are the scalar route's bit for bit and whose witness,
 ``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
 for every variant.  :func:`sweep_blocks` takes the output columns,
@@ -47,11 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
-from .concurrence import closed_route_array
-from .errors import (InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain,
-                     ValidationError)
+from .errors import InvalidGrid, InvalidTemperature, NoRoot, OutOfDomain, ValidationError
 from .spinmodel import REQUIRED_FIELDS, ModelSpec
 
 BISECT_TOL = 1e-12
@@ -219,9 +215,6 @@ def xxx_field_threshold() -> float:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-#: Grid points a sweep evaluates as one set of arrays.
-SWEEP_BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -316,9 +309,10 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
 
     The grid and ``columns`` are validated and the per-coordinate data
     (the closed-form parameters and ``T_c``) computed at the call; the
-    iterator then evaluates :data:`SWEEP_BLOCK` grid points at a time, in
-    grid order (first axis outermost), and yields each block as one list
-    per named field.
+    iterator, :func:`spinthermal.sweepengine.sweep_rows`, then evaluates
+    :data:`~spinthermal.sweepengine.SWEEP_BLOCK` grid points at a time
+    as numpy arrays, in grid order (first axis outermost), and yields
+    each block as one list per named field.
 
     ``T_c`` is bisected once per distinct anisotropy.  ``C`` and ``Z``
     are those of :func:`~spinthermal.concurrence.closed_route`, bit for
@@ -343,7 +337,6 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
         if name not in fields:
             raise ValidationError(f"unknown output column {name!r}")
     with_T_c = "T_c" in columns
-    closed_names = [name for name in ("C", "Z", "witness") if name in columns]
     coordinates = []
     critical_points: dict = {}
     for values in itertools.product(*other_grids):
@@ -354,26 +347,9 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     pairs = (itertools.product(coordinates, temperatures) if t_inner
              else itertools.product(temperatures, coordinates))
 
-    def blocks() -> Iterator[dict[str, list]]:
-        for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
-            firsts, seconds = zip(*block)
-            coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
-            Js, deltas, Bs, T_cs = zip(*coords)
-            computed = {}
-            if closed_names:  # axes and T_c alone need no level sums
-                arrays = (np.array(column) for column in (Js, deltas, Bs, temps))
-                computed = dict(zip(("C", "Z", "witness"), closed_route_array(*arrays, columns)))
-            for name in closed_names:
-                bad = np.flatnonzero(np.isnan(computed[name]))
-                if bad.size:
-                    i = bad[0]
-                    raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "
-                                    f"({Js[i]!r}, {deltas[i]!r}, {Bs[i]!r}, {temps[i]!r})")
-            values = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "T_c": T_cs}
-            yield {name: values[name] if name in values else computed[name].tolist()
-                   for name in columns}
+    from . import sweepengine  # numpy, loaded by the sweep alone
 
-    return columns, blocks()
+    return columns, sweepengine.sweep_rows(pairs, t_inner, columns)
 
 
 def sweep(config: SweepConfig) -> list[dict]:

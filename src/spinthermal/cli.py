@@ -59,8 +59,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from . import analysis, concurrence, spinmodel, thermalstate
 from .errors import (InputError, ParseError, SpinThermalError, UnknownKey, UnsupportedModel,
                      ValidationError)
@@ -211,8 +209,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".12g")
 
 
@@ -269,10 +267,9 @@ def _json_cells(column: list) -> list[str]:
         distinct = dict.fromkeys(column)
         if 2 * len(distinct) <= len(column):
             values = list(distinct)
-            if 0.0 in distinct:
-                zeros = np.array(column, float)  # None reads as NaN
-                if 0.0 < np.signbit(zeros[zeros == 0.0]).mean() < 1.0:  # zeros of both signs
-                    values = column
+            if 0.0 in distinct and len({math.copysign(1.0, v) for v in column
+                                        if v == 0.0}) == 2:  # zeros of both signs
+                values = column
     if kinds <= {float}:
         texts = _json_floats(values)
     else:
@@ -503,6 +500,8 @@ def run_verification() -> list[tuple[str, bool, str, str]]:
     a bisection root, a hand-traced matrix, or agreement between the two
     independent computation routes.
     """
+    import numpy as np
+
     from .linalg import hermitian_eigen
     from .spinmodel import (
         ModelSpec,
@@ -536,7 +535,7 @@ def run_verification() -> list[tuple[str, bool, str, str]]:
     worst = 0.0
     for model in (ModelSpec.xx(-1.0), ModelSpec.xxz(1.0, 0.5),
                   ModelSpec.xxz_field(1.0, 1.0, 2.0)):
-        h = build_hamiltonian(model)
+        h = np.asarray(build_hamiltonian(model))
         energies = analytic_energies(model)
         for k, psi in enumerate(states):
             worst = max(worst, float(np.linalg.norm(h @ psi - energies[k] * psi)))
@@ -549,7 +548,7 @@ def run_verification() -> list[tuple[str, bool, str, str]]:
     golden = (2.0 / 3.0) * np.array(
         [[0.5, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0.5]], dtype=complex
     )
-    dev = float(np.abs(reduced - golden).max())
+    dev = float(np.abs(np.asarray(reduced) - golden).max())
     record("reduced-state-golden", dev <= 1e-12, f"max|drho|={dev:.2e}", "hand trace")
 
     # Critical constants.

@@ -17,9 +17,14 @@ Three routes are provided:
   pipeline: ground-shifted Boltzmann weights over the six analytic
   levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
   overflows, and the degenerate ground group at ``T = 0``;
-  :func:`closed_route_array` gives its ``(C, Z)`` over arrays, bit for
-  bit, for sweeps, with the sign-carrying entanglement witness
-  ``ln(|rho_y| / sqrt(rho00 rho11))`` from the same level weights.
+  :func:`spinthermal.sweepengine.closed_route_array` gives its ``(C, Z)``
+  over arrays, bit for bit, for sweeps, with the sign-carrying
+  entanglement witness ``ln(|rho_y| / sqrt(rho00 rho11))`` of
+  :func:`_log_witness` from the same level weights.
+
+Matrices are lists of rows of ``complex`` (see
+:func:`spinthermal.linalg.as_rows`); only :func:`spin_flip` returns a
+numpy array, and imports numpy when it is called.
 
 Complex conjugation in the spin flip is taken entry-wise in the
 computational basis fixed by :mod:`spinthermal.spinmodel`; pinning the
@@ -30,18 +35,12 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidState, InvalidTemperature, NotPSD
-from .linalg import (PSD_FLOOR, TRACE_TOL, degenerate_groups, exp_or_inf, hermitian_eigen,
-                     kron, map_floats, singular_values)
+from .linalg import (PSD_FLOOR, TRACE_TOL, as_rows, degenerate_groups, exp_or_inf,
+                     hermitian_eigen, kron, shape, singular_values)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
-
-#: Two-qubit spin-flip operator; real antidiagonal (-1, 1, 1, -1).
-SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
 
 #: ``Tr_3`` of each level's projector (its states in ``spinmodel.LEVELS``) in
 #: sixths: ``(<00|r|00>, <11|r|11>, <01|r|01> = <10|r|10>, <01|r|10>)``.
@@ -52,9 +51,6 @@ _CONTRACTIONS = tuple((operator.itemgetter(*(k for k, c in enumerate(col) if c))
                        tuple(filter(None, col))) for col in zip(*LEVEL_REDUCED_SIXTHS))
 
 _EXPM1_CAP = 700.0  # math.expm1 overflows just above 709.78
-_TINY = sys.float_info.min
-_HUGE = sys.float_info.max
-_TAIL_MARGIN = 1.0 + 2.0**-40  # above the roundings of (|d| + sum |g|) * _TAIL_MARGIN itself
 _LN2 = math.log(2.0)
 _P1_PLUS_P3 = (operator.itemgetter(1, 3), (1, 1))  # the chiral doublets, which carry rho_y
 
@@ -94,38 +90,49 @@ class XStateParams:
             raise InvalidState(f"parameters violate unit trace: {trace!r}")
 
 
-def _as_matrix(rho) -> np.ndarray:
-    mat = getattr(rho, "mat", rho)
-    mat = np.asarray(mat, dtype=complex)
+def spin_flip(rho):
+    """The tilde transform ``(sy x sy) conj(rho) (sy x sy)``, as a numpy array."""
+    import numpy as np
+
+    flip = kron(SIGMA_Y, SIGMA_Y)
+    mat = np.asarray(getattr(rho, "mat", rho), dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {mat.shape}")
-    return mat
-
-
-def spin_flip(rho) -> np.ndarray:
-    """The tilde transform ``(sy x sy) conj(rho) (sy x sy)``."""
-    mat = _as_matrix(rho)
-    return SPIN_FLIP @ mat.conj() @ SPIN_FLIP
+    return flip @ mat.conj() @ flip
 
 
 def concurrence_general(rho) -> ConcurrenceResult:
     """Concurrence of an arbitrary two-qubit density matrix.
 
-    Accepts a plain 4x4 array or anything exposing ``.mat``.  One
-    Hermitian solve ``rho = V D V^H`` gives the factor
-    ``L = V sqrt(max(D, 0))`` with ``rho = L L^H``; an eigenvalue of
-    ``rho`` below ``PSD_FLOOR`` raises ``NotPSD``.  ``rho @ rho_tilde``
-    then has the spectrum of ``tau^H tau`` for the complex symmetric
-    ``tau = L^T (sy x sy) L``, so the four lambdas are the singular values
-    of ``tau``, descending, and the concurrence is
-    ``max(l1 - l2 - l3 - l4, 0)``.
+    Accepts a plain 4x4 matrix (see :func:`spinthermal.linalg.as_rows`),
+    checked as :func:`~spinthermal.linalg.hermitian_eigen` checks it, or
+    a :class:`~spinthermal.thermalstate.DensityMatrix` (anything exposing
+    ``.mat``), checked when it was made.  One Hermitian solve
+    ``rho = V D V^H`` gives the factor ``L = V sqrt(max(D, 0))`` with
+    ``rho = L L^H``; an eigenvalue of ``rho`` below ``PSD_FLOOR`` raises
+    ``NotPSD``.  ``rho @ rho_tilde`` then has the spectrum of
+    ``tau^H tau`` for the complex symmetric ``tau = L^T (sy x sy) L``, so
+    the four lambdas are the singular values of ``tau``, descending, and
+    the concurrence is ``max(l1 - l2 - l3 - l4, 0)``.
     """
-    spectrum = hermitian_eigen(_as_matrix(rho))
+    validated = hasattr(rho, "mat")
+    mat = rho.mat if validated else as_rows(rho)
+    if shape(mat) != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {shape(mat)}")
+    spectrum = hermitian_eigen(rho if validated else mat)
     vals = spectrum.eigenvalues
-    if float(vals.min()) < PSD_FLOOR:
-        raise NotPSD(f"density matrix eigenvalue {vals.min():.3e} below {PSD_FLOOR:.0e}")
-    factor = spectrum.eigenvectors * np.sqrt(np.clip(vals, 0.0, None))
-    lams = singular_values(factor.T @ SPIN_FLIP @ factor)
+    if min(vals) < PSD_FLOOR:
+        raise NotPSD(f"density matrix eigenvalue {min(vals):.3e} below {PSD_FLOOR:.0e}")
+    roots = [math.sqrt(max(d, 0.0)) for d in vals]
+    # column k of L, and of (sy x sy) L, whose rows are those of L reversed, the outer two negated
+    cols = [[x * r for x in col] for col, r in zip(zip(*spectrum.eigenvectors), roots)]
+    flipped = [(-x3, x2, x1, -x0) for x0, x1, x2, x3 in cols]
+    # tau is symmetric: its upper triangle, mirrored
+    tau = [[0j] * 4 for _ in range(4)]
+    for a, col in enumerate(cols):
+        for b in range(a, 4):
+            tau[a][b] = tau[b][a] = sum(map(operator.mul, col, flipped[b]))
+    lams = singular_values(tau)
     return ConcurrenceResult(lambdas=tuple(lams),
                              C=max(lams[0] - lams[1] - lams[2] - lams[3], 0.0))
 
@@ -196,103 +203,6 @@ def _log_witness(gaps: list, J: float, T: float) -> float:
     lead, log_gap = (-3.0 * J, 0.0) if x > _EXPM1_CAP else (0.0, log_gap)
     (ty, ry), (t00, r00), (t11, r11) = [_log_sum(gaps, *group, T) for group in groups]
     return (lead + ty - 0.5 * (t00 + t11)) / T + (_LN2 + log_gap + ry - 0.5 * (r00 + r11))
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e = a + b`` exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _fsum_columns(terms: list) -> np.ndarray:
-    """``math.fsum`` of each point's terms, over equal-length 1-D arrays, bit for bit.
-
-    A TwoSum cascade over the terms gives ``s`` and its errors ``e``, a
-    second one ``t = fl(sum e)`` and its errors ``g``, and
-    ``(r, d) = TwoSum(s, t)``, so the exact sum is ``r + d + sum g``
-    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)).  ``r``
-    is that sum correctly rounded, as ``fsum`` returns it, where every ``g``
-    is 0 (the sum is ``s + t``, ties included) or where ``|d| + sum |g|``
-    is below half the narrower of ``r``'s two gaps, with a margin.  Any
-    other point, and every zero, subnormal or non-finite ``r``, takes
-    ``math.fsum``, so its NaN, ``inf`` and ``ValueError`` are fsum's own.
-    """
-    s, errors = terms[0], []
-    for x in terms[1:]:
-        s, e = _two_sum(s, x)
-        errors.append(e)
-    t, tail = errors[0], 0.0
-    for e in errors[1:]:
-        t, g = _two_sum(t, e)
-        tail = tail + np.abs(g)
-    r, d = _two_sum(s, t)
-    narrow_gap = np.abs(r - np.nextafter(r, 0.0))  # the gap toward 0 is never the wider
-    magnitude = np.abs(r)
-    kept = (((tail == 0.0) | ((np.abs(d) + tail) * _TAIL_MARGIN < 0.5 * narrow_gap))
-            & (magnitude >= _TINY) & (magnitude <= _HUGE))
-    rest = np.flatnonzero(~kept)
-    if rest.size:
-        r[rest] = list(map(math.fsum, zip(*(x[rest].tolist() for x in terms))))
-    return r
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def closed_route_array(J: np.ndarray, delta: np.ndarray, B: np.ndarray, T: np.ndarray,
-                       columns=("C", "Z", "witness")) -> tuple:
-    """``(C, Z, witness)`` over equal-length 1-D arrays with ``T > 0``.
-
-    Each of the three is computed only where ``columns`` names it, and is
-    ``None`` otherwise.
-
-    ``C`` and ``Z`` are those of :func:`closed_route`, bit for bit: numpy does
-    only the IEEE-exact steps, in the scalar order, every ``exp``, ``expm1``
-    and ``log`` goes through :func:`~spinthermal.linalg.map_floats`, and
-    ``s00``, ``s11``, ``s_w`` and ``s_y`` are the ``math.fsum`` of their
-    column's 3, 3, 4 and 4 nonzero terms, taken over the whole arrays by
-    :func:`_fsum_columns` (a NaN weight still reaches ``C`` and ``Z``
-    through the trace), so no value depends on the array's length.  Its
-    numpy steps raise no overflow, invalid or divide warning: they give
-    the silent ``inf`` and ``nan`` of Python floats.
-
-    ``witness = ln(|rho_y| / sqrt(rho00 rho11))`` has the sign of
-    ``|rho_y| - sqrt(rho00 rho11)``; ``C`` can disagree with it where a
-    level weight underflows.  It is ``-inf`` where ``J = 0`` (``rho_y = 0``).
-    Since ``E_symmetric - E_single = 3J``, ``|s_y| = 2 |expm1(-3J/T)| (p1 + p3)``
-    has no cancellation.  Where a factor of the ratio leaves the normal
-    float range (or ``-3J/T`` exceeds what ``expm1`` takes), the point is
-    evaluated from the log weights ``(E_min - E)/T`` instead; where every log
-    weight of a level group is ``-inf`` it is ``+-inf`` or finite, never NaN
-    (see :func:`_log_witness`).
-    """
-    levels = np.stack(level_energies(J, delta, B))
-    emin = levels.min(axis=0)
-    gaps = emin - levels
-    logs = gaps / T
-    weights = map_floats(math.exp, logs.ravel()).reshape(levels.shape)
-    s00, s11, s_w, s_y = [_fsum_columns([row * c for row, c in zip(get(weights), sixths)])
-                          for get, sixths in _CONTRACTIONS]
-    trace = s00 + s11 + 2.0 * s_w
-    C = Z = witness = None
-    if "C" in columns:
-        gap = 2.0 * (np.abs(s_y / trace) - np.sqrt((s00 / trace) * (s11 / trace)))
-        C = np.where(0.0 > gap, 0.0, gap)  # max(gap, 0.0)
-    if "Z" in columns:
-        Z = map_floats(exp_or_inf, -emin / T) * trace / 6.0
-    if "witness" in columns:
-        x = -3.0 * J / T
-        y_weight = weights[1] + weights[3]
-        # beyond the cap expm1 raises; 0 sends the point to the log form
-        expm1_x = map_floats(math.expm1, np.where(x > _EXPM1_CAP, 0.0, x))
-        numerator = 2.0 * np.abs(expm1_x) * y_weight
-        # a subnormal factor has lost digits (NaN fails too); the ground level
-        # puts at least 2 in s00 or s11, so s00 s11 >= 2 min(s00, s11)
-        normal = np.minimum.reduce((numerator, y_weight, s00, s11)) >= _TINY
-        witness = map_floats(math.log, np.where(normal, numerator / np.sqrt(s00 * s11), 1.0))
-        for i in np.flatnonzero(~normal).tolist():
-            witness[i] = _log_witness(gaps[:, i].tolist(), J[i].item(), T[i].item())
-    return C, Z, witness
 
 
 def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:

@@ -1,23 +1,25 @@
 """Dense complex linear algebra sized for three-qubit problems.
 
-Matrices are plain complex numpy arrays (2x2 up to 8x8).  The eigensolver
-is a cyclic Jacobi iteration with complex plane rotations: at these sizes
-it reaches near machine precision, and every spectral quantity downstream
-(Gibbs weights, the factor of the concurrence's density matrix) runs
-through it.  Its rotations, and those of the one-sided Jacobi SVD that
-gives the concurrence's lambdas, run on Python ``complex`` lists, with
-no numpy call per rotation.
-Array code in the package calls libm functions only through :func:`map_floats`.
+Matrices are nested lists of Python ``complex``, row by row (2x2 up to
+8x8); an input may be any nested sequence of numbers, numpy arrays
+included.  The eigensolver is a cyclic Jacobi iteration with complex
+plane rotations: at these sizes it reaches near machine precision, and
+every spectral quantity downstream (Gibbs weights, the factor of the
+concurrence's density matrix) runs through it.  Its rotations, and
+those of the one-sided Jacobi SVD that gives the concurrence's lambdas,
+run on the lists themselves.  Only :func:`kron` and :func:`psd_sqrt`
+return numpy arrays, and import numpy when they are called.
 All functions are pure; nothing here keeps internal state.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import FloatOverflow, NoConvergence, NotHermitian, NotPSD
 
@@ -33,13 +35,35 @@ DEGENERACY_TOL = 1e-9        # scale for grouping near-equal eigenvalues
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    ``eigenvalues`` are real and ascending; column ``k`` of
-    ``eigenvectors`` is the unit-norm eigenvector paired with
-    ``eigenvalues[k]``.  Ties keep the order produced by the solver.
+    ``eigenvalues`` is a list of real values, ascending; ``eigenvectors``
+    is the matrix (a list of rows) whose column ``k`` is the unit-norm
+    eigenvector paired with ``eigenvalues[k]``.  Ties keep the order
+    produced by the solver.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvalues: list
+    eigenvectors: list
+
+
+def as_rows(m) -> list[list[complex]]:
+    """A fresh list of the rows of the matrix ``m``, each a list of ``complex``.
+
+    ``m`` is any nested sequence of numbers, a numpy array included.
+    Raises ``ValueError`` where ``m`` is not a list of equally long rows.
+    """
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    try:
+        out = [list(map(complex, row)) for row in rows]
+    except TypeError:
+        raise ValueError("expected a matrix: a sequence of rows of numbers") from None
+    if len(set(map(len, out))) > 1:
+        raise ValueError("expected a matrix: its rows differ in length")
+    return out
+
+
+def shape(rows: list) -> tuple[int, int]:
+    """``(rows, columns)`` of a matrix from :func:`as_rows`."""
+    return len(rows), len(rows[0]) if rows else 0
 
 
 def degenerate_groups(values) -> list[list[int]]:
@@ -62,17 +86,6 @@ def degenerate_groups(values) -> list[list[int]]:
     return groups
 
 
-def map_floats(fn, arr: np.ndarray) -> np.ndarray:
-    """``fn`` applied to Python floats elementwise: a float array as long as ``arr``.
-
-    ``arr`` is 1-D.  numpy's own ``exp``, ``power``, ``log`` and ``cosh``
-    differ from the C library's in the last bit on some inputs; going
-    through ``math`` and ``pow`` keeps every value, and every
-    ``OverflowError`` or ``ValueError``, those of the scalar code.
-    """
-    return np.fromiter(map(fn, arr.tolist()), float, len(arr))
-
-
 def exp_or_inf(x: float) -> float:
     """``math.exp(x)``, saturating to ``inf`` where it overflows."""
     try:
@@ -81,30 +94,54 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is ``a[i, j] * b``."""
+def kron(a, b):
+    """Kronecker product as a numpy array; block (i, j) of the result is ``a[i, j] * b``."""
+    import numpy as np
+
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def check_hermitian(m: np.ndarray) -> None:
-    """Raise ``NotHermitian`` unless ``m`` is square, finite and Hermitian.
+def _moduli(values) -> list[float]:
+    """``|z|`` of each of ``values``: ``inf`` where it is beyond the float range,
+    where Python's ``abs`` raises ``OverflowError``."""
+    values = list(values)
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return [math.hypot(z.real, z.imag) for z in values]
+
+
+def check_hermitian(rows: list) -> bool:
+    """Raise ``NotHermitian`` unless the matrix ``rows`` (see :func:`as_rows`)
+    is square, finite and Hermitian; return whether ``m == m^H`` exactly.
 
     Hermitian means ``max |m - m^H|`` at most ``HERMITICITY_RTOL`` times
-    the largest entry magnitude.  That magnitude is inf or nan where an
-    entry is not finite, so the common case reads ``m`` twice.  Both reads
-    run under ``np.errstate``: ``m - m^H`` of entries above half the
-    float max overflows to inf, which fails the test without a warning.
+    the largest entry magnitude.  An infinite or NaN entry leaves a NaN in
+    ``m - m^H``, so ``m == m^H`` passes at once.  Otherwise a modulus
+    beyond the float range counts as ``inf``; an ``inf`` in ``m - m^H``
+    fails the test unless the largest entry is ``inf`` too.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.abs(m).max())
-        dev = float(np.abs(m - m.conj().T).max())
-    # |z| is inf also for finite parts near the float max; only then look at the entries
-    if not math.isfinite(scale) and not np.isfinite(m).all():
-        raise NotHermitian("matrix has non-finite entries")
-    if dev > HERMITICITY_RTOL * max(scale, np.finfo(float).tiny):
+    n = len(rows)
+    if shape(rows) != (n, n):
+        raise NotHermitian(f"expected a square matrix, got shape {shape(rows)}")
+    diffs = list(map(operator.sub, itertools.chain.from_iterable(rows),
+                     map(complex.conjugate, itertools.chain.from_iterable(zip(*rows)))))
+    if not any(diffs):
+        return True
+    moduli = _moduli(itertools.chain.from_iterable(rows))
+    if not math.isfinite(sum(moduli)):  # a NaN hides from max()
+        if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
+            raise NotHermitian("matrix has non-finite entries")
+    dev = max(_moduli(diffs))
+    if dev > HERMITICITY_RTOL * max(max(moduli), sys.float_info.min):
         raise NotHermitian(f"max |m - m^H| = {dev:.3e} exceeds tolerance")
+    return False
+
+
+def hermitian_part(rows: list) -> list[list[complex]]:
+    """``(m + m^H) / 2`` of a square matrix (see :func:`as_rows`), as fresh rows."""
+    return [[(x + y.conjugate()) / 2.0 for x, y in zip(row, col)]
+            for row, col in zip(rows, zip(*rows))]
 
 
 def _rotation(app: float, aqq: float, apq: complex, mag: float) -> tuple[float, float, complex]:
@@ -123,36 +160,18 @@ def _rotate_pair(x: list, y: list, c: float, s: complex) -> tuple[list, list]:
     return [c * u + sc * v for u, v in zip(x, y)], [c * v - s * u for u, v in zip(x, y)]
 
 
-def hermitian_eigen(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    ``JACOBI_OFF_TOL`` times the norm of the input, capped at
-    ``JACOBI_SWEEP_CAP`` sweeps; both norms are ``math.hypot`` of moduli,
-    which squares nothing, and the zero matrix converges at once.  The
-    rotations run on Python ``complex`` lists: each replaces rows ``p``
-    and ``q`` of the matrix and fills its columns ``p`` and ``q`` by
-    conjugation, so it stays exactly Hermitian, and rotates columns ``p``
-    and ``q`` of the eigenvectors as rows of their transpose.
-
-    Raises
-    ------
-    NotHermitian
-        If :func:`check_hermitian` rejects the matrix.
-    FloatOverflow
-        If twice the Frobenius norm of the input is beyond the float
-        range, where a rotation's ``aqq - app`` or ``2 |apq|`` could overflow.
-    NoConvergence
-        If the sweep cap is reached with the off-diagonal norm still
-        above threshold.
+def jacobi_eigen(a: list) -> tuple[list[float], list[list[complex]]]:
+    """Eigenvalues, ascending, and eigenvectors (a list of them, each a row) of
+    the exactly Hermitian matrix ``a``, a list of rows of ``complex`` that the
+    solve consumes; the kernel behind :func:`hermitian_eigen`, which
+    documents it and its errors.  Callers that built ``a`` exactly
+    Hermitian call it directly, with no check.
     """
-    m = np.asarray(m, dtype=complex)
-    check_hermitian(m)
-    n = m.shape[0]
-    # hypot squares nothing; m + m^H or an entry's modulus can still overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = (m + m.conj().T) / 2.0
-        norm = math.hypot(*np.abs(h).ravel().tolist())
+    n = len(a)
+    try:  # hypot squares nothing; only a modulus beyond the float range raises
+        norm = math.hypot(*map(abs, itertools.chain.from_iterable(a)))
+    except OverflowError:
+        norm = math.inf
     if not math.isfinite(2.0 * norm):  # bounds every aqq - app and 2 |apq| of a rotation
         raise FloatOverflow("the Frobenius norm of the matrix is beyond half the float range")
     tol = JACOBI_OFF_TOL * norm
@@ -160,8 +179,7 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
     # |a[p, q]| <= elem_tol then the off-diagonal norm is already <= tol.
     elem_tol = tol / math.sqrt(n * (n - 1)) if n > 1 else tol
     pairs = list(itertools.combinations(range(n), 2))
-    a = h.tolist()
-    vt = np.eye(n, dtype=complex).tolist()  # row k is eigenvector k
+    vt = [[complex(i == k) for i in range(n)] for k in range(n)]  # row k is eigenvector k
 
     def off_norm() -> float:
         return math.sqrt(2.0) * math.hypot(*[abs(a[p][q]) for p, q in pairs])
@@ -191,13 +209,51 @@ def hermitian_eigen(m: np.ndarray) -> Spectrum:
             f"off-diagonal norm {off_norm():.3e} above {tol:.3e} "
             f"after {JACOBI_SWEEP_CAP} sweeps"
         )
-    d = np.array([a[k][k].real for k in range(n)])
-    order = np.argsort(d, kind="stable")
-    return Spectrum(d[order], np.array(vt, dtype=complex)[order].T)
+    d = [a[k][k].real for k in range(n)]
+    order = sorted(range(n), key=d.__getitem__)  # stable: ties keep the solver's order
+    return [d[k] for k in order], [vt[k] for k in order]
 
 
-def singular_values(m: np.ndarray) -> list[float]:
-    """Singular values of a complex matrix, descending.
+def hermitian_eigen(m) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+
+    ``m`` is a square matrix (see :func:`as_rows`), checked by
+    :func:`check_hermitian`, or a
+    :class:`~spinthermal.thermalstate.DensityMatrix` (anything exposing
+    ``.mat``), whose matrix was checked when it was made.  The solve
+    takes ``(m + m^H) / 2``, which is ``m`` where ``m`` is exactly
+    Hermitian.  Sweeps run until the off-diagonal Frobenius
+    norm drops below ``JACOBI_OFF_TOL`` times the norm of the input,
+    capped at ``JACOBI_SWEEP_CAP`` sweeps; both norms are ``math.hypot``
+    of moduli, which squares nothing, and the zero matrix converges at
+    once.  The rotations run on Python ``complex`` lists: each replaces
+    rows ``p`` and ``q`` of the matrix and fills its columns ``p`` and
+    ``q`` by conjugation, so it stays exactly Hermitian, and rotates
+    columns ``p`` and ``q`` of the eigenvectors as rows of their transpose.
+
+    Raises
+    ------
+    NotHermitian
+        If :func:`check_hermitian` rejects the matrix.
+    FloatOverflow
+        If twice the Frobenius norm of the input is beyond the float
+        range, where a rotation's ``aqq - app`` or ``2 |apq|`` could overflow.
+    NoConvergence
+        If the sweep cap is reached with the off-diagonal norm still
+        above threshold.
+    """
+    if hasattr(m, "mat"):
+        h = hermitian_part(m.mat)
+    else:
+        h = as_rows(m)
+        if not check_hermitian(h):
+            h = hermitian_part(h)
+    values, vectors = jacobi_eigen(h)
+    return Spectrum(values, [list(row) for row in zip(*vectors)])
+
+
+def singular_values(m) -> list[float]:
+    """Singular values of a complex matrix (see :func:`as_rows`), descending.
 
     One-sided (Hestenes) Jacobi: cyclic sweeps rotate pairs of columns
     ``x``, ``y`` of ``m`` until each pair is orthogonal to within
@@ -208,19 +264,23 @@ def singular_values(m: np.ndarray) -> list[float]:
 
     Raises ``NoConvergence`` if ``JACOBI_SWEEP_CAP`` sweeps all rotate.
     """
-    cols = np.asarray(m, dtype=complex).T.tolist()
+    def squared_norm(col: list) -> float:
+        return sum([u.real * u.real + u.imag * u.imag for u in col])
+
+    cols = [list(col) for col in zip(*as_rows(m))]
+    norms = list(map(squared_norm, cols))  # kept with their columns
     pairs = list(itertools.combinations(range(len(cols)), 2))
     for _ in range(JACOBI_SWEEP_CAP):
         rotated = False
         for p, q in pairs:
             x, y = cols[p], cols[q]
-            xx = sum(u.real * u.real + u.imag * u.imag for u in x)
-            yy = sum(v.real * v.real + v.imag * v.imag for v in y)
-            xy = sum(u.conjugate() * v for u, v in zip(x, y))
+            xx, yy = norms[p], norms[q]
+            xy = sum(map(operator.mul, map(complex.conjugate, x), y))
             mag = abs(xy)
             if mag > JACOBI_OFF_TOL * math.sqrt(xx) * math.sqrt(yy):
                 _, c, s = _rotation(xx, yy, xy, mag)
                 cols[p], cols[q] = _rotate_pair(x, y, c, s)
+                norms[p], norms[q] = squared_norm(cols[p]), squared_norm(cols[q])
                 rotated = True
         if not rotated:
             return sorted((math.hypot(*map(abs, col)) for col in cols), reverse=True)
@@ -228,17 +288,19 @@ def singular_values(m: np.ndarray) -> list[float]:
         f"columns not orthogonal to {JACOBI_OFF_TOL:.0e} after {JACOBI_SWEEP_CAP} sweeps")
 
 
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+def psd_sqrt(m):
+    """Hermitian square root of a positive-semidefinite matrix, as a numpy array.
 
     Eigenvalues in ``[PSD_FLOOR, 0)`` are treated as roundoff and clamped
     to zero; anything below the floor raises ``NotPSD``.
     """
+    import numpy as np
+
     spectrum = hermitian_eigen(m)
-    vals = spectrum.eigenvalues
+    vals = np.array(spectrum.eigenvalues)
     if float(vals.min()) < PSD_FLOOR:
         raise NotPSD(f"eigenvalue {vals.min():.3e} below {PSD_FLOOR:.0e}")
     roots = np.sqrt(np.clip(vals, 0.0, None))
-    vecs = spectrum.eigenvectors
+    vecs = np.array(spectrum.eigenvectors, dtype=complex)
     out = (vecs * roots) @ vecs.conj().T
     return (out + out.conj().T) / 2.0

@@ -18,10 +18,10 @@ numerics can be checked against exact expressions.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import FloatOverflow, UnsupportedModel
 from .linalg import kron
@@ -34,10 +34,11 @@ REQUIRED_FIELDS = {
     "xyz": ("J1", "J2", "J3", "B1", "B2", "B3"),
 }
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+#: Single-qubit operators as rows in the basis (|0>, |1>).
+IDENTITY_2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+SIGMA_X = ((0j, 1 + 0j), (1 + 0j, 0j))
+SIGMA_Y = ((0j, 1j), (-1j, 0j))
+SIGMA_Z = ((-1 + 0j, 0j), (0j, 1 + 0j))
 
 _AXIS_TABLE = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -140,8 +141,8 @@ class ModelSpec:
                      for name in ("J", "delta", "B"))
 
 
-def pauli(site: int, axis: str) -> np.ndarray:
-    """Single-site operator embedded in the three-qubit space.
+def pauli(site: int, axis: str):
+    """Single-site operator embedded in the three-qubit space, as a numpy array.
 
     ``axis`` is one of ``x``, ``y``, ``z``; ``site`` counts from 1.
     """
@@ -154,33 +155,61 @@ def pauli(site: int, axis: str) -> np.ndarray:
     return kron(kron(factors[0], factors[1]), factors[2])
 
 
-# Fixed terms of H, one per ring bond (or site), in _RING_BONDS order.
-_AXIS_PRODUCTS = tuple(
-    tuple(pauli(n, axis) @ pauli(m, axis) for axis in "xyz") for n, m in _RING_BONDS
-)
-_HOPPING = tuple(xx + yy for xx, yy, _ in _AXIS_PRODUCTS)
-_ANISOTROPY = tuple(zz - np.eye(8, dtype=complex) for _, _, zz in _AXIS_PRODUCTS)
-_SITE_Z = tuple(pauli(n, "z") for n in (1, 2, 3))
+def _operator(factors: dict) -> dict:
+    """Nonzero entries ``{(row, column): value}`` of the product of the
+    single-qubit operators ``{site: table}`` on distinct sites, the identity
+    on the others: entry ``(r, s)`` is the product over sites of
+    ``table[bit of r][bit of s]``."""
+    entries = {}
+    for r, s in itertools.product(range(8), repeat=2):
+        value = 1 + 0j
+        for site in (1, 2, 3):
+            shift = 3 - site
+            value *= factors.get(site, IDENTITY_2)[(r >> shift) & 1][(s >> shift) & 1]
+        if value:
+            entries[r, s] = value
+    return entries
 
 
-# H as (index into the coefficients, operator) terms, in summation order: the
-# uniform models' hopping and anisotropy bond by bond, then the field site by site.
-_UNIFORM_TERMS = (tuple(t for hop, zz in zip(_HOPPING, _ANISOTROPY) for t in ((0, hop), (1, zz)))
+def _term(*operators: dict) -> tuple:
+    """The sum of ``operators`` as its nonzero ``(row, column, value)`` entries,
+    each value a float where it is real."""
+    total: dict = {}
+    for op in operators:
+        for key, value in op.items():
+            total[key] = total.get(key, 0) + value
+    return tuple((r, s, value if value.imag else value.real)
+                 for (r, s), value in sorted(total.items()) if value)
+
+
+# Fixed terms of H, as sparse tables: per ring bond (in _RING_BONDS order) its
+# xx, yy, zz products, and the z operator of each site.
+_BOND_PRODUCTS = tuple(tuple(_operator({n: _AXIS_TABLE[axis], m: _AXIS_TABLE[axis]})
+                             for axis in "xyz") for n, m in _RING_BONDS)
+_SITE_Z = tuple(_term(_operator({n: SIGMA_Z})) for n in (1, 2, 3))
+_MINUS_ONE = {(i, i): -1 + 0j for i in range(8)}
+
+# H as (index into the coefficients, term) pairs, in summation order: the uniform
+# models' hopping xx + yy and anisotropy zz - 1 bond by bond, then the field site by site.
+_UNIFORM_TERMS = (tuple(t for xx, yy, zz in _BOND_PRODUCTS
+                        for t in ((0, _term(xx, yy)), (1, _term(zz, _MINUS_ONE))))
                   + tuple((2, z) for z in _SITE_Z))
-_XYZ_TERMS = (tuple(t for bond in _AXIS_PRODUCTS for t in enumerate(bond))
+_XYZ_TERMS = (tuple(t for bond in _BOND_PRODUCTS for t in enumerate(map(_term, bond)))
               + tuple(enumerate(_SITE_Z, 3)))
 
 
-def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """8x8 Hamiltonian of the requested ring model.
+def build_hamiltonian(spec: ModelSpec) -> list[list[complex]]:
+    """8x8 Hamiltonian of the requested ring model, as a list of rows of ``complex``.
 
     Prefactors are kept exactly as defined for each variant (``J/2`` on
     ``xx + yy``, ``delta*J/2`` on ``zz - 1``, ``J_a/2`` per axis for the
     general model) so the exact energy expressions hold digit for digit.
-    The bond and site operators are built once at import; each call
-    scales them and adds them bond by bond, then site by site, skipping
-    zero coefficients (no entry is ever -0, so a zero term changes no bit).
-    A scaled coupling or an entry beyond the float range raises ``FloatOverflow``.
+    The bond and site terms are sparse tables built once at import from
+    the qubits' bits; each call scales their nonzero entries and adds
+    them bond by bond, then site by site, skipping zero coefficients (no
+    entry is ever -0, so a zero term changes no bit).  The result is
+    exactly Hermitian.  A scaled coupling or an entry beyond the float
+    range raises ``FloatOverflow``.
     """
     if spec.variant == "xyz":
         coefs = (spec.J1 / 2.0, spec.J2 / 2.0, spec.J3 / 2.0, spec.B1, spec.B2, spec.B3)
@@ -188,18 +217,21 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     else:
         J, delta, B = spec.closed_form_params()
         coefs, terms = (J / 2.0, delta * J / 2.0, B), _UNIFORM_TERMS
-    h = np.zeros((8, 8), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf coefficient times a zero is nan
-        for k, op in terms:
-            if coefs[k]:
-                h += coefs[k] * op
-    if not np.isfinite(h).all():
+    h = [[0j] * 8 for _ in range(8)]
+    for k, entries in terms:
+        coef = coefs[k]
+        if coef:
+            for r, s, value in entries:
+                h[r][s] += coef * value
+    if not all(map(cmath.isfinite, itertools.chain.from_iterable(h))):
         raise FloatOverflow("a coupling or an entry of the Hamiltonian is beyond the float range")
     return h
 
 
-def cyclic_shift() -> np.ndarray:
-    """Permutation matrix of the ring rotation ``|ijk> -> |kij>``."""
+def cyclic_shift():
+    """Permutation matrix of the ring rotation ``|ijk> -> |kij>``, as a numpy array."""
+    import numpy as np
+
     p = np.zeros((8, 8), dtype=complex)
     for i in (0, 1):
         for j in (0, 1):
@@ -208,14 +240,8 @@ def cyclic_shift() -> np.ndarray:
     return p
 
 
-def _ket(q1: int, q2: int, q3: int) -> np.ndarray:
-    v = np.zeros(8, dtype=complex)
-    v[basis_index(q1, q2, q3)] = 1.0
-    return v
-
-
-def analytic_eigenstates() -> list[np.ndarray]:
-    """The eight exact eigenstates shared by all uniform ring models.
+def analytic_eigenstates() -> list:
+    """The eight exact eigenstates shared by all uniform ring models, as numpy arrays.
 
     State 0 is ``|000>`` and state 7 is ``|111>``; states 1..3 live in
     the single-excitation sector and 4..6 in the double-excitation
@@ -223,17 +249,24 @@ def analytic_eigenstates() -> list[np.ndarray]:
     chiral ones weighted by powers of :data:`Q`.  All are unit vectors
     and pairwise orthonormal.
     """
+    import numpy as np
+
+    def ket(q1: int, q2: int, q3: int):
+        v = np.zeros(8, dtype=complex)
+        v[basis_index(q1, q2, q3)] = 1.0
+        return v
+
     s = 1.0 / math.sqrt(3.0)
     q, q2 = Q, Q * Q
     return [
-        _ket(0, 0, 0),
-        s * (q * _ket(0, 0, 1) + q2 * _ket(0, 1, 0) + _ket(1, 0, 0)),
-        s * (q2 * _ket(0, 0, 1) + q * _ket(0, 1, 0) + _ket(1, 0, 0)),
-        s * (_ket(0, 0, 1) + _ket(0, 1, 0) + _ket(1, 0, 0)),
-        s * (q * _ket(1, 1, 0) + q2 * _ket(1, 0, 1) + _ket(0, 1, 1)),
-        s * (q2 * _ket(1, 1, 0) + q * _ket(1, 0, 1) + _ket(0, 1, 1)),
-        s * (_ket(1, 1, 0) + _ket(1, 0, 1) + _ket(0, 1, 1)),
-        _ket(1, 1, 1),
+        ket(0, 0, 0),
+        s * (q * ket(0, 0, 1) + q2 * ket(0, 1, 0) + ket(1, 0, 0)),
+        s * (q2 * ket(0, 0, 1) + q * ket(0, 1, 0) + ket(1, 0, 0)),
+        s * (ket(0, 0, 1) + ket(0, 1, 0) + ket(1, 0, 0)),
+        s * (q * ket(1, 1, 0) + q2 * ket(1, 0, 1) + ket(0, 1, 1)),
+        s * (q2 * ket(1, 1, 0) + q * ket(1, 0, 1) + ket(0, 1, 1)),
+        s * (ket(1, 1, 0) + ket(1, 0, 1) + ket(0, 1, 1)),
+        ket(1, 1, 1),
     ]
 
 
@@ -245,11 +278,13 @@ def level_energies(J: float, delta: float, B: float) -> tuple[float, ...]:
             e_single + B, e_symmetric + B, 3.0 * B)
 
 
-def analytic_energies(spec: ModelSpec) -> np.ndarray:
-    """Exact energies of the eight analytic eigenstates, in state order.
+def analytic_energies(spec: ModelSpec):
+    """Exact energies of the eight analytic eigenstates, in state order, as a numpy array.
 
     Only the uniform models have a closed spectrum here; the general XYZ
     variant raises ``UnsupportedModel`` (from ``closed_form_params``).
     """
+    import numpy as np
+
     levels = level_energies(*spec.closed_form_params())
     return np.array([levels[n] for n, states in enumerate(LEVELS) for _ in states])

@@ -6,35 +6,40 @@ spectrum with energies shifted by the ground energy before
 exponentiation, so inverse temperatures up to ``1e3`` never overflow
 (the shift cancels in the normalized state).  ``T = 0`` means the
 equal-weight mixture over the degenerate ground group, which is exactly
-how the zero-temperature concurrence limits arise.
+how the zero-temperature concurrence limits arise.  Matrices are lists
+of rows of ``complex`` (see :func:`spinthermal.linalg.as_rows`).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidState, InvalidTemperature
-from .linalg import TRACE_TOL, check_hermitian, degenerate_groups, exp_or_inf, hermitian_eigen
+from .linalg import (TRACE_TOL, as_rows, check_hermitian, degenerate_groups, exp_or_inf,
+                     jacobi_eigen, shape)
 from .spinmodel import ModelSpec, build_hamiltonian
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix (4x4 or 8x8): finite, Hermitian, unit trace."""
+    """Validated density matrix (4x4 or 8x8): finite, Hermitian, unit trace.
 
-    mat: np.ndarray
+    ``mat`` is a fresh list of rows of ``complex`` made from the matrix
+    given, any nested sequence of numbers; the checks run once, here.
+    """
+
+    mat: list
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = as_rows(self.mat)
         object.__setattr__(self, "mat", mat)
-        if mat.shape not in ((4, 4), (8, 8)):
-            raise ValueError(f"expected a 4x4 or 8x8 matrix, got {mat.shape}")
+        if shape(mat) not in ((4, 4), (8, 8)):
+            raise ValueError(f"expected a 4x4 or 8x8 matrix, got {shape(mat)}")
         check_hermitian(mat)
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        trace = sum(row[k] for k, row in enumerate(mat))
+        if math.hypot(trace.real - 1.0, trace.imag) > TRACE_TOL:  # abs() can overflow
             raise InvalidState(f"trace must be 1, got {trace!r}")
 
 
@@ -42,12 +47,35 @@ def partition_function(spec: ModelSpec, T: float) -> float:
     """Sum of Boltzmann weights over the numerically obtained spectrum."""
     if T <= 0.0:
         raise InvalidTemperature(f"partition function needs T > 0, got {T}")
-    energies = hermitian_eigen(build_hamiltonian(spec)).eigenvalues
+    energies = jacobi_eigen(build_hamiltonian(spec))[0]  # built exactly Hermitian
     beta = min(1.0 / T, sys.float_info.max)  # 1/T is inf below T = 5.6e-309, and inf * 0 NaN
-    emin = float(energies.min())
-    with np.errstate(over="ignore"):  # an overflowing exponent weighs exp(-inf) = 0
-        shifted = float(np.exp(-beta * (energies - emin)).sum())
+    emin = energies[0]
+    # an exponent below the float range weighs 0
+    shifted = math.fsum(math.exp(-beta * (e - emin)) for e in energies)
     return exp_or_inf(-beta * emin) * shifted  # shifted >= 1, so an inf factor stays inf
+
+
+def _mixture(weights: list, vectors: list) -> list[list[complex]]:
+    """``sum_k weights[k] v_k v_k^H`` over the vectors ``v_k``, exactly Hermitian.
+
+    Each ``v_k`` adds its products over its nonzero entries (a zero
+    entry adds nothing) to the upper triangle; the lower triangle is its
+    conjugate and the diagonal is real.
+    """
+    n = len(vectors[0])
+    rho = [[0j] * n for _ in range(n)]
+    for w, v in zip(weights, vectors):
+        if w:
+            support = [(i, x) for i, x in enumerate(v) if x]
+            for a, (i, x) in enumerate(support):
+                wx, row = w * x, rho[i]
+                for j, y in support[a:]:
+                    row[j] += wx * y.conjugate()
+    for i, row in enumerate(rho):
+        row[i] = complex(row[i].real)
+        for j in range(i + 1, n):
+            rho[j][i] = row[j].conjugate()
+    return rho
 
 
 def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:
@@ -55,40 +83,42 @@ def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:
 
     At ``T = 0`` this is the projector onto the degenerate ground group
     divided by its degeneracy (grouping per
-    :func:`spinthermal.linalg.degenerate_groups`).
+    :func:`spinthermal.linalg.degenerate_groups`).  The matrix is
+    exactly Hermitian, with a real diagonal.
     """
     if T < 0.0:
         raise InvalidTemperature(f"temperature must be >= 0, got {T}")
-    spectrum = hermitian_eigen(build_hamiltonian(spec))
-    vecs = spectrum.eigenvectors
+    energies, vectors = jacobi_eigen(build_hamiltonian(spec))  # built exactly Hermitian
     if T == 0.0:
-        ground = degenerate_groups(spectrum.eigenvalues)[0]
-        cols = vecs[:, ground]
-        rho = (cols @ cols.conj().T) / len(ground)
+        ground = degenerate_groups(energies)[0]
+        weights = [1.0 / len(ground) if k in ground else 0.0 for k in range(len(energies))]
     else:
-        energies = spectrum.eigenvalues
-        with np.errstate(over="ignore"):  # an overflowing exponent weighs exp(-inf) = 0
-            weights = np.exp(-(energies - energies.min()) / T)
-        rho = (vecs * weights) @ vecs.conj().T / weights.sum()
-    return DensityMatrix((rho + rho.conj().T) / 2.0)
+        emin = energies[0]
+        # an exponent below the float range weighs 0
+        weights = [math.exp((emin - e) / T) for e in energies]
+        total = sum(weights)
+        weights = [w / total for w in weights]
+    return DensityMatrix(_mixture(weights, vectors))
 
 
 def partial_trace(rho, site: int = 3):
     """Trace one qubit out of an 8x8 operator.
 
     ``site`` counts from 1; the returned 4x4 operator keeps the two
-    remaining qubits in their original order.  A plain array input
-    returns a plain array (useful for unnormalized projector sums), a
-    :class:`DensityMatrix` returns a :class:`DensityMatrix`.
+    remaining qubits in their original order.  A plain matrix input (any
+    nested sequence, useful for unnormalized projector sums) returns a
+    list of rows, a :class:`DensityMatrix` returns a :class:`DensityMatrix`.
     """
     if site not in (1, 2, 3):
         raise ValueError(f"site must be 1, 2 or 3, got {site}")
-    mat = getattr(rho, "mat", rho)
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got {mat.shape}")
-    cube = mat.reshape(2, 2, 2, 2, 2, 2)
-    reduced = np.trace(cube, axis1=site - 1, axis2=site + 2).reshape(4, 4)
+    mat = rho.mat if isinstance(rho, DensityMatrix) else as_rows(rho)
+    if shape(mat) != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix, got {shape(mat)}")
+    # index of the traced qubit's bit t inserted into a 2-bit index of the kept ones
+    low = 3 - site
+    full = [[(a >> low << low + 1) | (t << low) | (a & ((1 << low) - 1)) for t in (0, 1)]
+            for a in range(4)]
+    reduced = [[mat[i0][j0] + mat[i1][j1] for j0, j1 in full] for i0, i1 in full]
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(reduced)
     return reduced

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinthermal.analysis as analysis_module
-import spinthermal.concurrence as concurrence_module
+import spinthermal.sweepengine as sweepengine_module
 from spinthermal.analysis import sweep_blocks
 from spinthermal.errors import ValidationError
-from spinthermal.concurrence import closed_form_xstate, closed_route, closed_route_array
+from spinthermal.concurrence import closed_form_xstate, closed_route
+from spinthermal.sweepengine import closed_route_array
 from spinthermal import (
     InvalidGrid,
     ModelSpec,
@@ -650,20 +651,20 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
     distinct = ({r["delta"] for r in records} if model.variant == "xxz"
                 else {0.0} if model.variant == "xx" else set())
     assert sorted(calls) == sorted(distinct)
-    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # blocks that straddle rows
+    monkeypatch.setattr(sweepengine_module, "SWEEP_BLOCK", 7)  # blocks that straddle rows
     assert bits(sweep(config)) == bits(expected)
 
 
 
 def test_sweep_raises_on_a_nan_before_emitting(monkeypatch):
-    inner = analysis_module.closed_route_array
+    inner = sweepengine_module.closed_route_array
 
     def with_nan(J, delta, B, T, columns):
         C, Z, witness = inner(J, delta, B, T, columns)
         witness[len(witness) // 2] = math.nan
         return C, Z, witness
 
-    monkeypatch.setattr(analysis_module, "closed_route_array", with_nan)
+    monkeypatch.setattr(sweepengine_module, "closed_route_array", with_nan)
     with pytest.raises(NaNResult, match="witness is NaN"):
         sweep(fig6_config(steps=20))
 
@@ -682,12 +683,13 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
     where one of ``C``, ``Z`` and ``witness`` is."""
     model, axes, T = HOIST_CASES[case]
     config = SweepConfig(model=model, axes=axes, T=T)
-    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # several blocks
+    monkeypatch.setattr(sweepengine_module, "SWEEP_BLOCK", 7)  # several blocks
     fields, full = sweep_blocks(config)
     full = block_bits(full)
     z_points, libm, returned, bisections, route_calls = [], set(), set(), [], []
-    inner_exp, inner_map = concurrence_module.exp_or_inf, concurrence_module.map_floats
-    inner_route, inner_critical = analysis_module.closed_route_array, analysis_module.xxz_critical
+    inner_exp, inner_map = sweepengine_module.exp_or_inf, sweepengine_module.map_floats
+    inner_route = sweepengine_module.closed_route_array
+    inner_critical = analysis_module.xxz_critical
 
     def route(*args):
         route_calls.append(len(args[0]))
@@ -695,11 +697,11 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
         returned.update(name for name, v in zip(("C", "Z", "witness"), values) if v is not None)
         return values
 
-    monkeypatch.setattr(concurrence_module, "exp_or_inf",
+    monkeypatch.setattr(sweepengine_module, "exp_or_inf",
                         lambda x: z_points.append(x) or inner_exp(x))
-    monkeypatch.setattr(concurrence_module, "map_floats",
+    monkeypatch.setattr(sweepengine_module, "map_floats",
                         lambda fn, arr: libm.add(fn) or inner_map(fn, arr))
-    monkeypatch.setattr(analysis_module, "closed_route_array", route)
+    monkeypatch.setattr(sweepengine_module, "closed_route_array", route)
     monkeypatch.setattr(analysis_module, "xxz_critical",
                         lambda delta: bisections.append(delta) or inner_critical(delta))
     axis_names = [axis.name for axis in axes]
@@ -727,7 +729,7 @@ def test_sweep_rejects_an_unknown_column_at_the_call(monkeypatch):
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "closed_route_array", never)
+    monkeypatch.setattr(sweepengine_module, "closed_route_array", never)
     xx_config = SweepConfig(ModelSpec.xx(-1.0), (SweepAxis("T", 0.1, 1.0, 3),))
     for config, name in ((fig6_config(), "T_c"), (fig6_config(), "Tc"), (xx_config, "delta")):
         with pytest.raises(ValidationError, match=f"^unknown output column '{name}'$"):

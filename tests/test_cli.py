@@ -24,7 +24,7 @@ from spinthermal.errors import (
     ValidationError,
 )
 import spinthermal
-import spinthermal.analysis as analysis_module
+import spinthermal.sweepengine as sweepengine_module
 import spinthermal.cli as cli_module
 from spinthermal import concurrence_general, gibbs_density, partial_trace
 
@@ -421,7 +421,7 @@ def test_cli_block_rendering_matches_the_per_cell_references(config_text, T_c_ki
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, tmp_path,
                                                               capsys):
-    inner, calls = analysis_module.closed_route_array, []
+    inner, calls = sweepengine_module.closed_route_array, []
 
     def nan_in_the_second_block(J, delta, B, T, columns):
         C, Z, witness = inner(J, delta, B, T, columns)
@@ -430,7 +430,7 @@ def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, 
             Z[-1] = math.nan
         return C, Z, witness
 
-    monkeypatch.setattr(analysis_module, "closed_route_array", nan_in_the_second_block)
+    monkeypatch.setattr(sweepengine_module, "closed_route_array", nan_in_the_second_block)
     config, out = tmp_path / "sweep.cfg", tmp_path / f"sweep.{fmt}"
     config.write_text(FIELD_GRID_CONFIG)
     assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 3
@@ -482,7 +482,7 @@ def test_cli_reports_an_unknown_column_before_evaluating_the_grid(monkeypatch, t
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "closed_route_array", never)
+    monkeypatch.setattr(sweepengine_module, "closed_route_array", never)
     config = tmp_path / "sweep.cfg"
     config.write_text(FIG6_CONFIG.replace("columns = T,C", "columns = T,Tc"))
     assert main(["sweep", "--config", str(config)]) == 2
@@ -743,7 +743,7 @@ def test_cli_reports_an_unopenable_output_path(path, reason, monkeypatch, tmp_pa
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "closed_route_array", never)
+    monkeypatch.setattr(sweepengine_module, "closed_route_array", never)
     (tmp_path / "a-directory").mkdir()
     config = tmp_path / "fig6.cfg"
     config.write_text(FIG6_CONFIG)

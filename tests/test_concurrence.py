@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import re
@@ -24,10 +25,10 @@ from spinthermal import (
     partial_trace,
     spin_flip,
 )
-import spinthermal.concurrence as concurrence_module
+import spinthermal.sweepengine as sweepengine_module
 from spinthermal.analysis import SweepAxis, SweepConfig, sweep_blocks
-from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, _fsum_columns, closed_form_xstate,
-                                     closed_route, closed_route_array)
+from spinthermal.concurrence import LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route
+from spinthermal.sweepengine import _fsum_columns, closed_route_array
 from spinthermal.spinmodel import LEVELS, level_energies
 
 STATES = analytic_eigenstates()
@@ -360,6 +361,19 @@ def test_fsum_columns_is_fsum_on_constructed_sums(points):
         assert got == want
 
 
+@pytest.mark.parametrize("size", (3, 4))
+def test_fsum_columns_of_zero_terms_is_fsum_for_every_sign_pattern(size):
+    # such sums no longer fall back to math.fsum point by point
+    points = list(itertools.product((0.0, -0.0), repeat=size))
+    fallbacks = []
+    fsum = math.fsum
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(math, "fsum", lambda values: fallbacks.append(values) or fsum(values))
+        got = [x.hex() for x in _fsum_columns([np.array(c) for c in zip(*points)]).tolist()]
+    assert got == [fsum(p).hex() for p in points]
+    assert not fallbacks
+
+
 def test_fsum_columns_raises_as_fsum_does_on_opposite_infinities():
     with pytest.raises(ValueError) as expected:
         math.fsum((1.0, math.inf, -math.inf))
@@ -374,7 +388,7 @@ def test_fsum_columns_raises_as_fsum_does_on_opposite_infinities():
      (SweepAxis("T", 0.02, 4.0, 200), SweepAxis("B", 0.0, 3.0, 200))),
 ), ids=("xxz T x delta", "field T x B"))
 def test_few_level_sums_fall_back_to_fsum_on_the_benchmark_grids(model, axes, monkeypatch):
-    inner, fsum, sums, fallbacks = concurrence_module._fsum_columns, math.fsum, [], []
+    inner, fsum, sums, fallbacks = sweepengine_module._fsum_columns, math.fsum, [], []
 
     def counted(terms):
         sums.append(len(terms[0]))
@@ -382,7 +396,7 @@ def test_few_level_sums_fall_back_to_fsum_on_the_benchmark_grids(model, axes, mo
             patch.setattr(math, "fsum", lambda values: fallbacks.append(values) or fsum(values))
             return inner(terms)
 
-    monkeypatch.setattr(concurrence_module, "_fsum_columns", counted)
+    monkeypatch.setattr(sweepengine_module, "_fsum_columns", counted)
     for _ in sweep_blocks(SweepConfig(model, axes), ("C",))[1]:
         pass
     assert sum(sums) == 4 * 200 * 200

@@ -89,8 +89,8 @@ def test_eigen_random_hermitian_invariants():
             for _ in range(20):
                 h = random_hermitian(rng, n) * scale
                 spec = hermitian_eigen(h)
-                assert abs(np.trace(h).real - spec.eigenvalues.sum()) < 1e-10 * scale
-                v = spec.eigenvectors
+                assert abs(np.trace(h).real - np.asarray(spec.eigenvalues).sum()) < 1e-10 * scale
+                v = np.asarray(spec.eigenvectors)
                 assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
                 recon = (v * spec.eigenvalues) @ v.conj().T
                 assert np.abs(recon - h).max() < 1e-10 * np.abs(h).max()
@@ -99,7 +99,8 @@ def test_eigen_random_hermitian_invariants():
 
 def test_eigen_leaves_its_input_and_shares_no_memory():
     rng = np.random.default_rng(8)
-    for m in (random_hermitian(rng, 8), build_hamiltonian(ModelSpec.xxz_field(0.7, 0.3, 0.4))):
+    for m in (random_hermitian(rng, 8),
+              np.asarray(build_hamiltonian(ModelSpec.xxz_field(0.7, 0.3, 0.4)))):
         before = m.copy()
         first, second = hermitian_eigen(m), hermitian_eigen(m)
         assert m.tobytes() == before.tobytes()
@@ -107,21 +108,22 @@ def test_eigen_leaves_its_input_and_shares_no_memory():
         for out in (first.eigenvalues, first.eigenvectors):
             assert not np.shares_memory(out, m)
         # the rotations run on one work array per call: nothing carries over
-        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
-        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+        assert np.asarray(first.eigenvalues).tobytes() == np.asarray(second.eigenvalues).tobytes()
+        assert (np.asarray(first.eigenvectors).tobytes()
+                == np.asarray(second.eigenvectors).tobytes())
 
 
 def test_eigen_matches_lapack():
     # random spectra, and degenerate ones: the identity and ring Hamiltonians
     rng = np.random.default_rng(6)
-    rings = [build_hamiltonian(spec) for spec in (
+    rings = [np.asarray(build_hamiltonian(spec)) for spec in (
         ModelSpec.xx(1.0), ModelSpec.xxz(-1.0, -0.5), ModelSpec.xxz_field(1.0, 1.0, 1.0),
         ModelSpec.xxz_field(-1.0, -3.0, 0.25), ModelSpec.general_xyz(1.0, 0.5, -0.3))]
     for n in (1, 2, 4, 8):
         matrices = [random_hermitian(rng, n) for _ in range(25)] + [np.eye(n, dtype=complex)]
         for h in matrices + (rings if n == 8 else []):
             spec = hermitian_eigen(h)
-            vals, v = spec.eigenvalues, spec.eigenvectors
+            vals, v = np.asarray(spec.eigenvalues), np.asarray(spec.eigenvectors)
             scale = 1.0 + np.abs(vals).max()
             assert np.abs(vals - np.linalg.eigh(h)[0]).max() <= 1e-14 * scale
             # the off-diagonal tolerance, 1e-13 of the norm, bounds the residual
@@ -168,10 +170,10 @@ def test_eigen_rejects_a_norm_beyond_the_float_range():
 def test_eigen_of_a_ring_whose_squared_entries_underflow_or_overflow(J):
     # a norm from squared entries was 0 at 1e-170, and the eight energies came back 0;
     # at 1e160 it was inf, and the solve raised FloatOverflow
-    h = build_hamiltonian(ModelSpec.xx(J))
+    h = np.asarray(build_hamiltonian(ModelSpec.xx(J)))
     spec = hermitian_eigen(h)
     assert np.abs(spec.eigenvalues - J * np.array([-1, -1, -1, -1, 0, 0, 2, 2])).max() <= 1e-14 * J
-    v = spec.eigenvectors
+    v = np.asarray(spec.eigenvectors)
     assert np.abs(h @ v - v * spec.eigenvalues).max() <= 1e-12 * J
     assert np.abs(v.conj().T @ v - np.eye(8)).max() <= 1e-14
 
@@ -189,7 +191,7 @@ def test_eigen_zero_matrix_returns_a_fresh_identity():
     for out in (first.eigenvalues, first.eigenvectors):
         for other in (zero, second.eigenvalues, second.eigenvectors):
             assert not np.shares_memory(out, other)
-    first.eigenvectors[0, 0] = 7.0
+    first.eigenvectors[0][0] = 7.0
     assert np.array_equal(second.eigenvectors, np.eye(3))
 
 

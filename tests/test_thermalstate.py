@@ -20,6 +20,7 @@ from spinthermal import (
     partition_function,
 )
 from spinthermal.linalg import HERMITICITY_RTOL
+from spinthermal.spinmodel import REQUIRED_FIELDS
 from spinthermal.concurrence import closed_form_xstate
 
 STATES = analytic_eigenstates()
@@ -107,7 +108,34 @@ def test_gibbs_trace_and_psd():
         )
         rho = gibbs_density(model, rng.uniform(0.05, 5.0))
         assert abs(np.trace(rho.mat).real - 1.0) < 1e-10
-        assert hermitian_eigen(rho.mat).eigenvalues.min() > -1e-10
+        assert np.asarray(hermitian_eigen(rho.mat).eigenvalues).min() > -1e-10
+
+
+def wide_models(rng, count):
+    """Seeded models of all four variants, with |J|/T and |B|/T up to 1e3, and their T."""
+    def coupling(T):
+        return float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 3.0) * T)
+
+    for i in range(count):
+        T = float(10.0 ** rng.uniform(-2.0, 1.0))
+        variant = ("xx", "xxz", "xxzfield", "xyz")[i % 4]
+        if variant == "xyz":
+            model = ModelSpec.general_xyz(*(coupling(T) for _ in range(6)))
+        else:
+            fields = {"J": coupling(T), "delta": float(rng.uniform(-3.0, 2.0)), "B": coupling(T)}
+            model = ModelSpec(variant, **{k: fields[k] for k in REQUIRED_FIELDS[variant]})
+        yield model, T if i % 5 else 0.0
+
+
+def test_gibbs_state_is_exactly_hermitian_with_unit_trace():
+    for model, T in wide_models(np.random.default_rng(31), 200):
+        mat = gibbs_density(model, T).mat
+        for i, row in enumerate(mat):
+            assert row[i].imag == 0.0
+            for j in range(i + 1, 8):
+                x, y = row[j], mat[j][i]
+                assert (x.real.hex(), x.imag.hex()) == (y.real.hex(), (-y.imag).hex())
+        assert abs(sum(row[i] for i, row in enumerate(mat)) - 1.0) <= 1e-14
 
 
 def test_density_matrix_rejects_bad_trace():
@@ -208,7 +236,7 @@ def test_partial_trace_site_symmetry():
     # the ring state looks the same whichever qubit is discarded
     for model in (ModelSpec.xx(-1.0), ModelSpec.xxz_field(1.0, -0.5, 1.2)):
         rho = gibbs_density(model, 0.8)
-        mats = [partial_trace(rho, site).mat for site in (1, 2, 3)]
+        mats = [np.asarray(partial_trace(rho, site).mat) for site in (1, 2, 3)]
         assert np.abs(mats[0] - mats[1]).max() < 1e-10
         assert np.abs(mats[0] - mats[2]).max() < 1e-10
 
@@ -216,7 +244,7 @@ def test_partial_trace_site_symmetry():
 def test_partial_trace_wraps_density_matrix():
     rho = gibbs_density(ModelSpec.xx(1.0), 1.0)
     assert isinstance(partial_trace(rho), DensityMatrix)
-    assert isinstance(partial_trace(rho.mat), np.ndarray)
+    assert isinstance(partial_trace(rho.mat), list)
 
 
 def test_xstate_params_at_x_zero():
