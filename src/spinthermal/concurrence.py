@@ -39,8 +39,10 @@ from dataclasses import dataclass
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
 from .linalg import (PSD_FLOOR, TRACE_TOL, as_rows, degenerate_groups, exp_or_inf,
-                     hermitian_eigen, kron, shape, singular_values)
+                     hermitian_eigen, hermitian_part, jacobi_eigen, kron, shape,
+                     singular_values)
 from .spinmodel import SIGMA_Y, ModelSpec, level_energies
+from .thermalstate import DensityMatrix
 
 #: ``Tr_3`` of each level's projector (its states in ``spinmodel.LEVELS``) in
 #: sixths: ``(<00|r|00>, <11|r|11>, <01|r|01> = <10|r|10>, <01|r|10>)``.
@@ -104,10 +106,11 @@ def spin_flip(rho):
 def concurrence_general(rho) -> ConcurrenceResult:
     """Concurrence of an arbitrary two-qubit density matrix.
 
-    Accepts a plain 4x4 matrix (see :func:`spinthermal.linalg.as_rows`),
-    checked as :func:`~spinthermal.linalg.hermitian_eigen` checks it, or
-    a :class:`~spinthermal.thermalstate.DensityMatrix` (anything exposing
-    ``.mat``), checked when it was made.  One Hermitian solve
+    Accepts a plain 4x4 matrix (see :func:`spinthermal.linalg.as_rows`)
+    or anything else exposing one as ``.mat``, checked by
+    :func:`~spinthermal.linalg.hermitian_eigen`, or a 4x4
+    :class:`~spinthermal.thermalstate.DensityMatrix`, checked when it was
+    made and solved with no second check.  One Hermitian solve
     ``rho = V D V^H`` gives the factor ``L = V sqrt(max(D, 0))`` with
     ``rho = L L^H``; an eigenvalue of ``rho`` below ``PSD_FLOOR`` raises
     ``NotPSD``.  ``rho @ rho_tilde`` then has the spectrum of
@@ -115,17 +118,20 @@ def concurrence_general(rho) -> ConcurrenceResult:
     the four lambdas are the singular values of ``tau``, descending, and
     the concurrence is ``max(l1 - l2 - l3 - l4, 0)``.
     """
-    validated = hasattr(rho, "mat")
-    mat = rho.mat if validated else as_rows(rho)
+    validated = isinstance(rho, DensityMatrix)
+    mat = rho.mat if validated else as_rows(getattr(rho, "mat", rho))
     if shape(mat) != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {shape(mat)}")
-    spectrum = hermitian_eigen(rho if validated else mat)
-    vals = spectrum.eigenvalues
+    if validated:
+        vals, vectors = jacobi_eigen(hermitian_part(mat))
+    else:
+        spectrum = hermitian_eigen(mat)
+        vals, vectors = spectrum.eigenvalues, zip(*spectrum.eigenvectors)
     if min(vals) < PSD_FLOOR:
         raise NotPSD(f"density matrix eigenvalue {min(vals):.3e} below {PSD_FLOOR:.0e}")
     roots = [math.sqrt(max(d, 0.0)) for d in vals]
     # column k of L, and of (sy x sy) L, whose rows are those of L reversed, the outer two negated
-    cols = [[x * r for x in col] for col, r in zip(zip(*spectrum.eigenvectors), roots)]
+    cols = [[x * r for x in vec] for vec, r in zip(vectors, roots)]
     flipped = [(-x3, x2, x1, -x0) for x0, x1, x2, x3 in cols]
     # tau is symmetric: its upper triangle, mirrored
     tau = [[0j] * 4 for _ in range(4)]

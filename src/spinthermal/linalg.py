@@ -113,7 +113,7 @@ def _moduli(values) -> list[float]:
 
 def check_hermitian(rows: list) -> bool:
     """Raise ``NotHermitian`` unless the matrix ``rows`` (see :func:`as_rows`)
-    is square, finite and Hermitian; return whether ``m == m^H`` exactly.
+    is square, nonempty, finite and Hermitian; return whether ``m == m^H`` exactly.
 
     Hermitian means ``max |m - m^H|`` at most ``HERMITICITY_RTOL`` times
     the largest entry magnitude.  An infinite or NaN entry leaves a NaN in
@@ -122,8 +122,8 @@ def check_hermitian(rows: list) -> bool:
     fails the test unless the largest entry is ``inf`` too.
     """
     n = len(rows)
-    if shape(rows) != (n, n):
-        raise NotHermitian(f"expected a square matrix, got shape {shape(rows)}")
+    if not n or shape(rows) != (n, n):
+        raise NotHermitian(f"expected a nonempty square matrix, got shape {shape(rows)}")
     diffs = list(map(operator.sub, itertools.chain.from_iterable(rows),
                      map(complex.conjugate, itertools.chain.from_iterable(zip(*rows)))))
     if not any(diffs):
@@ -218,23 +218,22 @@ def hermitian_eigen(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     ``m`` is a square matrix (see :func:`as_rows`), checked by
-    :func:`check_hermitian`, or a
-    :class:`~spinthermal.thermalstate.DensityMatrix` (anything exposing
-    ``.mat``), whose matrix was checked when it was made.  The solve
-    takes ``(m + m^H) / 2``, which is ``m`` where ``m`` is exactly
-    Hermitian.  Sweeps run until the off-diagonal Frobenius
-    norm drops below ``JACOBI_OFF_TOL`` times the norm of the input,
-    capped at ``JACOBI_SWEEP_CAP`` sweeps; both norms are ``math.hypot``
-    of moduli, which squares nothing, and the zero matrix converges at
-    once.  The rotations run on Python ``complex`` lists: each replaces
-    rows ``p`` and ``q`` of the matrix and fills its columns ``p`` and
-    ``q`` by conjugation, so it stays exactly Hermitian, and rotates
-    columns ``p`` and ``q`` of the eigenvectors as rows of their transpose.
+    :func:`check_hermitian`.  The solve takes ``(m + m^H) / 2``, which is
+    ``m`` where ``m`` is exactly Hermitian.  Sweeps run until the
+    off-diagonal Frobenius norm drops below ``JACOBI_OFF_TOL`` times the
+    norm of the input, capped at ``JACOBI_SWEEP_CAP`` sweeps; both norms
+    are ``math.hypot`` of moduli, which squares nothing, and the zero
+    matrix converges at once.  The rotations run on Python ``complex``
+    lists: each replaces rows ``p`` and ``q`` of the matrix and fills its
+    columns ``p`` and ``q`` by conjugation, so it stays exactly Hermitian,
+    and rotates columns ``p`` and ``q`` of the eigenvectors as rows of
+    their transpose.
 
     Raises
     ------
     NotHermitian
-        If :func:`check_hermitian` rejects the matrix.
+        If ``m`` is not a nonempty square matrix of numbers, or
+        :func:`check_hermitian` rejects it.
     FloatOverflow
         If twice the Frobenius norm of the input is beyond the float
         range, where a rotation's ``aqq - app`` or ``2 |apq|`` could overflow.
@@ -242,12 +241,12 @@ def hermitian_eigen(m) -> Spectrum:
         If the sweep cap is reached with the off-diagonal norm still
         above threshold.
     """
-    if hasattr(m, "mat"):
-        h = hermitian_part(m.mat)
-    else:
+    try:
         h = as_rows(m)
-        if not check_hermitian(h):
-            h = hermitian_part(h)
+    except ValueError as exc:
+        raise NotHermitian(str(exc)) from None
+    if not check_hermitian(h):
+        h = hermitian_part(h)
     values, vectors = jacobi_eigen(h)
     return Spectrum(values, [list(row) for row in zip(*vectors)])
 

@@ -26,14 +26,15 @@ from .spinmodel import ModelSpec, build_hamiltonian
 class DensityMatrix:
     """Validated density matrix (4x4 or 8x8): finite, Hermitian, unit trace.
 
-    ``mat`` is a fresh list of rows of ``complex`` made from the matrix
-    given, any nested sequence of numbers; the checks run once, here.
+    ``mat`` is a fresh tuple of rows, each a tuple of ``complex``, made
+    from the matrix given, any nested sequence of numbers; the checks run
+    once, here, and hold for as long as the object lives.
     """
 
-    mat: list
+    mat: tuple
 
     def __post_init__(self) -> None:
-        mat = as_rows(self.mat)
+        mat = tuple(map(tuple, as_rows(self.mat)))
         object.__setattr__(self, "mat", mat)
         if shape(mat) not in ((4, 4), (8, 8)):
             raise ValueError(f"expected a 4x4 or 8x8 matrix, got {shape(mat)}")

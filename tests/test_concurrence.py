@@ -13,6 +13,7 @@ from spinthermal import (
     InvalidState,
     InvalidTemperature,
     ModelSpec,
+    NotHermitian,
     NotPSD,
     SpinThermalError,
     UnsupportedModel,
@@ -104,7 +105,8 @@ def test_spin_flip_involution():
 
 
 def test_negative_density_matrix_eigenvalue_is_not_psd(monkeypatch, capsys):
-    # the one hermitian_eigen call, on rho itself, reports an eigenvalue below PSD_FLOOR
+    # the one solve of rho itself reports an eigenvalue below PSD_FLOOR: hermitian_eigen
+    # of a plain matrix, the kernel jacobi_eigen of a DensityMatrix
     import spinthermal.concurrence as concurrence_mod
     from spinthermal.cli import main
     from spinthermal.linalg import PSD_FLOOR, Spectrum
@@ -114,10 +116,31 @@ def test_negative_density_matrix_eigenvalue_is_not_psd(monkeypatch, capsys):
                         eigenvectors=np.eye(4, dtype=complex))
 
     monkeypatch.setattr(concurrence_mod, "hermitian_eigen", negative)
+    monkeypatch.setattr(concurrence_mod, "jacobi_eigen",
+                        lambda h: (negative(h).eigenvalues, negative(h).eigenvectors))
     with pytest.raises(NotPSD, match="density matrix eigenvalue"):
         concurrence_general(np.eye(4) / 4.0)
     assert main(["concurrence", "--model", "xx", "--J", "1", "--T", "1"]) == 3
     assert capsys.readouterr().err.startswith("numeric failure: density matrix eigenvalue")
+
+
+def test_a_density_matrix_cannot_be_edited_and_anything_else_is_checked():
+    # an edited .mat was solved as its Hermitian part and raised NotPSD, not NotHermitian
+    rho = partial_trace(gibbs_density(ModelSpec.xx(-1.0), 0.5))
+    with pytest.raises(TypeError):
+        rho.mat[0][3] = 5.0
+    edited = [list(row) for row in rho.mat]
+    edited[0][3] = 5.0
+
+    class Exposing:
+        def __init__(self, mat):
+            self.mat = mat
+
+    for bad in (edited, np.array(edited), Exposing(edited)):
+        with pytest.raises(NotHermitian):
+            concurrence_general(bad)
+    assert (concurrence_general(Exposing(rho.mat)) == concurrence_general(rho)
+            == concurrence_general(rho.mat))
 
 
 def test_xstate_trivial_zero():

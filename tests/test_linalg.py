@@ -97,20 +97,33 @@ def test_eigen_random_hermitian_invariants():
                 assert (np.diff(spec.eigenvalues) >= -1e-14 * scale).all()
 
 
+def assert_fresh_outputs(m, first, second):
+    """``first`` and ``second``, two solves of ``m``, share no row with each other
+    or with ``m``, and writing to every row of ``first`` leaves ``m`` and ``second`` as they were."""
+    rows = [first.eigenvalues, *first.eigenvectors]
+    others = [second.eigenvalues, *second.eigenvectors, *(m if isinstance(m, list) else [])]
+    assert len({id(row) for row in rows}) == len(rows)
+    assert not {id(row) for row in rows} & {id(row) for row in others}
+    before = [np.array(x).tobytes() for x in (m, second.eigenvalues, second.eigenvectors)]
+    for row in rows:
+        row[:] = [7.0] * len(row)
+    assert [np.array(x).tobytes() for x in (m, second.eigenvalues, second.eigenvectors)] == before
+
+
 def test_eigen_leaves_its_input_and_shares_no_memory():
     rng = np.random.default_rng(8)
     for m in (random_hermitian(rng, 8),
               np.asarray(build_hamiltonian(ModelSpec.xxz_field(0.7, 0.3, 0.4)))):
-        before = m.copy()
-        first, second = hermitian_eigen(m), hermitian_eigen(m)
-        assert m.tobytes() == before.tobytes()
-        assert not np.shares_memory(first.eigenvalues, first.eigenvectors)
-        for out in (first.eigenvalues, first.eigenvectors):
-            assert not np.shares_memory(out, m)
-        # the rotations run on one work array per call: nothing carries over
-        assert np.asarray(first.eigenvalues).tobytes() == np.asarray(second.eigenvalues).tobytes()
-        assert (np.asarray(first.eigenvectors).tobytes()
-                == np.asarray(second.eigenvectors).tobytes())
+        for given in (m, m.tolist()):
+            before = np.array(given).tobytes()
+            first, second = hermitian_eigen(given), hermitian_eigen(given)
+            assert np.array(given).tobytes() == before
+            # the rotations run on one work array per call: nothing carries over
+            assert (np.asarray(first.eigenvalues).tobytes()
+                    == np.asarray(second.eigenvalues).tobytes())
+            assert (np.asarray(first.eigenvectors).tobytes()
+                    == np.asarray(second.eigenvectors).tobytes())
+            assert_fresh_outputs(given, first, second)
 
 
 def test_eigen_matches_lapack():
@@ -149,6 +162,14 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("m", (np.ones(3), np.zeros((2, 2, 2)), [[1.0, 0.0]], [[1.0], [0.0, 1.0]],
+                               np.zeros((0, 0)), []))
+def test_eigen_rejects_what_is_not_a_nonempty_square_matrix(m):
+    # a 1-D or 3-D array raised ValueError from the list conversion, and 0x0 solved to nothing
+    with pytest.raises(NotHermitian, match="matrix"):
+        hermitian_eigen(m)
+
+
 def test_eigen_rejects_non_finite():
     bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(NotHermitian):
@@ -184,15 +205,13 @@ def test_eigen_zero_matrix():
 
 
 def test_eigen_zero_matrix_returns_a_fresh_identity():
-    zero = np.zeros((3, 3))
-    first, second = hermitian_eigen(zero), hermitian_eigen(zero)
-    assert np.array_equal(first.eigenvectors, np.eye(3))
-    # no other call and no input shares its memory
-    for out in (first.eigenvalues, first.eigenvectors):
-        for other in (zero, second.eigenvalues, second.eigenvectors):
-            assert not np.shares_memory(out, other)
-    first.eigenvectors[0][0] = 7.0
-    assert np.array_equal(second.eigenvectors, np.eye(3))
+    for zero in (np.zeros((3, 3)), [[0.0] * 3 for _ in range(3)]):
+        first, second = hermitian_eigen(zero), hermitian_eigen(zero)
+        assert np.array_equal(first.eigenvectors, np.eye(3))
+        # no other call and no input shares a row
+        assert_fresh_outputs(zero, first, second)
+        assert np.array_equal(second.eigenvectors, np.eye(3))
+        assert np.array_equal(zero, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("entry", (1.35e154, 1e200))
