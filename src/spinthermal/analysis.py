@@ -2,8 +2,7 @@
 
 Every predicate reports a sign-carrying witness with the sign of
 ``|rho_y| - sqrt(rho00 rho11)``, whose positive part is half the
-concurrence; a computed ``C`` can disagree with it where a level weight
-underflows.  The region functions are the paper's analytic conditions in
+concurrence.  The region functions are the paper's analytic conditions in
 the Boltzmann factor ``z = exp(J/T)``:
 
 * XXZ model: ``|y| - v`` evaluated in an overflow-safe arrangement,
@@ -33,11 +32,11 @@ coordinate's ``|J|``.  The grid points are then evaluated
 :func:`~spinthermal.sweepengine.closed_route_array`, whose ``C`` and
 ``Z`` are the scalar route's bit for bit and whose witness,
 ``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
-for every variant.  :func:`sweep_blocks` takes the output columns,
-computes ``C``, ``witness``, ``Z`` and ``T_c`` only where they are named,
-and yields the points in grid order, a block at a time, as one list per
-named column; :func:`sweep` names every record field and turns the
-blocks into records.
+for every variant and the sign of its ``C``.  :func:`sweep_blocks` takes
+the output columns, computes ``C``, ``witness``, ``Z`` and ``T_c`` only
+where they are named, and yields the points in grid order, a block at a
+time, as one list per named column; :func:`sweep` names every record
+field and turns the blocks into records.
 """
 
 from __future__ import annotations
@@ -297,9 +296,9 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
 
     The record fields are ``T`` and the variant's
     :data:`~spinthermal.spinmodel.REQUIRED_FIELDS` plus ``C``
-    (closed form), ``witness`` (``ln(|rho_y| / sqrt(rho00 rho11))``, with
-    the sign of ``|rho_y| - sqrt(rho00 rho11)``, which ``C`` can miss
-    where a level weight underflows, and ``-inf`` where ``J = 0``), ``Z``
+    (closed form, positive only where the witness is), ``witness``
+    (``ln(|rho_y| / sqrt(rho00 rho11))``, with the sign of
+    ``|rho_y| - sqrt(rho00 rho11)``, and ``-inf`` where ``J = 0``), ``Z``
     and, for :data:`CRITICAL_VARIANTS`, the critical temperature ``T_c``
     (``None`` where no critical point exists: ``J >= 0`` or
     ``delta >= 1``).  ``columns`` names the fields to yield, in order,

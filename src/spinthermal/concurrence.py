@@ -16,11 +16,11 @@ Three routes are provided:
   uniform-field models, and the independent check against the numeric
   pipeline: ground-shifted Boltzmann weights over the six analytic
   levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
-  overflows, and the degenerate ground group at ``T = 0``;
-  :func:`spinthermal.sweepengine.closed_route_array` gives its ``(C, Z)``
-  over arrays, bit for bit, for sweeps, with the sign-carrying
-  entanglement witness ``ln(|rho_y| / sqrt(rho00 rho11))`` of
-  :func:`_log_witness` from the same level weights.
+  overflows, and the degenerate ground group at ``T = 0``.  ``C`` is
+  taken from the sign-carrying entanglement witness
+  ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree;
+  :func:`spinthermal.sweepengine.closed_route_array` gives the same
+  ``(C, Z)`` over arrays, bit for bit, for sweeps, with the witness.
 
 Matrices are lists of rows of ``complex`` (see
 :func:`spinthermal.linalg.as_rows`); only :func:`spin_flip` returns a
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
@@ -48,13 +49,12 @@ from .thermalstate import DensityMatrix
 #: sixths: ``(<00|r|00>, <11|r|11>, <01|r|01> = <10|r|10>, <01|r|10>)``.
 LEVEL_REDUCED_SIXTHS = ((6, 0, 0, 0), (4, 0, 4, -2), (2, 0, 2, 2),
                         (0, 4, 4, -2), (0, 2, 2, 2), (0, 6, 0, 0))
-# Each column's nonzero terms as (getter of their levels, sixths), summed into s00, s11, s_w, s_y.
-_CONTRACTIONS = tuple((operator.itemgetter(*(k for k, c in enumerate(col) if c)),
-                       tuple(filter(None, col))) for col in zip(*LEVEL_REDUCED_SIXTHS))
+# (getter of their levels, sixths) of s00 and s11, and of the pair of |s_y| for J >= 0, J < 0
+_DIAGONALS = ((operator.itemgetter(0, 1, 2), (6, 4, 2)), (operator.itemgetter(5, 3, 4), (6, 4, 2)))
+_PAIRS = ((operator.itemgetter(1, 3), (1, 1)), (operator.itemgetter(2, 4), (1, 1)))
 
-_EXPM1_CAP = 700.0  # math.expm1 overflows just above 709.78
 _LN2 = math.log(2.0)
-_P1_PLUS_P3 = (operator.itemgetter(1, 3), (1, 1))  # the chiral doublets, which carry rho_y
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -149,20 +149,38 @@ def concurrence_xstate(params: XStateParams) -> float:
     return (4.0 / (3.0 * params.Z)) * max(gap, 0.0)
 
 
+def level_sums(p) -> tuple:
+    """``(s00, s11, s_w, norm)`` of the level weights ``p``, floats or arrays alike:
+    columns of :data:`LEVEL_REDUCED_SIXTHS`, and ``norm = sum(deg p)``, a sixth
+    of ``s00 + s11 + 2 s_w``.  ``s11`` mirrors the order of ``s00``, so the two
+    are equal bit for bit at ``B = 0``."""
+    p0, p1, p2, p3, p4, p5 = p
+    return (6.0 * p0 + 4.0 * p1 + 2.0 * p2, 6.0 * p5 + 4.0 * p3 + 2.0 * p4,
+            4.0 * p1 + 2.0 * p2 + 4.0 * p3 + 2.0 * p4, p0 + 2.0 * p1 + p2 + 2.0 * p3 + p4 + p5)
+
+
 def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...]:
     """``(C, Z, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``.
 
-    Level weights ``p = exp(-(E - E_min)/T)`` in ``(0, 1]`` mix the rows
-    of :data:`LEVEL_REDUCED_SIXTHS` into the reduced state, whose four
-    distinct entries close the tuple; only ``Z = exp(-E_min/T) sum p deg``
-    can overflow, and it saturates to ``inf``.  At ``T = 0`` the ground
-    group (:func:`spinthermal.linalg.degenerate_groups`) weighs 1, the
-    rest 0.
+    Level weights ``p = exp(-(E - E_min)/T)`` in ``(0, 1]`` give the reduced
+    state (:func:`level_sums`); only ``Z = exp(-E_min/T) sum(deg p)`` can
+    overflow, and it saturates to ``inf``.  At ``T = 0`` the ground group
+    (:func:`spinthermal.linalg.degenerate_groups`) weighs 1, the rest 0.
+
+    As ``E_symmetric - E_single = 3J``, ``s_y = 2 (p2 + p4 - p1 - p3)`` is
+    ``-sign(J) 2 |expm1(-3|J|/T)|`` times the larger pair, with no
+    cancellation (at ``T = 0`` the factor is one minus the pairs' ratio).
+    ``C = 2 (|rho_y| - sqrt(rho00 rho11))^+`` is ``-2 |rho_y| expm1(-max(w, 0))``
+    of the witness ``w = ln(|s_y| / sqrt(s00 s11))``, so ``C > 0`` only where
+    ``w > 0``.  Where a factor of ``w`` leaves the normal range it comes from
+    the log weights (:func:`_log_witness`); at ``T = 0`` it is then ``-inf``
+    where ``s_y = 0``, else ``+inf``.
     """
     levels = level_energies(J, delta, B)
     emin = min(levels)
+    gaps = [emin - e for e in levels]
     if T > 0.0:
-        weights = [math.exp((emin - e) / T) for e in levels]
+        weights = [math.exp(gap / T) for gap in gaps]
         scale = exp_or_inf(-emin / T)
     elif T == 0.0:
         ranked = sorted(levels)
@@ -171,13 +189,24 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
         scale = math.inf if emin else 1.0  # E_min <= min(-3B, 3B) <= 0
     else:
         raise InvalidTemperature(f"temperature must be >= 0, got {T}")
-    # fsum rounds correctly, so rho00 == rho11 exactly at B = 0
-    s00, s11, s_w, s_y = [math.fsum(map(operator.mul, get(weights), sixths))
-                          for get, sixths in _CONTRACTIONS]
-    trace = s00 + s11 + 2.0 * s_w
-    rho00, rho11, rho_w, rho_y = s00 / trace, s11 / trace, s_w / trace, s_y / trace
-    C = max(2.0 * (abs(rho_y) - math.sqrt(rho00 * rho11)), 0.0)
-    return C, scale * trace / 6.0, rho00, rho11, rho_w, rho_y
+    s00, s11, s_w, norm = level_sums(weights)
+    _, p1, p2, p3, p4, _ = weights
+    pair, other = (p2 + p4, p1 + p3) if J < 0.0 else (p1 + p3, p2 + p4)
+    if T:
+        factor = abs(math.expm1(-3.0 * abs(J) / T))
+    else:  # the weights are 0 or 1; other <= pair
+        factor = 1.0 - other / pair if pair else 0.0
+    abs_y = 2.0 * factor * pair
+    if all(x >= _TINY for x in (abs_y, pair, s00, s11)):  # NaN fails too
+        w = math.log(abs_y / math.sqrt(s00 * s11))
+    elif T:
+        w = _log_witness(gaps, J, T)
+    else:
+        w = math.inf if abs_y else -math.inf
+    trace = 6.0 * norm
+    C = -2.0 * (abs_y / trace) * math.expm1(-(0.0 if 0.0 >= w else w))
+    rho_y = -abs_y if J > 0.0 else abs_y
+    return C, scale * norm, s00 / trace, s11 / trace, s_w / trace, rho_y / trace
 
 
 def _log_sum(values: list, get, sixths: tuple, T: float = 1.0) -> tuple[float, float]:
@@ -189,26 +218,23 @@ def _log_sum(values: list, get, sixths: tuple, T: float = 1.0) -> tuple[float, f
 
 
 def _log_witness(gaps: list, J: float, T: float) -> float:
-    """``ln(|s_y| / sqrt(s00 s11))`` of one point from its level gaps ``E_min - E``,
-    with no weight or sum leaving the float range.  Where every log weight of a
-    level group is ``-inf``, the ``1/T`` terms are combined as gaps before one
-    division by ``T``: ``max(-3J, 0) + max_y - (max_00 + max_11)/2``, each ``max``
-    a group's largest gap; so the witness is ``+-inf`` by its sign, not NaN."""
-    logs = [gap / T for gap in gaps]
-    x = -3.0 * J / T
-    if x > _EXPM1_CAP:
-        log_gap = x  # ln(e**x - 1) = x + log1p(-e**-x), and e**-x is below an ulp
-    elif x:
-        log_gap = math.log(abs(math.expm1(x)))
-    else:
+    """``ln(|s_y| / sqrt(s00 s11))`` of one point at ``T > 0`` from its level gaps
+    ``E_min - E``, with no weight or sum leaving the float range; ``|s_y|`` takes
+    the pair of :func:`closed_route`.  Where every log weight of a level group is
+    ``-inf``, the ``1/T`` terms are combined as gaps before one division by ``T``:
+    ``max_y - (max_00 + max_11)/2``, each ``max`` a group's largest gap; so the
+    witness is ``+-inf`` by its sign, not NaN."""
+    x = -3.0 * abs(J) / T
+    if not x:
         return -math.inf  # J = 0: rho_y = 0
-    groups = (_P1_PLUS_P3, *_CONTRACTIONS[:2])
+    log_gap = math.log(abs(math.expm1(x)))
+    groups = (_PAIRS[J < 0.0], *_DIAGONALS)
+    logs = [gap / T for gap in gaps]
     if not any(all(a == -math.inf for a in get(logs)) for get, _ in groups):
         (ty, ry), (t00, r00), (t11, r11) = [_log_sum(logs, *group) for group in groups]
         return _LN2 + log_gap + (ty + ry) - 0.5 * ((t00 + r00) + (t11 + r11))
-    lead, log_gap = (-3.0 * J, 0.0) if x > _EXPM1_CAP else (0.0, log_gap)
     (ty, ry), (t00, r00), (t11, r11) = [_log_sum(gaps, *group, T) for group in groups]
-    return (lead + ty - 0.5 * (t00 + t11)) / T + (_LN2 + log_gap + ry - 0.5 * (r00 + r11))
+    return (ty - 0.5 * (t00 + t11)) / T + (_LN2 + log_gap + ry - 0.5 * (r00 + r11))
 
 
 def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStateParams:

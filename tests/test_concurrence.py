@@ -1,7 +1,5 @@
-import itertools
 import math
-import operator
-import re
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from spinthermal import (
     InvalidState,
     InvalidTemperature,
@@ -26,10 +25,9 @@ from spinthermal import (
     partial_trace,
     spin_flip,
 )
-import spinthermal.sweepengine as sweepengine_module
-from spinthermal.analysis import SweepAxis, SweepConfig, sweep_blocks
-from spinthermal.concurrence import LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route
-from spinthermal.sweepengine import _fsum_columns, closed_route_array
+from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
+                                     level_sums)
+from spinthermal.sweepengine import closed_route_array
 from spinthermal.spinmodel import LEVELS, level_energies
 
 STATES = analytic_eigenstates()
@@ -299,6 +297,12 @@ def test_level_table_is_the_partial_trace_of_each_level():
         assert np.abs(rho - expected).max() <= 1e-15
 
 
+def test_level_sums_are_the_level_table():
+    for k, (r00, r11, r_w, _) in enumerate(LEVEL_REDUCED_SIXTHS):
+        weights = [float(n == k) for n in range(6)]
+        assert level_sums(weights) == (r00, r11, r_w, len(LEVELS[k]))
+
+
 def test_closed_route_array_is_the_scalar_route_bit_for_bit():
     rng = np.random.default_rng(17)
     n = 3000
@@ -331,116 +335,22 @@ def test_Z_is_nan_only_where_C_is():
     assert not (np.isnan(Z) & ~np.isnan(C)).any()
 
 
-def fsum_columns_hex(points):
-    """:func:`_fsum_columns` over the points' terms, and ``math.fsum`` of each point."""
-    terms = [np.array(column, float) for column in zip(*points)]
-    return [x.hex() for x in _fsum_columns(terms).tolist()], [math.fsum(p).hex() for p in points]
-
-
-_TERM = st.builds(operator.mul,  # a level weight in [0, 1] times its sixths
-                  st.one_of(st.floats(0.0, 1.0), st.sampled_from(
-                      (0.0, 1.0, 5e-324, 2.0**-1022, 2.0**-1022 - 5e-324, 2.0**-53))),
-                  st.sampled_from((6.0, 4.0, 2.0, -2.0)))
-
-
-def fsum_columns_hex_by_size(points):
-    """:func:`fsum_columns_hex` of the 3-term and of the 4-term points."""
-    groups = [[p for p in points if len(p) == size] for size in (3, 4)]
-    return [fsum_columns_hex(group) for group in groups if group]
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(points=st.lists(st.one_of(st.tuples(*[_TERM] * 3), st.tuples(*[_TERM] * 4)),
-                       min_size=1, max_size=16))
-def test_fsum_columns_is_fsum(points):
-    for got, want in fsum_columns_hex_by_size(points):
-        assert got == want
-
-
-ULP = 2.0**-52
-
-
-@pytest.mark.parametrize("points", (
-    # exact half-ulp ties, to even either way, and just off them
-    [(1.0, ULP / 2, 0.0), (1.0 + ULP, ULP / 2, 0.0), (1.0, ULP / 4, ULP / 4),
-     (1.0, ULP / 2, 2.0**-120), (1.0, ULP / 2, -(2.0**-120)), (3.0, -ULP, ULP / 2, 0.0 - 0.0),
-     (6.0, ULP * 2, 2.0**-200, -(2.0**-200)), (1.0 + ULP, -ULP / 2, 2.0**-70, -(2.0**-70))],
-    # powers of two, and sums just below them, where the gap below is the narrower
-    [(1.0, 0.5, 0.5), (4.0, -ULP, ULP), (2.0, -ULP / 2, 0.0), (2.0, -ULP, 0.0),
-     (2.0, -ULP / 4, -(2.0**-60)), (2.0, -ULP / 4, 2.0**-60), (-2.0, 2.0**-54, 2.0**-60, 0.0),
-     # s + t is the tie just below 2 and rounds up to it, the last errors push the sum below
-     (2.0, -ULP / 2, 2.0**-200, -(2.0**-199)), (-2.0, ULP / 2, -(2.0**-200), 2.0**-199)],
-    # zeros of both signs and all-zero columns
-    [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, -0.0, -0.0),
-     (1.0, -1.0, 0.0), (-2.0, 2.0, -0.0, 0.0), (5e-324, -5e-324, 0.0)],
-    # subnormal and smallest normal sums
-    [(5e-324, 5e-324, 0.0), (2.0**-1022, -5e-324, 0.0), (2.0**-1021, -(2.0**-1022), 5e-324)],
-    # NaN and infinities
-    [(math.nan, 1.0, 2.0), (1.0, math.inf, 2.0), (-math.inf, 0.0, -0.0, 1.0),
-     (math.inf, math.nan, 1.0)],
-), ids=("ties", "powers of two", "zeros", "subnormal", "non-finite"))
-def test_fsum_columns_is_fsum_on_constructed_sums(points):
-    for got, want in fsum_columns_hex_by_size(points):
-        assert got == want
-
-
-@pytest.mark.parametrize("size", (3, 4))
-def test_fsum_columns_of_zero_terms_is_fsum_for_every_sign_pattern(size):
-    # such sums no longer fall back to math.fsum point by point
-    points = list(itertools.product((0.0, -0.0), repeat=size))
-    fallbacks = []
-    fsum = math.fsum
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(math, "fsum", lambda values: fallbacks.append(values) or fsum(values))
-        got = [x.hex() for x in _fsum_columns([np.array(c) for c in zip(*points)]).tolist()]
-    assert got == [fsum(p).hex() for p in points]
-    assert not fallbacks
-
-
-def test_fsum_columns_raises_as_fsum_does_on_opposite_infinities():
-    with pytest.raises(ValueError) as expected:
-        math.fsum((1.0, math.inf, -math.inf))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-        fsum_columns_hex([(1.0, 2.0, 3.0), (1.0, math.inf, -math.inf)])
-
-
-@pytest.mark.parametrize("model, axes", (
-    (ModelSpec.xxz(-1.0, 0.0),
-     (SweepAxis("T", 0.05, 4.0, 200), SweepAxis("delta", -3.0, 0.99, 200))),
-    (ModelSpec.xxz_field(1.0, 1.0, 0.0),
-     (SweepAxis("T", 0.02, 4.0, 200), SweepAxis("B", 0.0, 3.0, 200))),
-), ids=("xxz T x delta", "field T x B"))
-def test_few_level_sums_fall_back_to_fsum_on_the_benchmark_grids(model, axes, monkeypatch):
-    inner, fsum, sums, fallbacks = sweepengine_module._fsum_columns, math.fsum, [], []
-
-    def counted(terms):
-        sums.append(len(terms[0]))
-        with monkeypatch.context() as patch:
-            patch.setattr(math, "fsum", lambda values: fallbacks.append(values) or fsum(values))
-            return inner(terms)
-
-    monkeypatch.setattr(sweepengine_module, "_fsum_columns", counted)
-    for _ in sweep_blocks(SweepConfig(model, axes), ("C",))[1]:
-        pass
-    assert sum(sums) == 4 * 200 * 200
-    assert len(fallbacks) <= sum(sums) // 1000
-
-
 @pytest.mark.parametrize("point,want", [
-    # s00 * s11 underflows to 0 and divides the numerator
-    ((1.0, -0.5, 1.0, 0.005),
-     ("0x1.435d857d58933p-578", "0x1.88a122d234b39p+865", "-0x1.cab0bfa2a2000p-1")),
-    ((0.1211, -24.04, -120.95, 0.4656),
-     ("0x1.3f91a03669732p-769", "inf", "-0x1.ef04a9d827f80p+2")),
+    # s00 * s11 underflows to 0 and divides the numerator; the witness is negative,
+    # and the 50-digit reference gives C = 0
+    ((1.0, -0.5, 1.0, 0.005), ("0x0.0p+0", "0x1.88a122d234b39p+865", "-0x1.cab0bfa2a2000p-1")),
+    ((0.1211, -24.04, -120.95, 0.4656), ("0x0.0p+0", "inf", "-0x1.ef04a9d827f80p+2")),
     ((1e200, 1e200, 0.0, 1.0), ("nan", "nan", "nan")),  # the level energies overflow
 ])
 def test_closed_route_array_sets_its_own_float_context(point, want):
     """A bare call gives the silent inf and nan of Python floats, with no
-    RuntimeWarning (the test settings make one an error)."""
+    RuntimeWarning (the test settings make one an error); the scalar route
+    gives the same ``C`` and ``Z``, NaN included."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = closed_route_array(*(np.array([x]) for x in point))
     assert tuple(column.item().hex() for column in got) == want
+    assert tuple(x.hex() for x in closed_route(*point)[:2]) == want[:2]
 
 
 _RATIO = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # |J|/T and |B|/T in [1e-3, 1e3]
@@ -483,6 +393,14 @@ def test_numeric_route_matches_closed_route_at_zero_temperature(J):
             model = ModelSpec.xxz_field(J, float(delta), float(B))
             closed = closed_route(J, float(delta), float(B), 0.0)[0]
             assert abs(pipeline(model, 0.0) - closed) <= 1e-12
+
+
+@pytest.mark.parametrize("J, delta, B", ((1.0, 1e10, -100.0), (-1.0, -1e10, 100.0)))
+def test_zero_temperature_ground_group_of_a_chiral_and_a_symmetric_level(J, delta, B):
+    # their gap 3J is within DEGENERACY_TOL of the levels, so both weigh 1 and
+    # rho_y = 2 (p2 + p4 - p1 - p3) = 0, as in the numeric route
+    assert closed_route(J, delta, B, 0.0)[0] == 0.0
+    assert pipeline(ModelSpec.xxz_field(J, delta, B), 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +476,53 @@ MPMATH_WITNESSES = (
     (-0.5, 0.9450693846215065, -0.2, 0.05, 9.45069327394352e-09),
     (-0.5, 0.9450693865116452, -0.2, 0.05, -9.450693848184215e-09),
 )
+
+
+def wide_grid(seed, n):
+    """``(J, delta, B, T)`` arrays: ``|J|`` in [0.1, 10] of either sign, ``delta``
+    and ``B`` in [-3, 3], ``T`` log-uniform in [1e-3, 1]."""
+    rng = np.random.default_rng(seed)
+    J = rng.choice((-1.0, 1.0), n) * rng.uniform(0.1, 10.0, n)
+    delta, B = rng.uniform(-3.0, 3.0, (2, n))
+    return J, delta, B, 10.0 ** rng.uniform(-3.0, 0.0, n)
+
+
+def test_positive_concurrence_implies_a_positive_witness_on_the_wide_grid():
+    # a level weight that underflows can take s00 or s11 to 0 where the witness is
+    # negative; C must stay 0 there
+    J, delta, B, T = wide_grid(2001, 40000)
+    C, _, witness = closed_route_array(J, delta, B, T, ("C", "witness"))
+    assert (C >= 0.0).all()
+    assert not (C > 0.0)[~(witness > 0.0)].any()
+    assert 0.2 < (C > 0.0).mean() < 0.8  # both verdicts are well covered
+    points = list(zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist()))
+    for i in range(0, len(points), 40):
+        C, _, rho00, rho11, *_ = closed_route(*points[i])
+        assert not C > 0.0 or witness[i] > 0.0, points[i]
+        J, delta, _, T = points[i]
+        _, _, rho00, rho11, *_ = closed_route(J, delta, 0.0, T)
+        assert rho00 == rho11  # u == v at B = 0
+
+
+def test_closed_concurrence_matches_the_reference_on_the_wide_grid():
+    """``C`` is 0 where the 50-digit reference is; where the reference is a
+    normal float, ``C`` is within 1e-11 of it relative, plus 4 ulps of
+    ``2 |rho_y|``, the size of the two terms that cancel in
+    ``C = 2 (|rho_y| - sqrt(rho00 rho11))`` (near the boundary no float route
+    from rounded level weights does better)."""
+    J, delta, B, T = wide_grid(2002, 1000)
+    normal = 0
+    for point in zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist()):
+        C, *_, rho_y = closed_route(*point)
+        want = reference.concurrence(*point)
+        if not want:
+            assert C == 0.0, point
+        elif want >= sys.float_info.min:
+            normal += 1
+            want = float(want)
+            bound = 1e-11 * want + 4.0 * sys.float_info.epsilon * 2.0 * abs(rho_y)
+            assert abs(C - want) <= bound, point
+    assert normal > 500
 
 
 def closed_witness(points):
