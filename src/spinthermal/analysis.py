@@ -11,7 +11,7 @@ the Boltzmann factor ``z = exp(J/T)``:
   evaluated as ``(h - g) + 2 h sinh(beta B)**2``.
 
 Each is finite on part of the domain only; the sweep's witness (from
-:func:`~spinthermal.sweepengine.closed_route_array`) is finite on all of it.
+:func:`~spinthermal.concurrence.closed_route`) is finite on all of it.
 
 Critical points come from plain bisection: the witnesses are monotone
 through their single sign change on the bracketed interval, and at this
@@ -27,16 +27,15 @@ depends only on the non-temperature coordinates (the closed-form
 parameters and the critical temperature) is computed once per distinct
 coordinate and kept for the length of the call; the critical point
 itself is bisected once per distinct anisotropy and scaled by each
-coordinate's ``|J|``.  The grid points are then evaluated
-:data:`~spinthermal.sweepengine.SWEEP_BLOCK` at a time as numpy arrays by
-:func:`~spinthermal.sweepengine.closed_route_array`, whose ``C`` and
-``Z`` are the scalar route's bit for bit and whose witness,
-``ln(|rho_y| / sqrt(rho00 rho11))``, is the sweep's ``witness`` column
-for every variant and the sign of its ``C``.  :func:`sweep_blocks` takes
-the output columns, computes ``C``, ``witness``, ``Z`` and ``T_c`` only
-where they are named, and yields the points in grid order, a block at a
-time, as one list per named column; :func:`sweep` names every record
-field and turns the blocks into records.
+coordinate's ``|J|``.  Each grid point is then one call of
+:func:`~spinthermal.concurrence.closed_route`, which gives its ``C``,
+``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))`` together: the
+witness is the sweep's ``witness`` column for every variant and the sign
+of its ``C``.  :func:`sweep_blocks` takes the output columns, calls the
+route only where ``C``, ``witness`` or ``Z`` is named and bisects ``T_c``
+only where it is, and yields the points in grid order,
+:data:`SWEEP_BLOCK` at a time, as one sequence per named column;
+:func:`sweep` names every record field and turns the blocks into records.
 """
 
 from __future__ import annotations
@@ -46,7 +45,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvalidGrid, InvalidTemperature, NoRoot, OutOfDomain, ValidationError
+from .concurrence import closed_route
+from .errors import (InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain,
+                     ValidationError)
 from .spinmodel import REQUIRED_FIELDS, ModelSpec
 
 BISECT_TOL = 1e-12
@@ -59,6 +60,12 @@ _EXP_CAP = 700.0  # beyond this an exponent is treated as +inf
 
 #: The variants with a critical temperature: the field-free rings.
 CRITICAL_VARIANTS = ("xx", "xxz")
+
+#: Grid points a sweep evaluates and yields as one block.
+SWEEP_BLOCK = 1024
+
+#: The sweep columns of :func:`~spinthermal.concurrence.closed_route`, in its order.
+_ROUTE_COLUMNS = ("C", "Z", "witness")
 
 
 @dataclass(frozen=True)
@@ -303,19 +310,17 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     (``None`` where no critical point exists: ``J >= 0`` or
     ``delta >= 1``).  ``columns`` names the fields to yield, in order,
     and defaults to all of the variant's; a name that is not one of them
-    raises ``ValidationError``.  Each of ``C``, ``witness``, ``Z`` and
-    ``T_c`` is computed only where ``columns`` names it.
+    raises ``ValidationError``.
 
     The grid and ``columns`` are validated and the per-coordinate data
     (the closed-form parameters and ``T_c``) computed at the call; the
-    iterator, :func:`spinthermal.sweepengine.sweep_rows`, then evaluates
-    :data:`~spinthermal.sweepengine.SWEEP_BLOCK` grid points at a time
-    as numpy arrays, in grid order (first axis outermost), and yields
-    each block as one list per named field.
-
-    ``T_c`` is bisected once per distinct anisotropy.  ``C`` and ``Z``
-    are those of :func:`~spinthermal.concurrence.closed_route`, bit for
-    bit.  A NaN in a named ``C``, ``Z`` or ``witness`` raises
+    iterator then walks the grid in order (first axis outermost) and
+    yields :data:`SWEEP_BLOCK` points at a time, as one sequence per
+    named field.  ``C``, ``Z`` and ``witness`` come together from one
+    :func:`~spinthermal.concurrence.closed_route` call per point, made
+    only where ``columns`` names one of them; ``T_c`` is bisected only
+    where it is named, once per distinct anisotropy.  A NaN in a named
+    ``C``, ``Z`` or ``witness``, checked in that order, raises
     ``NaNResult`` before its block is yielded.
     """
     _validate_sweep(config)
@@ -345,10 +350,28 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     t_inner = names[1:] == ["T"]  # T is the second of two axes
     pairs = (itertools.product(coordinates, temperatures) if t_inner
              else itertools.product(temperatures, coordinates))
+    return columns, _sweep_rows(pairs, t_inner, columns)
 
-    from . import sweepengine  # numpy, loaded by the sweep alone
 
-    return columns, sweepengine.sweep_rows(pairs, t_inner, columns)
+def _sweep_rows(pairs: Iterator, t_inner: bool, columns: tuple) -> Iterator[dict]:
+    """The blocks of :func:`sweep_blocks` from its grid points ``pairs``, each
+    ``((J, delta, B, T_c), T)``, or ``(T, (J, delta, B, T_c))`` where ``t_inner``
+    is false."""
+    route_names = [name for name in _ROUTE_COLUMNS if name in columns]
+    for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
+        firsts, seconds = zip(*block)
+        coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
+        Js, deltas, Bs, T_cs = zip(*coords)
+        values = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "T_c": T_cs}
+        if route_names:  # axes and T_c alone need no route
+            values |= zip(_ROUTE_COLUMNS, zip(*map(closed_route, Js, deltas, Bs, temps)))
+        for name in route_names:
+            nans = list(map(math.isnan, values[name]))
+            if True in nans:
+                i = nans.index(True)
+                raise NaNResult(f"{name} is NaN at (J, delta, B, T) = "
+                                f"({Js[i]!r}, {deltas[i]!r}, {Bs[i]!r}, {temps[i]!r})")
+        yield {name: values[name] for name in columns}
 
 
 def sweep(config: SweepConfig) -> list[dict]:

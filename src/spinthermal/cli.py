@@ -121,6 +121,8 @@ def _set_key(cfg: RunConfig, section: str | None, key: str, value: str, where: s
         cfg.format = value
     else:
         cfg.columns = tuple(c.strip() for c in value.split(",") if c.strip())
+        if not cfg.columns:
+            raise ValidationError(f"{where}: columns names no column")
         for k, name in enumerate(cfg.columns):
             if name in cfg.columns[:k]:
                 raise ValidationError(f"{where}: column {name!r} repeated")

@@ -18,9 +18,9 @@ Three routes are provided:
   levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
   overflows, and the degenerate ground group at ``T = 0``.  ``C`` is
   taken from the sign-carrying entanglement witness
-  ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree;
-  :func:`spinthermal.sweepengine.closed_route_array` gives the same
-  ``(C, Z)`` over arrays, bit for bit, for sweeps, with the witness.
+  ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree.  It
+  is the one closed route: single points and every sweep point
+  (:func:`spinthermal.analysis.sweep_blocks`) call it.
 
 Matrices are lists of rows of ``complex`` (see
 :func:`spinthermal.linalg.as_rows`); only :func:`spin_flip` returns a
@@ -150,9 +150,9 @@ def concurrence_xstate(params: XStateParams) -> float:
 
 
 def level_sums(p) -> tuple:
-    """``(s00, s11, s_w, norm)`` of the level weights ``p``, floats or arrays alike:
-    columns of :data:`LEVEL_REDUCED_SIXTHS`, and ``norm = sum(deg p)``, a sixth
-    of ``s00 + s11 + 2 s_w``.  ``s11`` mirrors the order of ``s00``, so the two
+    """``(s00, s11, s_w, norm)`` of the level weights ``p``: columns of
+    :data:`LEVEL_REDUCED_SIXTHS`, and ``norm = sum(deg p)``, a sixth of
+    ``s00 + s11 + 2 s_w``.  ``s11`` mirrors the order of ``s00``, so the two
     are equal bit for bit at ``B = 0``."""
     p0, p1, p2, p3, p4, p5 = p
     return (6.0 * p0 + 4.0 * p1 + 2.0 * p2, 6.0 * p5 + 4.0 * p3 + 2.0 * p4,
@@ -160,7 +160,7 @@ def level_sums(p) -> tuple:
 
 
 def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...]:
-    """``(C, Z, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``.
+    """``(C, Z, witness, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``.
 
     Level weights ``p = exp(-(E - E_min)/T)`` in ``(0, 1]`` give the reduced
     state (:func:`level_sums`); only ``Z = exp(-E_min/T) sum(deg p)`` can
@@ -172,15 +172,15 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     cancellation (at ``T = 0`` the factor is one minus the pairs' ratio).
     ``C = 2 (|rho_y| - sqrt(rho00 rho11))^+`` is ``-2 |rho_y| expm1(-max(w, 0))``
     of the witness ``w = ln(|s_y| / sqrt(s00 s11))``, so ``C > 0`` only where
-    ``w > 0``.  Where a factor of ``w`` leaves the normal range it comes from
-    the log weights (:func:`_log_witness`); at ``T = 0`` it is then ``-inf``
-    where ``s_y = 0``, else ``+inf``.
+    ``w > 0``; ``w`` is ``-inf`` where ``J = 0``.  Where a factor of ``w``
+    leaves the normal range it comes from the log weights (:func:`_log_witness`),
+    ``+-inf`` or finite but never NaN where a level group's weights all
+    underflow; at ``T = 0`` it is then ``-inf`` where ``s_y = 0``, else ``+inf``.
     """
     levels = level_energies(J, delta, B)
     emin = min(levels)
-    gaps = [emin - e for e in levels]
     if T > 0.0:
-        weights = [math.exp(gap / T) for gap in gaps]
+        weights = [math.exp((emin - e) / T) for e in levels]
         scale = exp_or_inf(-emin / T)
     elif T == 0.0:
         ranked = sorted(levels)
@@ -197,16 +197,17 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     else:  # the weights are 0 or 1; other <= pair
         factor = 1.0 - other / pair if pair else 0.0
     abs_y = 2.0 * factor * pair
-    if all(x >= _TINY for x in (abs_y, pair, s00, s11)):  # NaN fails too
+    # a subnormal factor has lost digits (NaN fails too)
+    if abs_y >= _TINY and pair >= _TINY and s00 >= _TINY and s11 >= _TINY:
         w = math.log(abs_y / math.sqrt(s00 * s11))
     elif T:
-        w = _log_witness(gaps, J, T)
+        w = _log_witness([emin - e for e in levels], J, T)
     else:
         w = math.inf if abs_y else -math.inf
     trace = 6.0 * norm
     C = -2.0 * (abs_y / trace) * math.expm1(-(0.0 if 0.0 >= w else w))
     rho_y = -abs_y if J > 0.0 else abs_y
-    return C, scale * norm, s00 / trace, s11 / trace, s_w / trace, rho_y / trace
+    return C, scale * norm, w, s00 / trace, s11 / trace, s_w / trace, rho_y / trace
 
 
 def _log_sum(values: list, get, sixths: tuple, T: float = 1.0) -> tuple[float, float]:
@@ -244,7 +245,7 @@ def closed_form_xstate(J: float, delta: float, B: float, T: float) -> XStatePara
     """
     if T <= 0.0:
         raise InvalidTemperature(f"closed forms need T > 0, got {T}")
-    _, Z, *rho = closed_route(J, delta, B, T)
+    _, Z, _, *rho = closed_route(J, delta, B, T)
     return XStateParams(*(1.5 * Z * r if r else 0.0 for r in rho), Z=Z)
 
 

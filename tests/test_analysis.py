@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinthermal.analysis as analysis_module
-import spinthermal.sweepengine as sweepengine_module
 from spinthermal.analysis import sweep_blocks
 from spinthermal.errors import ValidationError
 from spinthermal.concurrence import closed_form_xstate, closed_route
-from spinthermal.sweepengine import closed_route_array
 from spinthermal import (
     InvalidGrid,
     ModelSpec,
@@ -404,17 +402,12 @@ def region_witness(variant, J, delta, B, T):
 
 
 def assert_array_forms_match(variant, points):
-    """``closed_route_array``'s C and Z equal ``closed_route``'s bit for bit,
-    and its witness has the sign of the scalar region witness wherever that
-    is finite and the witness is clear of zero; returns how many signs it
-    compared."""
-    J, delta, B, T = (np.array(column) for column in zip(*points))
-    C, Z, witness = closed_route_array(J, delta, B, T)
-    got = [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())]
-    want = [tuple(x.hex() for x in closed_route(*point)[:2]) for point in points]
-    assert got == want
+    """``closed_route``'s witness has the sign of the scalar region witness
+    wherever that is finite and the witness is clear of zero; returns how
+    many signs it compared."""
     signed = 0
-    for point, w in zip(points, witness.tolist()):
+    for point in points:
+        w = closed_route(*point)[2]
         try:
             scalar = region_witness(variant, *point)
         except (OverflowError, ValueError):
@@ -590,14 +583,13 @@ def per_point_sweep(config):
             T = point.pop("T", config.T)
             model = replace(config.model, **point)
             J, delta, B = model.closed_form_params()
-            C, Z, *_ = closed_route(J, delta, B, T)
-            witness = closed_route_array(*(np.array([x]) for x in (J, delta, B, T)))[2]
+            C, Z, witness, *_ = closed_route(J, delta, B, T)
             record = {"T": T, "J": J}
             if model.variant == "xxz":
                 record["delta"] = delta
             elif model.variant == "xxzfield":
                 record.update(delta=delta, B=B)
-            record.update(C=C, witness=witness.item(), Z=Z)
+            record.update(C=C, witness=witness, Z=Z)
             if model.variant != "xxzfield":
                 record["T_c"] = analysis_module._critical_temperature(model.variant, J, delta, {})
             records.append(record)
@@ -651,22 +643,23 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
     distinct = ({r["delta"] for r in records} if model.variant == "xxz"
                 else {0.0} if model.variant == "xx" else set())
     assert sorted(calls) == sorted(distinct)
-    monkeypatch.setattr(sweepengine_module, "SWEEP_BLOCK", 7)  # blocks that straddle rows
+    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # blocks that straddle rows
     assert bits(sweep(config)) == bits(expected)
 
 
 
 def test_sweep_raises_on_a_nan_before_emitting(monkeypatch):
-    inner = sweepengine_module.closed_route_array
+    inner, calls = analysis_module.closed_route, []
 
-    def with_nan(J, delta, B, T, columns):
-        C, Z, witness = inner(J, delta, B, T, columns)
-        witness[len(witness) // 2] = math.nan
-        return C, Z, witness
+    def with_nan(*point):
+        calls.append(point)
+        C, Z, witness, *rest = inner(*point)
+        return C, Z, math.nan if len(calls) == 10 else witness, *rest
 
-    monkeypatch.setattr(sweepengine_module, "closed_route_array", with_nan)
-    with pytest.raises(NaNResult, match="witness is NaN"):
+    monkeypatch.setattr(analysis_module, "closed_route", with_nan)
+    with pytest.raises(NaNResult, match="^witness is NaN at ") as raised:
         sweep(fig6_config(steps=20))
+    assert str(raised.value).endswith(f" = {calls[9]!r}")  # the point, not its block
 
 
 def block_bits(blocks):
@@ -677,51 +670,33 @@ def block_bits(blocks):
 
 @pytest.mark.parametrize("case", sorted(HOIST_CASES))
 def test_sweep_computes_only_the_named_columns(case, monkeypatch):
-    """The named columns are those of the full sweep, bit for bit; ``C``,
-    the witness, the ``Z`` pass and the ``T_c`` bisections are computed
-    only where their column is named, and ``closed_route_array`` runs only
-    where one of ``C``, ``Z`` and ``witness`` is."""
+    """The named columns are those of the full sweep, bit for bit;
+    ``closed_route`` runs once per point where one of ``C``, ``Z`` and
+    ``witness`` is named and never otherwise, and the ``T_c`` bisections
+    run only where ``T_c`` is named."""
     model, axes, T = HOIST_CASES[case]
     config = SweepConfig(model=model, axes=axes, T=T)
-    monkeypatch.setattr(sweepengine_module, "SWEEP_BLOCK", 7)  # several blocks
+    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # several blocks
     fields, full = sweep_blocks(config)
     full = block_bits(full)
-    z_points, libm, returned, bisections, route_calls = [], set(), set(), [], []
-    inner_exp, inner_map = sweepengine_module.exp_or_inf, sweepengine_module.map_floats
-    inner_route = sweepengine_module.closed_route_array
-    inner_critical = analysis_module.xxz_critical
-
-    def route(*args):
-        route_calls.append(len(args[0]))
-        values = inner_route(*args)
-        returned.update(name for name, v in zip(("C", "Z", "witness"), values) if v is not None)
-        return values
-
-    monkeypatch.setattr(sweepengine_module, "exp_or_inf",
-                        lambda x: z_points.append(x) or inner_exp(x))
-    monkeypatch.setattr(sweepengine_module, "map_floats",
-                        lambda fn, arr: libm.add(fn) or inner_map(fn, arr))
-    monkeypatch.setattr(sweepengine_module, "closed_route_array", route)
+    points = sum(len(block["C"]) for block in full)
+    bisections, route_calls = [], []
+    inner_route, inner_critical = analysis_module.closed_route, analysis_module.xxz_critical
+    monkeypatch.setattr(analysis_module, "closed_route",
+                        lambda *point: route_calls.append(point) or inner_route(*point))
     monkeypatch.setattr(analysis_module, "xxz_critical",
                         lambda delta: bisections.append(delta) or inner_critical(delta))
     axis_names = [axis.name for axis in axes]
     for columns in (axis_names + ["C"], ("witness", "C"), ("C", "Z"), ("Z", "witness"),
                     axis_names, axis_names + ["T_c"] * ("T_c" in fields), fields):
-        z_points.clear()
-        libm.clear()
-        returned.clear()
         bisections.clear()
         route_calls.clear()
         named, blocks = sweep_blocks(config, columns)
         assert named == tuple(columns)
         got = block_bits(blocks)
         assert got == [{name: block[name] for name in columns} for block in full]
-        points = sum(len(block["C"]) for block in full)
-        assert len(z_points) == (points if "Z" in columns else 0)
-        assert returned == {"C", "Z", "witness"} & set(columns)
-        assert route_calls == ([len(block["C"]) for block in full] if returned else [])
-        # expm1 and log serve the witness, from which C is taken
-        assert bool(libm & {math.expm1, math.log}) == bool({"C", "witness"} & set(columns))
+        named_route = bool({"C", "Z", "witness"} & set(columns))
+        assert len(route_calls) == (points if named_route else 0)
         assert bool(bisections) == ("T_c" in columns and model.variant != "xxzfield")
 
 
@@ -729,7 +704,7 @@ def test_sweep_rejects_an_unknown_column_at_the_call(monkeypatch):
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(sweepengine_module, "closed_route_array", never)
+    monkeypatch.setattr(analysis_module, "closed_route", never)
     xx_config = SweepConfig(ModelSpec.xx(-1.0), (SweepAxis("T", 0.1, 1.0, 3),))
     for config, name in ((fig6_config(), "T_c"), (fig6_config(), "Tc"), (xx_config, "delta")):
         with pytest.raises(ValidationError, match=f"^unknown output column '{name}'$"):

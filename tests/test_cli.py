@@ -24,7 +24,7 @@ from spinthermal.errors import (
     ValidationError,
 )
 import spinthermal
-import spinthermal.sweepengine as sweepengine_module
+import spinthermal.analysis as analysis_module
 import spinthermal.cli as cli_module
 from spinthermal import concurrence_general, gibbs_density, partial_trace
 
@@ -421,21 +421,19 @@ def test_cli_block_rendering_matches_the_per_cell_references(config_text, T_c_ki
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, tmp_path,
                                                               capsys):
-    inner, calls = sweepengine_module.closed_route_array, []
+    inner, calls = analysis_module.closed_route, []
 
-    def nan_in_the_second_block(J, delta, B, T, columns):
-        C, Z, witness = inner(J, delta, B, T, columns)
-        calls.append(len(C))
-        if len(calls) == 2:
-            Z[-1] = math.nan
-        return C, Z, witness
+    def nan_in_the_second_block(*point):
+        calls.append(point)
+        C, Z, *rest = inner(*point)
+        return C, math.nan if len(calls) == 2 * analysis_module.SWEEP_BLOCK else Z, *rest
 
-    monkeypatch.setattr(sweepengine_module, "closed_route_array", nan_in_the_second_block)
+    monkeypatch.setattr(analysis_module, "closed_route", nan_in_the_second_block)
     config, out = tmp_path / "sweep.cfg", tmp_path / f"sweep.{fmt}"
     config.write_text(FIELD_GRID_CONFIG)
     assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numeric failure: Z is NaN at")
-    assert len(calls) == 2
+    assert len(calls) == 2 * analysis_module.SWEEP_BLOCK  # the second block is not yielded
     assert not out.exists()
 
 
@@ -450,6 +448,16 @@ def test_cli_rejects_a_repeated_output_column(config_text, fmt, tmp_path, capsys
     config.write_text(config_text)
     assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 2
     assert capsys.readouterr().err.endswith(": column 'T' repeated\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", (",", " , ,"))
+def test_cli_rejects_a_columns_line_that_names_no_column(value, tmp_path, capsys):
+    # it was ignored: the sweep exited 0 with the default columns T,C
+    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    config.write_text(FIG6_CONFIG.replace("columns = T,C", f"columns = {value}"))
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: line 3: columns names no column\n"
     assert not out.exists()
 
 
@@ -482,7 +490,7 @@ def test_cli_reports_an_unknown_column_before_evaluating_the_grid(monkeypatch, t
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(sweepengine_module, "closed_route_array", never)
+    monkeypatch.setattr(analysis_module, "closed_route", never)
     config = tmp_path / "sweep.cfg"
     config.write_text(FIG6_CONFIG.replace("columns = T,C", "columns = T,Tc"))
     assert main(["sweep", "--config", str(config)]) == 2
@@ -743,7 +751,7 @@ def test_cli_reports_an_unopenable_output_path(path, reason, monkeypatch, tmp_pa
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(sweepengine_module, "closed_route_array", never)
+    monkeypatch.setattr(analysis_module, "closed_route", never)
     (tmp_path / "a-directory").mkdir()
     config = tmp_path / "fig6.cfg"
     config.write_text(FIG6_CONFIG)

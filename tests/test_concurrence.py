@@ -1,6 +1,5 @@
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from spinthermal import (
 )
 from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
                                      level_sums)
-from spinthermal.sweepengine import closed_route_array
 from spinthermal.spinmodel import LEVELS, level_energies
 
 STATES = analytic_eigenstates()
@@ -303,21 +301,6 @@ def test_level_sums_are_the_level_table():
         assert level_sums(weights) == (r00, r11, r_w, len(LEVELS[k]))
 
 
-def test_closed_route_array_is_the_scalar_route_bit_for_bit():
-    rng = np.random.default_rng(17)
-    n = 3000
-    T = 10.0 ** rng.uniform(-3.0, 1.0, n)
-    J = rng.choice((-1.0, 0.0, 1.0), n, p=(0.45, 0.1, 0.45)) * 10.0 ** rng.uniform(-3, 3.5, n) * T
-    delta = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(-50.0, 50.0, n))
-    B = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3, n) * T)
-    C, Z, _ = closed_route_array(J, delta, B, T)
-    want = [closed_route(*point)[:2]
-            for point in zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist())]
-    assert [(c.hex(), z.hex()) for c, z in zip(C.tolist(), Z.tolist())] == \
-        [(c.hex(), z.hex()) for c, z in want]
-    assert math.inf in Z.tolist()  # the saturated partition function is covered
-
-
 def extreme_points(rng, n):
     """``(J, delta, B, T)`` arrays with magnitudes from subnormal to 1e308, zeros mixed in."""
     J, delta, B = (rng.choice((-1.0, 0.0, 1.0), n, p=(0.45, 0.1, 0.45))
@@ -329,8 +312,8 @@ def test_Z_is_nan_only_where_C_is():
     """A sweep that does not name ``Z`` skips it and checks ``C`` for NaN,
     which covers every point where ``Z`` would be NaN."""
     J, delta, B, T = extreme_points(np.random.default_rng(29), 20000)
-    C, Z, _ = closed_route_array(np.append(J, 1e200), np.append(delta, 1e200),
-                                 np.append(B, 0.0), np.append(T, 1.0))
+    points = [*zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist()), (1e200, 1e200, 0.0, 1.0)]
+    C, Z = np.array([closed_route(*point)[:2] for point in points]).T
     assert np.isnan(C[-1]) and np.isnan(C).sum() > 100
     assert not (np.isnan(Z) & ~np.isnan(C)).any()
 
@@ -342,15 +325,9 @@ def test_Z_is_nan_only_where_C_is():
     ((0.1211, -24.04, -120.95, 0.4656), ("0x0.0p+0", "inf", "-0x1.ef04a9d827f80p+2")),
     ((1e200, 1e200, 0.0, 1.0), ("nan", "nan", "nan")),  # the level energies overflow
 ])
-def test_closed_route_array_sets_its_own_float_context(point, want):
-    """A bare call gives the silent inf and nan of Python floats, with no
-    RuntimeWarning (the test settings make one an error); the scalar route
-    gives the same ``C`` and ``Z``, NaN included."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = closed_route_array(*(np.array([x]) for x in point))
-    assert tuple(column.item().hex() for column in got) == want
-    assert tuple(x.hex() for x in closed_route(*point)[:2]) == want[:2]
+def test_closed_route_pins_C_Z_and_the_witness(point, want):
+    """``(C, Z, witness)`` bit for bit, with the silent inf and nan of Python floats."""
+    assert tuple(x.hex() for x in closed_route(*point)[:3]) == want
 
 
 _RATIO = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # |J|/T and |B|/T in [1e-3, 1e3]
@@ -404,7 +381,7 @@ def test_zero_temperature_ground_group_of_a_chiral_and_a_symmetric_level(J, delt
 
 
 # ---------------------------------------------------------------------------
-# the witness of closed_route_array
+# the witness of closed_route
 
 C_ZERO = 1e-9  # a concurrence at or below this counts as zero
 
@@ -491,17 +468,15 @@ def test_positive_concurrence_implies_a_positive_witness_on_the_wide_grid():
     # a level weight that underflows can take s00 or s11 to 0 where the witness is
     # negative; C must stay 0 there
     J, delta, B, T = wide_grid(2001, 40000)
-    C, _, witness = closed_route_array(J, delta, B, T, ("C", "witness"))
-    assert (C >= 0.0).all()
-    assert not (C > 0.0)[~(witness > 0.0)].any()
-    assert 0.2 < (C > 0.0).mean() < 0.8  # both verdicts are well covered
-    points = list(zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist()))
-    for i in range(0, len(points), 40):
-        C, _, rho00, rho11, *_ = closed_route(*points[i])
-        assert not C > 0.0 or witness[i] > 0.0, points[i]
-        J, delta, _, T = points[i]
-        _, _, rho00, rho11, *_ = closed_route(J, delta, 0.0, T)
+    entangled = 0
+    for point in zip(J.tolist(), delta.tolist(), B.tolist(), T.tolist()):
+        C, _, witness, *_ = closed_route(*point)
+        assert C >= 0.0 and (not C > 0.0 or witness > 0.0), point
+        entangled += C > 0.0
+        J, delta, _, T = point
+        _, _, _, rho00, rho11, *_ = closed_route(J, delta, 0.0, T)
         assert rho00 == rho11  # u == v at B = 0
+    assert 0.2 < entangled / 40000 < 0.8  # both verdicts are well covered
 
 
 def test_closed_concurrence_matches_the_reference_on_the_wide_grid():
@@ -526,8 +501,7 @@ def test_closed_concurrence_matches_the_reference_on_the_wide_grid():
 
 
 def closed_witness(points):
-    J, delta, B, T = (np.array(column, float) for column in zip(*points))
-    return closed_route_array(J, delta, B, T)[2].tolist()
+    return [closed_route(*point)[2] for point in points]
 
 
 def test_witness_matches_the_mpmath_reference():

@@ -1,4 +1,4 @@
-"""Single-point work starts without numpy; only ``sweep`` and ``verify`` load it.
+"""Every command but ``verify`` starts without numpy, ``sweep`` included.
 
 Each case runs in a fresh interpreter, which reports whether ``numpy``
 is in ``sys.modules`` after the work.
@@ -61,6 +61,6 @@ def test_sweep_and_verify_still_run(tmp_path):
     config.write_text("command = sweep\ncolumns = T,C\n[model]\nmodel = xx\nJ = -1\n"
                       "[grid:T]\nmin = 0.1\nmax = 2\nsteps = 5\n")
     sweep = MAIN.format(argv=["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
-    assert run_fresh(sweep, tmp_path) == (0, True)
+    assert run_fresh(sweep, tmp_path) == (0, False)
     assert len((tmp_path / "o").read_text().splitlines()) == 6
     assert run_fresh(MAIN.format(argv=["verify"]), tmp_path) == (0, True)
