@@ -28,7 +28,6 @@ from .concurrence import (
     concurrence_closed_form,
     concurrence_general,
     concurrence_xstate,
-    spin_flip,
 )
 from .errors import (
     ConfigError,
@@ -49,7 +48,7 @@ from .errors import (
     UnsupportedModel,
     ValidationError,
 )
-from .linalg import Spectrum, hermitian_eigen, kron, psd_sqrt
+from .linalg import Spectrum, hermitian_eigen, psd_sqrt
 from .spinmodel import (
     ModelSpec,
     Q,
@@ -59,7 +58,6 @@ from .spinmodel import (
     basis_index,
     build_hamiltonian,
     cyclic_shift,
-    pauli,
 )
 from .thermalstate import (
     DensityMatrix,

@@ -3,8 +3,8 @@
 Usage::
 
     spinthermal <command> [--config PATH] [--model xx|xxz|xxzfield|xyz]
-                [--J v] [--delta v] [--B v] [--T v]
-                [--out PATH] [--format csv|json]
+                [--J v] [--delta v] [--B v] [--J1 v] [--J2 v] [--J3 v]
+                [--B1 v] [--B2 v] [--B3 v] [--T v] [--out PATH] [--format csv|json]
 
 with commands ``eig``, ``thermal``, ``concurrence``, ``critical``,
 ``sweep`` and ``verify``.  Parameters come from a line-oriented config file
@@ -54,12 +54,13 @@ import contextlib
 import errno
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import analysis, concurrence, spinmodel, thermalstate
+from . import analysis, concurrence, linalg, spinmodel, thermalstate
 from .errors import (InputError, ParseError, SpinThermalError, UnknownKey, UnsupportedModel,
                      ValidationError)
 
@@ -69,6 +70,13 @@ _TOP_KEYS = ("command", "T", "out", "format", "columns")
 _MODEL_KEYS = ("model", *dict.fromkeys(sum(spinmodel.REQUIRED_FIELDS.values(), ())))
 _GRID_KEYS = ("min", "max", "steps")
 _AXIS_ALIASES = {"Δ": "delta", **{name.lower(): name for name in ("T", *_MODEL_KEYS[1:])}}
+_FLAGS = (*_MODEL_KEYS, "T", "out", "format")  # one --<key> flag each
+_FLAG_HELP = {"model": "model variant: " + ", ".join(spinmodel.REQUIRED_FIELDS),
+              "J": "exchange constant", "delta": "anisotropy", "B": "uniform field",
+              **{f"J{n}": f"xyz coupling of the {a}{a} bonds" for n, a in enumerate("xyz", 1)},
+              **{f"B{n}": f"xyz field along z on site {n}" for n in (1, 2, 3)},
+              "T": "temperature (k = 1)", "out": "output path (default: stdout)",
+              "format": "output format: csv or json"}
 
 
 @dataclass
@@ -389,11 +397,8 @@ def _require_T(cfg: RunConfig) -> float:
 
 def _cmd_eig(cfg: RunConfig) -> int:
     model = build_model(cfg.model)
-    from .linalg import degenerate_groups, hermitian_eigen
-    from .spinmodel import build_hamiltonian
-
-    spectrum = hermitian_eigen(build_hamiltonian(model))
-    groups = degenerate_groups(spectrum.eigenvalues)
+    spectrum = linalg.hermitian_eigen(spinmodel.build_hamiltonian(model))
+    groups = linalg.degenerate_groups(spectrum.eigenvalues)
     group_of = {}
     for gid, members in enumerate(groups):
         for k in members:
@@ -495,6 +500,18 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
+#: ``(J, delta, B)`` of verify's spectrum check: six uniform draws, J in [-2, 2),
+#: delta in [-3, 2) and B in [-3, 3).
+_SPECTRUM_POINTS = (
+    (0.7682878390288406, -0.9441033068940268, -1.8038980194896428),
+    (-0.02390584427421505, 1.6599028088805863, -0.02026031823051966),
+    (1.5930890687678363, 1.2981344592540474, -2.647446411635091),
+    (1.6393825738362349, 0.4175234344345067, 2.920273644020484),
+    (1.63999438985685, 0.7294452632600148, -1.0350709764338162),
+    (-0.006004955336266438, 1.2587880280743917, 0.26223113850992075),
+)
+
+
 def run_verification() -> list[tuple[str, bool, str, str]]:
     """Golden-constant and cross-route checks behind ``spinthermal verify``.
 
@@ -502,55 +519,39 @@ def run_verification() -> list[tuple[str, bool, str, str]]:
     a bisection root, a hand-traced matrix, or agreement between the two
     independent computation routes.
     """
-    import numpy as np
-
-    from .linalg import hermitian_eigen
-    from .spinmodel import (
-        ModelSpec,
-        analytic_eigenstates,
-        analytic_energies,
-        build_hamiltonian,
-    )
-
     checks: list[tuple[str, bool, str, str]] = []
 
     def record(name: str, ok: bool, detail: str, tag: str) -> None:
         checks.append((name, bool(ok), detail, tag))
 
     # Spectra of the three named models against their exact energies.
-    rng = np.random.default_rng(20260809)
     worst = 0.0
-    for _ in range(6):
-        J = float(rng.uniform(-2, 2)) or 0.5
-        delta = float(rng.uniform(-3, 2))
-        B = float(rng.uniform(-3, 3))
-        for model in (ModelSpec.xx(J), ModelSpec.xxz(J, delta),
-                      ModelSpec.xxz_field(J, delta, B)):
-            num = np.sort(hermitian_eigen(build_hamiltonian(model)).eigenvalues)
-            ana = np.sort(analytic_energies(model))
-            worst = max(worst, float(np.abs(num - ana).max()))
+    for J, delta, B in _SPECTRUM_POINTS:
+        for model in (spinmodel.ModelSpec.xx(J), spinmodel.ModelSpec.xxz(J, delta),
+                      spinmodel.ModelSpec.xxz_field(J, delta, B)):
+            num = sorted(linalg.hermitian_eigen(spinmodel.build_hamiltonian(model)).eigenvalues)
+            ana = sorted(spinmodel.analytic_energies(model))
+            worst = max(worst, *(abs(a - b) for a, b in zip(num, ana)))
     record("spectrum-multisets", worst <= 1e-10, f"max|dE|={worst:.2e}<=1e-10",
            "exact energies")
 
     # Shared eigenbasis.
-    states = analytic_eigenstates()
+    states = spinmodel.analytic_eigenstates()
     worst = 0.0
-    for model in (ModelSpec.xx(-1.0), ModelSpec.xxz(1.0, 0.5),
-                  ModelSpec.xxz_field(1.0, 1.0, 2.0)):
-        h = np.asarray(build_hamiltonian(model))
-        energies = analytic_energies(model)
-        for k, psi in enumerate(states):
-            worst = max(worst, float(np.linalg.norm(h @ psi - energies[k] * psi)))
+    for model in (spinmodel.ModelSpec.xx(-1.0), spinmodel.ModelSpec.xxz(1.0, 0.5),
+                  spinmodel.ModelSpec.xxz_field(1.0, 1.0, 2.0)):
+        h = spinmodel.build_hamiltonian(model)
+        for energy, psi in zip(spinmodel.analytic_energies(model), states):
+            residual = [sum(map(operator.mul, row, psi)) - energy * x for row, x in zip(h, psi)]
+            worst = max(worst, math.hypot(*map(abs, residual)))
     record("shared-eigenbasis", worst <= 1e-10, f"max residual={worst:.2e}",
            "exact eigenstates")
 
     # Reduced-state golden: equal mixture of the two symmetric states.
-    mix = sum(np.outer(s, s.conj()) for s in (states[3], states[6]))
-    reduced = thermalstate.partial_trace(mix)
-    golden = (2.0 / 3.0) * np.array(
-        [[0.5, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0.5]], dtype=complex
-    )
-    dev = float(np.abs(np.asarray(reduced) - golden).max())
+    reduced = thermalstate.partial_trace(linalg.mixture([1.0, 1.0], [states[3], states[6]]))
+    golden = [[0.5, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0.5]]
+    dev = max(abs(x - 2.0 / 3.0 * g) for row, want in zip(reduced, golden)
+              for x, g in zip(row, want))
     record("reduced-state-golden", dev <= 1e-12, f"max|drho|={dev:.2e}", "hand trace")
 
     # Critical constants.
@@ -638,11 +639,8 @@ def _config_from_args(argv) -> RunConfig:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to a config file")
-    flags = {"model": "model variant: xx, xxz, xxzfield, xyz", "J": "exchange constant",
-             "delta": "anisotropy", "B": "uniform field", "T": "temperature (k = 1)",
-             "out": "output path (default: stdout)", "format": "output format: csv or json"}
-    for name, text in flags.items():
-        parser.add_argument(f"--{name}", help=text)
+    for name in _FLAGS:
+        parser.add_argument(f"--{name}", help=_FLAG_HELP.get(name))
     args = parser.parse_args(argv)
 
     if args.config:
@@ -656,7 +654,7 @@ def _config_from_args(argv) -> RunConfig:
     else:
         cfg = RunConfig()
     cfg.command = args.command
-    for name in flags:
+    for name in _FLAGS:
         value = getattr(args, name)
         if value is not None:
             _set_key(cfg, "model" if name in _MODEL_KEYS else None, name, value, f"--{name}")

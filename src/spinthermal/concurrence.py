@@ -23,12 +23,9 @@ Three routes are provided:
   (:func:`spinthermal.analysis.sweep_blocks`) call it.
 
 Matrices are lists of rows of ``complex`` (see
-:func:`spinthermal.linalg.as_rows`); only :func:`spin_flip` returns a
-numpy array, and imports numpy when it is called.
-
-Complex conjugation in the spin flip is taken entry-wise in the
-computational basis fixed by :mod:`spinthermal.spinmodel`; pinning the
-basis makes every intermediate quantity reproducible.
+:func:`spinthermal.linalg.as_rows`).  The spin flip ``sy x sy`` acts in
+the computational basis fixed by :mod:`spinthermal.spinmodel`; pinning
+the basis makes every intermediate quantity reproducible.
 """
 
 from __future__ import annotations
@@ -40,9 +37,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
 from .linalg import (PSD_FLOOR, TRACE_TOL, as_rows, degenerate_groups, exp_or_inf,
-                     hermitian_eigen, hermitian_part, jacobi_eigen, kron, shape,
-                     singular_values)
-from .spinmodel import SIGMA_Y, ModelSpec, level_energies
+                     hermitian_eigen, hermitian_part, jacobi_eigen, shape, singular_values)
+from .spinmodel import ModelSpec, level_energies
 from .thermalstate import DensityMatrix
 
 #: ``Tr_3`` of each level's projector (its states in ``spinmodel.LEVELS``) in
@@ -90,17 +86,6 @@ class XStateParams:
         trace = 2.0 * (self.u + self.v + 2.0 * self.w) / (3.0 * self.Z)
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidState(f"parameters violate unit trace: {trace!r}")
-
-
-def spin_flip(rho):
-    """The tilde transform ``(sy x sy) conj(rho) (sy x sy)``, as a numpy array."""
-    import numpy as np
-
-    flip = kron(SIGMA_Y, SIGMA_Y)
-    mat = np.asarray(getattr(rho, "mat", rho), dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {mat.shape}")
-    return flip @ mat.conj() @ flip
 
 
 def concurrence_general(rho) -> ConcurrenceResult:

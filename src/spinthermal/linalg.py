@@ -1,15 +1,16 @@
 """Dense complex linear algebra sized for three-qubit problems.
 
 Matrices are nested lists of Python ``complex``, row by row (2x2 up to
-8x8); an input may be any nested sequence of numbers, numpy arrays
-included.  The eigensolver is a cyclic Jacobi iteration with complex
-plane rotations: at these sizes it reaches near machine precision, and
-every spectral quantity downstream (Gibbs weights, the factor of the
-concurrence's density matrix) runs through it.  Its rotations, and
-those of the one-sided Jacobi SVD that gives the concurrence's lambdas,
-run on the lists themselves.  Only :func:`kron` and :func:`psd_sqrt`
-return numpy arrays, and import numpy when they are called.
-All functions are pure; nothing here keeps internal state.
+8x8); an input may be any nested sequence of numbers, or an array that
+converts to one by its ``tolist()``.  The eigensolver is a cyclic
+Jacobi iteration with complex plane rotations: at these sizes it
+reaches near machine precision, and every spectral quantity downstream
+(Gibbs weights, the factor of the concurrence's density matrix) runs
+through it.  Its rotations, and those of the one-sided Jacobi SVD that
+gives the concurrence's lambdas, run on the lists themselves, as does
+:func:`mixture`, the one weighted sum of projectors, which builds every
+density matrix and the PSD square root.  All functions are pure;
+nothing here keeps internal state.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Spectrum:
 def as_rows(m) -> list[list[complex]]:
     """A fresh list of the rows of the matrix ``m``, each a list of ``complex``.
 
-    ``m`` is any nested sequence of numbers, a numpy array included.
+    ``m`` is any nested sequence of numbers, or an array whose ``tolist()`` is one.
     Raises ``ValueError`` where ``m`` is not a list of equally long rows.
     """
     rows = m.tolist() if hasattr(m, "tolist") else m
@@ -92,13 +93,6 @@ def exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def kron(a, b):
-    """Kronecker product as a numpy array; block (i, j) of the result is ``a[i, j] * b``."""
-    import numpy as np
-
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _moduli(values) -> list[float]:
@@ -287,19 +281,39 @@ def singular_values(m) -> list[float]:
         f"columns not orthogonal to {JACOBI_OFF_TOL:.0e} after {JACOBI_SWEEP_CAP} sweeps")
 
 
-def psd_sqrt(m):
-    """Hermitian square root of a positive-semidefinite matrix, as a numpy array.
+def mixture(weights: list, vectors: list) -> list[list[complex]]:
+    """``sum_k weights[k] v_k v_k^H`` over the vectors ``v_k``, exactly Hermitian.
+
+    Each ``v_k`` of nonzero weight adds its products over its nonzero
+    entries (a zero entry adds nothing) to the upper triangle; the lower
+    triangle is its conjugate and the diagonal is real.
+    """
+    n = len(vectors[0])
+    rho = [[0j] * n for _ in range(n)]
+    for w, v in zip(weights, vectors):
+        if w:
+            support = [(i, x) for i, x in enumerate(v) if x]
+            for a, (i, x) in enumerate(support):
+                wx, row = w * x, rho[i]
+                for j, y in support[a:]:
+                    row[j] += wx * y.conjugate()
+    for i, row in enumerate(rho):
+        row[i] = complex(row[i].real)
+        for j in range(i + 1, n):
+            rho[j][i] = row[j].conjugate()
+    return rho
+
+
+def psd_sqrt(m) -> list[list[complex]]:
+    """Hermitian square root ``sum_k sqrt(d_k) v_k v_k^H`` of a positive-semidefinite
+    matrix (see :func:`as_rows`) over its eigenpairs, by :func:`mixture`.
 
     Eigenvalues in ``[PSD_FLOOR, 0)`` are treated as roundoff and clamped
     to zero; anything below the floor raises ``NotPSD``.
     """
-    import numpy as np
-
     spectrum = hermitian_eigen(m)
-    vals = np.array(spectrum.eigenvalues)
-    if float(vals.min()) < PSD_FLOOR:
-        raise NotPSD(f"eigenvalue {vals.min():.3e} below {PSD_FLOOR:.0e}")
-    roots = np.sqrt(np.clip(vals, 0.0, None))
-    vecs = np.array(spectrum.eigenvectors, dtype=complex)
-    out = (vecs * roots) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
+    lowest = spectrum.eigenvalues[0]
+    if lowest < PSD_FLOOR:
+        raise NotPSD(f"eigenvalue {lowest:.3e} below {PSD_FLOOR:.0e}")
+    return mixture([math.sqrt(max(d, 0.0)) for d in spectrum.eigenvalues],
+                   list(zip(*spectrum.eigenvectors)))

@@ -13,7 +13,8 @@ bond, ``Delta*J/2`` on each ``(zz - 1)`` bond, with periodic boundary
 negative ``J`` the ferromagnetic side.  All four uniform models share
 one eigenbasis because the anisotropy and field terms commute with the
 hopping term; :func:`analytic_eigenstates` returns it explicitly so the
-numerics can be checked against exact expressions.
+numerics can be checked against exact expressions.  Matrices and
+vectors are lists of ``complex``, a matrix row by row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import FloatOverflow, UnsupportedModel
-from .linalg import kron
 
 #: The model variants and the coupling fields each needs; others stay ``None``.
 REQUIRED_FIELDS = {
@@ -141,20 +141,6 @@ class ModelSpec:
                      for name in ("J", "delta", "B"))
 
 
-def pauli(site: int, axis: str):
-    """Single-site operator embedded in the three-qubit space, as a numpy array.
-
-    ``axis`` is one of ``x``, ``y``, ``z``; ``site`` counts from 1.
-    """
-    if site not in (1, 2, 3):
-        raise ValueError(f"site must be 1, 2 or 3, got {site}")
-    if axis not in _AXIS_TABLE:
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    factors = [IDENTITY_2] * 3
-    factors[site - 1] = _AXIS_TABLE[axis]
-    return kron(kron(factors[0], factors[1]), factors[2])
-
-
 def _operator(factors: dict) -> dict:
     """Nonzero entries ``{(row, column): value}`` of the product of the
     single-qubit operators ``{site: table}`` on distinct sites, the identity
@@ -228,20 +214,16 @@ def build_hamiltonian(spec: ModelSpec) -> list[list[complex]]:
     return h
 
 
-def cyclic_shift():
-    """Permutation matrix of the ring rotation ``|ijk> -> |kij>``, as a numpy array."""
-    import numpy as np
-
-    p = np.zeros((8, 8), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                p[basis_index(k, i, j), basis_index(i, j, k)] = 1.0
+def cyclic_shift() -> list[list[complex]]:
+    """Permutation matrix of the ring rotation ``|ijk> -> |kij>``."""
+    p = [[0j] * 8 for _ in range(8)]
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        p[basis_index(k, i, j)][basis_index(i, j, k)] = 1 + 0j
     return p
 
 
-def analytic_eigenstates() -> list:
-    """The eight exact eigenstates shared by all uniform ring models, as numpy arrays.
+def analytic_eigenstates() -> list[list[complex]]:
+    """The eight exact eigenstates shared by all uniform ring models.
 
     State 0 is ``|000>`` and state 7 is ``|111>``; states 1..3 live in
     the single-excitation sector and 4..6 in the double-excitation
@@ -249,25 +231,16 @@ def analytic_eigenstates() -> list:
     chiral ones weighted by powers of :data:`Q`.  All are unit vectors
     and pairwise orthonormal.
     """
-    import numpy as np
-
-    def ket(q1: int, q2: int, q3: int):
-        v = np.zeros(8, dtype=complex)
-        v[basis_index(q1, q2, q3)] = 1.0
-        return v
-
     s = 1.0 / math.sqrt(3.0)
     q, q2 = Q, Q * Q
-    return [
-        ket(0, 0, 0),
-        s * (q * ket(0, 0, 1) + q2 * ket(0, 1, 0) + ket(1, 0, 0)),
-        s * (q2 * ket(0, 0, 1) + q * ket(0, 1, 0) + ket(1, 0, 0)),
-        s * (ket(0, 0, 1) + ket(0, 1, 0) + ket(1, 0, 0)),
-        s * (q * ket(1, 1, 0) + q2 * ket(1, 0, 1) + ket(0, 1, 1)),
-        s * (q2 * ket(1, 1, 0) + q * ket(1, 0, 1) + ket(0, 1, 1)),
-        s * (ket(1, 1, 0) + ket(1, 0, 1) + ket(0, 1, 1)),
-        ket(1, 1, 1),
-    ]
+    states = [[0j] * 8 for _ in range(8)]
+    states[0][basis_index(0, 0, 0)] = states[7][basis_index(1, 1, 1)] = 1 + 0j
+    for first, sector in ((1, ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+                          (4, ((1, 1, 0), (1, 0, 1), (0, 1, 1)))):
+        for k, phases in enumerate(((q, q2, 1.0), (q2, q, 1.0), (1.0, 1.0, 1.0)), first):
+            for bits, phase in zip(sector, phases):
+                states[k][basis_index(*bits)] = complex(s * phase)
+    return states
 
 
 def level_energies(J: float, delta: float, B: float) -> tuple[float, ...]:
@@ -278,13 +251,11 @@ def level_energies(J: float, delta: float, B: float) -> tuple[float, ...]:
             e_single + B, e_symmetric + B, 3.0 * B)
 
 
-def analytic_energies(spec: ModelSpec):
-    """Exact energies of the eight analytic eigenstates, in state order, as a numpy array.
+def analytic_energies(spec: ModelSpec) -> list[float]:
+    """Exact energies of the eight analytic eigenstates, in state order.
 
     Only the uniform models have a closed spectrum here; the general XYZ
     variant raises ``UnsupportedModel`` (from ``closed_form_params``).
     """
-    import numpy as np
-
     levels = level_energies(*spec.closed_form_params())
-    return np.array([levels[n] for n, states in enumerate(LEVELS) for _ in states])
+    return [levels[n] for n, states in enumerate(LEVELS) for _ in states]

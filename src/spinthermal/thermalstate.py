@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidState, InvalidTemperature
 from .linalg import (TRACE_TOL, as_rows, check_hermitian, degenerate_groups, exp_or_inf,
-                     jacobi_eigen, shape)
+                     jacobi_eigen, mixture, shape)
 from .spinmodel import ModelSpec, build_hamiltonian
 
 
@@ -56,29 +56,6 @@ def partition_function(spec: ModelSpec, T: float) -> float:
     return exp_or_inf(-beta * emin) * shifted  # shifted >= 1, so an inf factor stays inf
 
 
-def _mixture(weights: list, vectors: list) -> list[list[complex]]:
-    """``sum_k weights[k] v_k v_k^H`` over the vectors ``v_k``, exactly Hermitian.
-
-    Each ``v_k`` adds its products over its nonzero entries (a zero
-    entry adds nothing) to the upper triangle; the lower triangle is its
-    conjugate and the diagonal is real.
-    """
-    n = len(vectors[0])
-    rho = [[0j] * n for _ in range(n)]
-    for w, v in zip(weights, vectors):
-        if w:
-            support = [(i, x) for i, x in enumerate(v) if x]
-            for a, (i, x) in enumerate(support):
-                wx, row = w * x, rho[i]
-                for j, y in support[a:]:
-                    row[j] += wx * y.conjugate()
-    for i, row in enumerate(rho):
-        row[i] = complex(row[i].real)
-        for j in range(i + 1, n):
-            rho[j][i] = row[j].conjugate()
-    return rho
-
-
 def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:
     """Thermal equilibrium state ``exp(-H/T) / Z`` of the model.
 
@@ -99,7 +76,7 @@ def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:
         weights = [math.exp((emin - e) / T) for e in energies]
         total = sum(weights)
         weights = [w / total for w in weights]
-    return DensityMatrix(_mixture(weights, vectors))
+    return DensityMatrix(mixture(weights, vectors))
 
 
 def partial_trace(rho, site: int = 3):

@@ -30,7 +30,7 @@ from spinthermal.cli import main
 
 from paper_conditions import P1, P2, field_curves_half, zero_temperature_concurrence
 
-STATES = analytic_eigenstates()
+STATES = np.asarray(analytic_eigenstates())
 
 
 @contextmanager
@@ -75,7 +75,7 @@ def test_criterion_02_eigenstate_invariance():
                 assert np.linalg.norm(h @ psi - energies[k] * psi) <= 1e-10
         # shift eigenphases: the symmetric four carry 1, the chiral pairs
         # carry conjugate primitive cube roots (1 with 4, 2 with 5)
-        p = cyclic_shift()
+        p = np.asarray(cyclic_shift())
         for k, psi in enumerate(STATES):
             assert np.linalg.norm(p @ psi - SHIFT_PHASES[k] * psi) <= 1e-12
         q = SHIFT_PHASES[1]

@@ -154,6 +154,18 @@ def test_cli_general_xyz_prints_no_closed_form_columns(tmp_path, capsys):
     assert header == "T,C_numeric,C_closed" and row.endswith(",")
 
 
+def test_cli_general_xyz_runs_from_flags_alone(tmp_path, capsys):
+    # an entangled point, so the row shows the couplings reached the model
+    fields = {"J1": "-1", "J2": "-0.8", "J3": "-0.2", "B1": "0.1", "B2": "0.1", "B3": "0.1"}
+    config = tmp_path / "xyz.cfg"
+    config.write_text("[model]\nmodel = xyz\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+    assert main(["concurrence", "--config", str(config), "--T=0.4"]) == 0
+    from_config = capsys.readouterr().out
+    flags = [arg for key, value in fields.items() for arg in (f"--{key}", value)]
+    assert main(["concurrence", "--model", "xyz", *flags, "--T", "0.4"]) == 0
+    assert capsys.readouterr().out == from_config == "T,C_numeric,C_closed\n0.4,0.28219508617,\n"
+
+
 def test_render_csv_formatting():
     text = render_csv(["a", "b"], [{"a": 1.0 / 3.0, "b": None}, {"a": 2, "b": "x"}])
     lines = text.split("\n")

@@ -22,13 +22,14 @@ from spinthermal import (
     concurrence_xstate,
     gibbs_density,
     partial_trace,
-    spin_flip,
 )
 from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
                                      level_sums)
 from spinthermal.spinmodel import LEVELS, level_energies
 
-STATES = analytic_eigenstates()
+from kron_reference import spin_flip
+
+STATES = np.asarray(analytic_eigenstates())
 
 
 def pure_state(vec):

@@ -1,4 +1,5 @@
-"""Every command but ``verify`` starts without numpy, ``sweep`` included.
+"""The package runs without numpy: no command loads it, ``verify`` included,
+and every command still runs where importing it fails.
 
 Each case runs in a fresh interpreter, which reports whether ``numpy``
 is in ``sys.modules`` after the work.
@@ -63,4 +64,22 @@ def test_sweep_and_verify_still_run(tmp_path):
     sweep = MAIN.format(argv=["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert run_fresh(sweep, tmp_path) == (0, False)
     assert len((tmp_path / "o").read_text().splitlines()) == 6
-    assert run_fresh(MAIN.format(argv=["verify"]), tmp_path) == (0, True)
+    assert run_fresh(MAIN.format(argv=["verify"]), tmp_path) == (0, False)
+
+
+def test_every_command_runs_with_numpy_blocked(tmp_path):
+    sweep = "command = sweep\n[model]\nmodel = xxz\nJ = -1\ndelta = 0.5\n[grid:T]\n" \
+            "min = 0.1\nmax = 2\nsteps = 5\n"
+    (tmp_path / "sweep.cfg").write_text(sweep)
+    model = ["--model", "xxzfield", "--J=1", "--delta=1", "--B=2"]
+    runs = [["eig", *model], ["thermal", *model, "--T=1"], ["concurrence", *model, "--T=0.5"],
+            ["critical", "--model", "xxz", "--J=-1", "--delta=0.5"], ["verify"],
+            ["sweep", "--config", "sweep.cfg", "--out", "sweep.csv"],
+            ["sweep", "--config", "sweep.cfg", "--format", "json", "--out", "sweep.json"]]
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # a None entry makes `import numpy` raise\n"
+            "import spinthermal\n"
+            f"from spinthermal.cli import main\ncode = [main(argv) for argv in {runs!r}]\n")
+    assert run_fresh(code, tmp_path)[0] == [0] * len(runs)  # numpy stays in sys.modules, as None
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 6
+    assert len(json.loads((tmp_path / "sweep.json").read_text())["rows"]) == 5

@@ -23,7 +23,7 @@ from spinthermal.linalg import HERMITICITY_RTOL
 from spinthermal.spinmodel import REQUIRED_FIELDS
 from spinthermal.concurrence import closed_form_xstate
 
-STATES = analytic_eigenstates()
+STATES = np.asarray(analytic_eigenstates())
 
 
 def projector(*indices):
@@ -91,7 +91,7 @@ def test_gibbs_matches_analytic_expansion():
     # Boltzmann factors
     model = ModelSpec.xx(1.0)
     T = 1.0
-    energies = analytic_energies(model)
+    energies = np.asarray(analytic_energies(model))
     weights = np.exp(-energies / T)
     expected = sum(
         w * np.outer(s, s.conj()) for w, s in zip(weights, STATES)
