@@ -13,12 +13,10 @@ the Boltzmann factor ``z = exp(J/T)``:
 Each is finite on part of the domain only; the sweep's witness (from
 :func:`~spinthermal.concurrence.closed_route`) is finite on all of it.
 
-Critical points come from plain bisection: the witnesses are monotone
-through their single sign change on the bracketed interval, and at this
-problem size robustness beats speed.  One bisection, in ``ln z``, serves
-both field-free models: the XX ring is the XXZ ring at ``delta = 0``.
-Critical temperatures are reported per unit ``|J|`` (they scale linearly
-in ``|J|``).
+Critical temperatures, per unit ``|J|`` (they scale linearly in ``|J|``),
+are roots in ``ln T`` of that same witness, the one sweeps print, found by
+regula falsi with the Illinois step.  One finder serves both field-free
+models: the XX ring is the XXZ ring at ``delta = 0``.
 
 A sweep's axes are ``T`` and the variant's fields in
 :data:`~spinthermal.spinmodel.REQUIRED_FIELDS`; a field set outside them
@@ -26,13 +24,13 @@ is ignored and is not an axis.  A sweep splits its work in two.  What
 depends only on the non-temperature coordinates (the closed-form
 parameters and the critical temperature) is computed once per distinct
 coordinate and kept for the length of the call; the critical point
-itself is bisected once per distinct anisotropy and scaled by each
+itself is found once per distinct anisotropy and scaled by each
 coordinate's ``|J|``.  Each grid point is then one call of
 :func:`~spinthermal.concurrence.closed_route`, which gives its ``C``,
 ``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))`` together: the
 witness is the sweep's ``witness`` column for every variant and the sign
 of its ``C``.  :func:`sweep_blocks` takes the output columns, calls the
-route only where ``C``, ``witness`` or ``Z`` is named and bisects ``T_c``
+route only where ``C``, ``witness`` or ``Z`` is named and finds ``T_c``
 only where it is, and yields the points in grid order,
 :data:`SWEEP_BLOCK` at a time, as one sequence per named column;
 :func:`sweep` names every record field and turns the blocks into records.
@@ -50,8 +48,10 @@ from .errors import (InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDo
                      ValidationError)
 from .spinmodel import REQUIRED_FIELDS, ModelSpec
 
-BISECT_TOL = 1e-12
+BISECT_TOL = 1e-14
 BISECT_CAP = 200
+
+_LN2 = math.log(2.0)
 
 #: Stationary point of the XXZ witness with respect to the anisotropy.
 Z0 = 4.0 ** (-1.0 / 3.0)
@@ -88,24 +88,32 @@ class RegionVerdict:
     witness: float
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
+def _regula_falsi(fn, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Root of ``fn`` between ``lo`` and ``hi``, given its values there: regula falsi
+    with the Illinois step (Dowell and Jarratt, BIT 11, 1971), bisecting where a
+    step leaves the bracket.  Returns the last iterate ``x`` once the bracket is
+    at most :data:`BISECT_TOL` times ``max(1, |x|)`` wide."""
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoRoot(f"no sign change on [{lo:g}, {hi:g}]")
+    side = 0  # the end the last step moved: 1 for lo, -1 for hi
     for _ in range(BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) <= BISECT_TOL * max(1.0, abs(mid)):
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        x = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
+        if not lo <= x <= hi:
+            x = 0.5 * (lo + hi)
+        f_x = fn(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0.0) == (f_lo > 0.0):
+            if side > 0:  # hi kept twice
+                f_hi *= 0.5
+            lo, f_lo, side = x, f_x, 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            if side < 0:
+                f_lo *= 0.5
+            hi, f_hi, side = x, f_x, -1
+        if hi - lo <= BISECT_TOL * max(1.0, abs(x)):
+            break
+    return x
 
 
 def _scaled_power(log_magnitude: float, sign: float) -> float:
@@ -138,42 +146,34 @@ def xxz_region(delta: float, z: float) -> RegionVerdict:
     return RegionVerdict(entangled=witness > 0.0, witness=witness)
 
 
-def _xxz_log_witness(delta: float, x: float) -> float:
-    """Sign-equivalent of the XXZ witness at ``x = ln z`` on ``z < z0``.
-
-    There ``|y| - v > 0`` exactly when
-    ``2 (delta - 1) x + ln(1/3 - (4/3) e^{3x}) > 0``.  The first term is
-    written as ``(delta - 1) (2 x)`` so that it stays finite near ``z0``
-    for any finite anisotropy; ``e^{3x} <= 1/4`` cannot overflow.
-    """
-    q = 4.0 * math.exp(3.0 * x)
-    if q >= 1.0:
-        return -math.inf
-    return (delta - 1.0) * (2.0 * x) + math.log1p(-q) - math.log(3.0)
-
-
 def xxz_critical(delta: float) -> Optional[CriticalPoint]:
-    """Critical point of the XXZ ring at the given anisotropy.
+    """Critical point of the XXZ ring at the given anisotropy, per unit ``|J|``.
 
     Returns ``None`` for ``delta >= 1`` (never entangled) and raises
-    ``OutOfDomain`` for a NaN ``delta``, which no bracket holds.  For every
-    ``delta < 1`` the witness changes sign once on ``z < z0``; the root
-    is bisected in ``x = ln z``, with the lower end of the bracket
-    doubled until the witness is positive.  The bisection stops at a
-    relative width of :data:`BISECT_TOL`, so ``T_c -> 0`` as
-    ``delta -> 1`` keeps its leading digits.  ``z_c`` underflows to 0
-    once ``x_c`` falls below about -745.
+    ``OutOfDomain`` for a NaN ``delta``.  Otherwise ``T_c`` is the root in ``ln T``
+    of the witness of :func:`~spinthermal.concurrence.closed_route` at ``J = -1``,
+    ``B = 0``: ``ln(4 (1 - q) / (2 + 4 q + 6 r))`` with ``q = exp(-3/T)`` and
+    ``r >= 0``, at most ``ln(4/5)`` at ``q = 1/3``: the bracket's upper end.  Its
+    lower end halves ``T`` until the witness is positive.  Below ``delta = -1024``
+    ``r`` underflows at every ``T`` of the bracket, so ``delta`` is clamped there,
+    where the route's levels are exact.  ``z_c = exp(x_c)`` underflows below about -745.
     """
     if math.isnan(delta):
         raise OutOfDomain("anisotropy is NaN")
     if delta >= 1.0:
         return None
-    hi = math.log(Z0)
-    lo = 2.0 * hi
-    while not _xxz_log_witness(delta, lo) > 0.0:
-        lo *= 2.0
-    x_c = _bisect(lambda x: _xxz_log_witness(delta, x), lo, hi)
-    return CriticalPoint(z_c=math.exp(x_c), x_c=x_c, T_c=1.0 / abs(x_c))
+    delta = max(delta, -1024.0)
+
+    def witness(u: float) -> float:
+        return closed_route(-1.0, delta, 0.0, math.exp(u))[2]
+
+    hi = math.log(3.0 / math.log(3.0))
+    lo, f_hi, f_lo = hi - _LN2, witness(hi), witness(hi - _LN2)
+    while not f_lo > 0.0 and math.exp(lo) > 0.0:
+        hi, f_hi, lo = lo, f_lo, lo - _LN2
+        f_lo = witness(lo)
+    T_c = math.exp(_regula_falsi(witness, lo, f_lo, hi, f_hi))
+    return CriticalPoint(z_c=math.exp(-1.0 / T_c), x_c=-1.0 / T_c, T_c=T_c)
 
 
 def xx_critical() -> CriticalPoint:
@@ -278,16 +278,15 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise InvalidGrid("T must be fixed when it is not an axis")
 
 
-def _critical_temperature(variant: str, J: float, delta: float,
-                          points: dict) -> Optional[float]:
-    """Critical temperature scaled by |J|; None outside :data:`CRITICAL_VARIANTS`, for
-    ``J >= 0`` or for ``delta >= 1``.
+def _critical_temperature(J: float, delta: float, points: dict) -> Optional[float]:
+    """Critical temperature of a field-free ring scaled by |J|; None for ``J >= 0``
+    or for ``delta >= 1``.
 
     ``T_c/|J|`` depends on the anisotropy alone (``delta = 0`` for ``xx``),
     so ``points`` keeps the critical point per delta and each coordinate
     only scales it by its own ``|J|``.
     """
-    if variant not in CRITICAL_VARIANTS or J >= 0.0:
+    if J >= 0.0:
         return None
     if delta not in points:
         points[delta] = xxz_critical(delta)
@@ -318,7 +317,7 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     yields :data:`SWEEP_BLOCK` points at a time, as one sequence per
     named field.  ``C``, ``Z`` and ``witness`` come together from one
     :func:`~spinthermal.concurrence.closed_route` call per point, made
-    only where ``columns`` names one of them; ``T_c`` is bisected only
+    only where ``columns`` names one of them; ``T_c`` is found only
     where it is named, once per distinct anisotropy.  A NaN in a named
     ``C``, ``Z`` or ``witness``, checked in that order, raises
     ``NaNResult`` before its block is yielded.
@@ -345,7 +344,7 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     critical_points: dict = {}
     for values in itertools.product(*other_grids):
         J, delta, B = (base | dict(zip(other_names, map(float, values)))).values()
-        T_c = _critical_temperature(variant, J, delta, critical_points) if with_T_c else None
+        T_c = _critical_temperature(J, delta, critical_points) if with_T_c else None
         coordinates.append((J, delta, B, T_c))
     t_inner = names[1:] == ["T"]  # T is the second of two axes
     pairs = (itertools.product(coordinates, temperatures) if t_inner

@@ -2,12 +2,12 @@
 
 The six level energies are exact fractions of the float inputs
 ``(J, delta, B)``; the Boltzmann weights, ``Z``, the reduced two-qubit
-state and ``C`` follow from them in ``decimal`` at 50 significant digits,
-with an exponent range far beyond the float one.  At ``T = 0`` the
-ground group is every level exactly equal to the lowest, with no
-tolerance.  Only the standard library is used, and nothing of
-``spinthermal``.  No ``test_`` prefix, so pytest does not collect this
-module.
+state, ``C``, the witness and the critical temperature follow from them
+in ``decimal`` at 50 significant digits, with an exponent range far
+beyond the float one.  At ``T = 0`` the ground group is every level
+exactly equal to the lowest, with no tolerance.  Only the standard
+library is used, and nothing of ``spinthermal``.  No ``test_`` prefix,
+so pytest does not collect this module.
 """
 
 from __future__ import annotations
@@ -76,3 +76,29 @@ def concurrence(J: float, delta: float, B: float, T: float) -> Decimal:
     rho00, rho11, _, rho_y = reduced_state(J, delta, B, T)
     with localcontext(CONTEXT):
         return max(2 * (abs(rho_y) - (rho00 * rho11).sqrt()), Decimal(0))
+
+
+def witness(J: float, delta: float, B: float, T: float) -> Decimal:
+    """``ln(|rho_y| / sqrt(rho00 rho11))`` at ``T >= 0``: positive exactly where ``C`` is."""
+    rho00, rho11, _, rho_y = reduced_state(J, delta, B, T)
+    with localcontext(CONTEXT):
+        return (abs(rho_y) / (rho00 * rho11).sqrt()).ln()
+
+
+def critical_temperature(delta: float) -> Decimal:
+    """``T_c/|J|`` of the ferromagnetic XXZ ring at ``delta < 1``: the root of
+    :func:`witness` at ``J = -1``, ``B = 0``, bisected in ``ln T`` to a relative
+    ``1e-30``.  ``T`` halves from ``3/ln 3``, where the witness is negative,
+    until the witness is positive."""
+    with localcontext(CONTEXT):
+        hi = (3 / Decimal(3).ln()).ln()
+        lo = hi - Decimal(2).ln()
+        while not witness(-1.0, delta, 0.0, lo.exp()) > 0:
+            hi, lo = lo, lo - Decimal(2).ln()
+        while hi - lo > Decimal("1e-30") * abs(hi):
+            mid = (lo + hi) / 2
+            if witness(-1.0, delta, 0.0, mid.exp()) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return ((lo + hi) / 2).exp()

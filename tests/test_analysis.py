@@ -32,6 +32,7 @@ from spinthermal import (
 )
 from paper_conditions import (P1, P2, delta_boundary, field_curves_half, xx_critical_temperature,
                               xx_region, zero_temperature_concurrence)
+from reference import critical_temperature
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +62,41 @@ def test_xx_critical_constants():
     assert abs(point.z_c - positive[0]) < 1e-9
 
 
-def test_xx_critical_temperature_is_correctly_rounded():
-    # sweeps print T_c to 12 significant digits; 2e-13 relative keeps the
-    # printed cell that of the exact root (a bisection in z to an absolute
-    # 1e-12 is off by 1.07e-12)
-    reference = xx_critical_temperature()
-    error = abs(decimal.Decimal(xx_critical().T_c) - reference) / reference
-    assert error < decimal.Decimal("2e-13")
+#: Anisotropies of the critical-temperature tests: the paper's points, the
+#: far negative side (below the anisotropy floor of ``xxz_critical``, with
+#: exact levels in the closed route) and the approach to 1, plus a seeded
+#: sample of the benchmark's 200-step delta grid.
+CRITICAL_DELTAS = (-1e15, -50.0, -3.0, -0.5, 0.0, 0.5, 0.99, 0.999, 1.0 - 1e-9, 1.0 - 1e-15,
+                   *np.random.default_rng(26).choice(
+                       SweepAxis("delta", -3.0, 0.99, 200).values(), 5, replace=False).tolist())
+#: Beyond ``|delta| = 2**52`` the closed route's levels round (ROADMAP item 1):
+#: ``xxz_critical`` still finds the reference T_c, but the route's witness is
+#: negative at every T.
+ROUNDED_LEVELS = -1e16
+
+#: The paper's closed forms of T_c/|J|: the XX cubic's root and 3/ln 7.
+PAPER_CRITICAL = {0.0: xx_critical_temperature(), -0.5: 3 / decimal.Decimal(7).ln()}
+
+
+@pytest.mark.parametrize("delta", (ROUNDED_LEVELS, *CRITICAL_DELTAS))
+def test_xxz_critical_temperature_matches_the_reference(delta):
+    # within 64 ulps of the root of the 50-digit witness; that root is the
+    # paper's closed form where one is known
+    reference = critical_temperature(delta)
+    if delta in PAPER_CRITICAL:
+        assert abs(reference - PAPER_CRITICAL[delta]) < decimal.Decimal("1e-25") * reference
+    ulps = abs(decimal.Decimal(xxz_critical(delta).T_c) - reference) / decimal.Decimal(
+        math.ulp(float(reference)))
+    assert ulps <= 64
+
+
+@pytest.mark.parametrize("delta", (
+    pytest.param(ROUNDED_LEVELS, marks=pytest.mark.xfail(strict=True, reason="level rounding")),
+    *CRITICAL_DELTAS))
+def test_xxz_critical_is_the_sign_change_of_the_route_witness(delta):
+    T_c = xxz_critical(delta).T_c
+    assert closed_route(-1.0, delta, 0.0, T_c * (1.0 - 1e-12))[2] > 0.0
+    assert closed_route(-1.0, delta, 0.0, T_c * (1.0 + 1e-12))[2] < 0.0
 
 
 def test_xx_sweep_critical_temperatures_are_those_of_xxz_at_zero_anisotropy():
@@ -147,7 +176,7 @@ def test_xxz_critical_rejects_a_nan_anisotropy():
         xxz_critical(math.nan)
 
 
-@pytest.mark.parametrize("delta", (0.99, 0.999))
+@pytest.mark.parametrize("delta", (0.99, 0.999, 1.0 - 1e-15))
 def test_xxz_critical_near_one_separates_entangled_from_not(delta):
     # the root lies far below the old z bracket (z_c ~ 3**(-1/(2 (1 - delta))))
     point = xxz_critical(delta)
@@ -158,7 +187,7 @@ def test_xxz_critical_near_one_separates_entangled_from_not(delta):
 
     assert numeric_c(0.999 * point.T_c) > 0.0
     assert numeric_c(1.001 * point.T_c) == 0.0
-    assert abs(point.x_c - math.log(3.0) / (2.0 * (delta - 1.0))) < 1e-9 * abs(point.x_c)
+    assert abs(point.x_c - math.log(3.0) / (2.0 * (delta - 1.0))) < 1e-14 * abs(point.x_c)
 
 
 def test_xxz_critical_tends_to_zero_at_one():
@@ -591,7 +620,7 @@ def per_point_sweep(config):
                 record.update(delta=delta, B=B)
             record.update(C=C, witness=witness, Z=Z)
             if model.variant != "xxzfield":
-                record["T_c"] = analysis_module._critical_temperature(model.variant, J, delta, {})
+                record["T_c"] = analysis_module._critical_temperature(J, delta, {})
             records.append(record)
     return records
 
@@ -638,7 +667,7 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
     monkeypatch.setattr(analysis_module, "xxz_critical", counting)
     records = sweep(config)
     assert bits(records) == bits(expected)
-    # one bisection per distinct anisotropy, however many J values share it;
+    # one xxz_critical call per distinct anisotropy, however many J values share it;
     # the xx ring is the xxz ring at delta = 0
     distinct = ({r["delta"] for r in records} if model.variant == "xxz"
                 else {0.0} if model.variant == "xx" else set())
@@ -672,24 +701,39 @@ def block_bits(blocks):
 def test_sweep_computes_only_the_named_columns(case, monkeypatch):
     """The named columns are those of the full sweep, bit for bit;
     ``closed_route`` runs once per point where one of ``C``, ``Z`` and
-    ``witness`` is named and never otherwise, and the ``T_c`` bisections
-    run only where ``T_c`` is named."""
+    ``witness`` is named and never otherwise, not counting the calls that
+    root its witness for ``T_c``, and ``xxz_critical`` runs only where
+    ``T_c`` is named."""
     model, axes, T = HOIST_CASES[case]
     config = SweepConfig(model=model, axes=axes, T=T)
     monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", 7)  # several blocks
     fields, full = sweep_blocks(config)
     full = block_bits(full)
     points = sum(len(block["C"]) for block in full)
-    bisections, route_calls = [], []
+    critical_calls, route_calls = [], []
     inner_route, inner_critical = analysis_module.closed_route, analysis_module.xxz_critical
-    monkeypatch.setattr(analysis_module, "closed_route",
-                        lambda *point: route_calls.append(point) or inner_route(*point))
-    monkeypatch.setattr(analysis_module, "xxz_critical",
-                        lambda delta: bisections.append(delta) or inner_critical(delta))
+
+    inside = []  # not empty while xxz_critical runs
+
+    def counting_route(*point):
+        if not inside:
+            route_calls.append(point)
+        return inner_route(*point)
+
+    def critical(delta):
+        critical_calls.append(delta)
+        inside.append(delta)
+        try:
+            return inner_critical(delta)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(analysis_module, "closed_route", counting_route)
+    monkeypatch.setattr(analysis_module, "xxz_critical", critical)
     axis_names = [axis.name for axis in axes]
     for columns in (axis_names + ["C"], ("witness", "C"), ("C", "Z"), ("Z", "witness"),
                     axis_names, axis_names + ["T_c"] * ("T_c" in fields), fields):
-        bisections.clear()
+        critical_calls.clear()
         route_calls.clear()
         named, blocks = sweep_blocks(config, columns)
         assert named == tuple(columns)
@@ -697,7 +741,7 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
         assert got == [{name: block[name] for name in columns} for block in full]
         named_route = bool({"C", "Z", "witness"} & set(columns))
         assert len(route_calls) == (points if named_route else 0)
-        assert bool(bisections) == ("T_c" in columns and model.variant != "xxzfield")
+        assert bool(critical_calls) == ("T_c" in columns and model.variant != "xxzfield")
 
 
 def test_sweep_rejects_an_unknown_column_at_the_call(monkeypatch):
