@@ -14,26 +14,25 @@ Each is finite on part of the domain only; the sweep's witness (from
 :func:`~spinthermal.concurrence.closed_route`) is finite on all of it.
 
 Critical temperatures, per unit ``|J|`` (they scale linearly in ``|J|``),
-are roots in ``ln T`` of that same witness, the one sweeps print, found by
-regula falsi with the Illinois step.  One finder serves both field-free
-models: the XX ring is the XXZ ring at ``delta = 0``.
+are roots in ``ln T`` of the witness sweeps print, at levels built once per
+anisotropy, by regula falsi with the Illinois step.  One finder serves both
+field-free models: the XX ring is the XXZ ring at ``delta = 0``.
 
 A sweep's axes are ``T`` and the variant's fields in
 :data:`~spinthermal.spinmodel.REQUIRED_FIELDS`; a field set outside them
 is ignored and is not an axis.  A sweep splits its work in two.  What
 depends only on the non-temperature coordinates (the closed-form
-parameters and the critical temperature) is computed once per distinct
-coordinate and kept for the length of the call; the critical point
-itself is found once per distinct anisotropy and scaled by each
-coordinate's ``|J|``.  Each grid point is then one call of
-:func:`~spinthermal.concurrence.closed_route`, which gives its ``C``,
-``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))`` together: the
-witness is the sweep's ``witness`` column for every variant and the sign
-of its ``C``.  :func:`sweep_blocks` takes the output columns, calls the
-route only where ``C``, ``witness`` or ``Z`` is named and finds ``T_c``
-only where it is, and yields the points in grid order,
-:data:`SWEEP_BLOCK` at a time, as one sequence per named column;
-:func:`sweep` names every record field and turns the blocks into records.
+parameters, the closed route's level work of
+:func:`~spinthermal.concurrence.route_coordinate` and the critical
+temperature) is computed once per distinct coordinate and kept for the
+length of the call; the critical point itself is found once per distinct
+anisotropy and scaled by each coordinate's ``|J|``.  Each grid point is
+then one call of :func:`~spinthermal.concurrence.route_at`, which gives
+its ``C``, ``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))``
+together: the witness is the sweep's ``witness`` column for every
+variant and the sign of its ``C``.  :func:`sweep_blocks` yields the
+named columns block by block; :func:`sweep` turns the blocks of every
+field into records.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .concurrence import closed_route
+from .concurrence import route_at, route_coordinate
 from .errors import (InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain,
                      ValidationError)
 from .spinmodel import REQUIRED_FIELDS, ModelSpec
@@ -64,7 +63,7 @@ CRITICAL_VARIANTS = ("xx", "xxz")
 #: Grid points a sweep evaluates and yields as one block.
 SWEEP_BLOCK = 1024
 
-#: The sweep columns of :func:`~spinthermal.concurrence.closed_route`, in its order.
+#: The sweep columns of :func:`~spinthermal.concurrence.route_at`, in its order.
 _ROUTE_COLUMNS = ("C", "Z", "witness")
 
 
@@ -162,10 +161,10 @@ def xxz_critical(delta: float) -> Optional[CriticalPoint]:
         raise OutOfDomain("anisotropy is NaN")
     if delta >= 1.0:
         return None
-    delta = max(delta, -1024.0)
+    coordinate = route_coordinate(-1.0, max(delta, -1024.0), 0.0)
 
     def witness(u: float) -> float:
-        return closed_route(-1.0, delta, 0.0, math.exp(u))[2]
+        return route_at(coordinate, math.exp(u))[2]
 
     hi = math.log(3.0 / math.log(3.0))
     lo, f_hi, f_lo = hi - _LN2, witness(hi), witness(hi - _LN2)
@@ -311,16 +310,16 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     and defaults to all of the variant's; a name that is not one of them
     raises ``ValidationError``.
 
-    The grid and ``columns`` are validated and the per-coordinate data
-    (the closed-form parameters and ``T_c``) computed at the call; the
-    iterator then walks the grid in order (first axis outermost) and
-    yields :data:`SWEEP_BLOCK` points at a time, as one sequence per
-    named field.  ``C``, ``Z`` and ``witness`` come together from one
-    :func:`~spinthermal.concurrence.closed_route` call per point, made
-    only where ``columns`` names one of them; ``T_c`` is found only
-    where it is named, once per distinct anisotropy.  A NaN in a named
-    ``C``, ``Z`` or ``witness``, checked in that order, raises
-    ``NaNResult`` before its block is yielded.
+    The grid and ``columns`` are validated and the per-coordinate data (the
+    closed-form parameters, :func:`~spinthermal.concurrence.route_coordinate`
+    and ``T_c``) computed at the call; the iterator then walks the grid in
+    order (first axis outermost) and yields :data:`SWEEP_BLOCK` points at a
+    time, as one sequence per named field.  ``C``, ``Z`` and ``witness`` come
+    together from one :func:`~spinthermal.concurrence.route_at` call per point,
+    made only where ``columns`` names one of them; ``T_c`` is found only where
+    it is named, once per distinct anisotropy.  A NaN in a named ``C``, ``Z``
+    or ``witness``, checked in that order, raises ``NaNResult`` before its
+    block is yielded.
     """
     _validate_sweep(config)
     names = [axis.name for axis in config.axes]
@@ -345,7 +344,7 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     for values in itertools.product(*other_grids):
         J, delta, B = (base | dict(zip(other_names, map(float, values)))).values()
         T_c = _critical_temperature(J, delta, critical_points) if with_T_c else None
-        coordinates.append((J, delta, B, T_c))
+        coordinates.append((J, delta, B, T_c, route_coordinate(J, delta, B)))
     t_inner = names[1:] == ["T"]  # T is the second of two axes
     pairs = (itertools.product(coordinates, temperatures) if t_inner
              else itertools.product(temperatures, coordinates))
@@ -354,16 +353,16 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
 
 def _sweep_rows(pairs: Iterator, t_inner: bool, columns: tuple) -> Iterator[dict]:
     """The blocks of :func:`sweep_blocks` from its grid points ``pairs``, each
-    ``((J, delta, B, T_c), T)``, or ``(T, (J, delta, B, T_c))`` where ``t_inner``
-    is false."""
+    ``(coordinate, T)``, or ``(T, coordinate)`` where ``t_inner`` is false; a
+    coordinate is ``(J, delta, B, T_c, route_coordinate(J, delta, B))``."""
     route_names = [name for name in _ROUTE_COLUMNS if name in columns]
     for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
         firsts, seconds = zip(*block)
         coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
-        Js, deltas, Bs, T_cs = zip(*coords)
+        Js, deltas, Bs, T_cs, routes = zip(*coords)
         values = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "T_c": T_cs}
         if route_names:  # axes and T_c alone need no route
-            values |= zip(_ROUTE_COLUMNS, zip(*map(closed_route, Js, deltas, Bs, temps)))
+            values |= zip(_ROUTE_COLUMNS, zip(*map(route_at, routes, temps)))
         for name in route_names:
             nans = list(map(math.isnan, values[name]))
             if True in nans:

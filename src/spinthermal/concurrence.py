@@ -18,9 +18,9 @@ Three routes are provided:
   levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
   overflows, and the degenerate ground group at ``T = 0``.  ``C`` is
   taken from the sign-carrying entanglement witness
-  ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree.  It
-  is the one closed route: single points and every sweep point
-  (:func:`spinthermal.analysis.sweep_blocks`) call it.
+  ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree.  It is
+  :func:`route_at` of :func:`route_coordinate`, the level work, which sweeps
+  and the ``T_c`` finder (:mod:`spinthermal.analysis`) do once per coordinate.
 
 Matrices are lists of rows of ``complex`` (see
 :func:`spinthermal.linalg.as_rows`).  The spin flip ``sy x sy`` acts in
@@ -144,6 +144,13 @@ def level_sums(p) -> tuple:
             4.0 * p1 + 2.0 * p2 + 4.0 * p3 + 2.0 * p4, p0 + 2.0 * p1 + p2 + 2.0 * p3 + p4 + p5)
 
 
+def route_coordinate(J: float, delta: float, B: float) -> tuple:
+    """``(J, levels, E_min, gaps E_min - E)``: the ``T``-free part of :func:`closed_route`."""
+    levels = level_energies(J, delta, B)
+    emin = min(levels)
+    return J, levels, emin, [emin - e for e in levels]
+
+
 def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...]:
     """``(C, Z, witness, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``.
 
@@ -162,10 +169,14 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     ``+-inf`` or finite but never NaN where a level group's weights all
     underflow; at ``T = 0`` it is then ``-inf`` where ``s_y = 0``, else ``+inf``.
     """
-    levels = level_energies(J, delta, B)
-    emin = min(levels)
+    return route_at(route_coordinate(J, delta, B), T)
+
+
+def route_at(coordinate: tuple, T: float) -> tuple[float, ...]:
+    """:func:`closed_route` at ``T`` of a :func:`route_coordinate`, built once per coordinate."""
+    J, levels, emin, gaps = coordinate
     if T > 0.0:
-        weights = [math.exp((emin - e) / T) for e in levels]
+        weights = [math.exp(gap / T) for gap in gaps]
         scale = exp_or_inf(-emin / T)
     elif T == 0.0:
         ranked = sorted(levels)
@@ -186,7 +197,7 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     if abs_y >= _TINY and pair >= _TINY and s00 >= _TINY and s11 >= _TINY:
         w = math.log(abs_y / math.sqrt(s00 * s11))
     elif T:
-        w = _log_witness([emin - e for e in levels], J, T)
+        w = _log_witness(gaps, J, T)
     else:
         w = math.inf if abs_y else -math.inf
     trace = 6.0 * norm

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinthermal.analysis as analysis_module
+import spinthermal.concurrence as concurrence_module
 from spinthermal.analysis import sweep_blocks
 from spinthermal.errors import ValidationError
 from spinthermal.concurrence import closed_form_xstate, closed_route
@@ -649,6 +650,16 @@ HOIST_CASES = {
     "field B and delta": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
                           (SweepAxis("B", -3.0, 3.0, 13), SweepAxis("delta", -2.0, 2.0, 9)),
                           0.5),
+    # level weights underflow: the witness comes from the level logs
+    "field low T outer": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
+                          (SweepAxis("T", 1e-3, 0.5, 6), SweepAxis("B", 0.0, 3.0, 7)), None),
+    "field low T inner": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
+                          (SweepAxis("B", 0.0, 3.0, 7), SweepAxis("T", 1e-3, 0.5, 6)), None),
+    # J = 0 is a grid point: the witness is -inf there
+    "J through 0 T outer": (ModelSpec.xxz(-1.0, 0.5),
+                            (SweepAxis("T", 0.05, 2.0, 5), SweepAxis("J", -1.0, 1.0, 5)), None),
+    "J through 0 T inner": (ModelSpec.xxz(-1.0, 0.5),
+                            (SweepAxis("J", -1.0, 1.0, 5), SweepAxis("T", 0.05, 2.0, 5)), None),
 }
 
 
@@ -678,17 +689,52 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
 
 
 def test_sweep_raises_on_a_nan_before_emitting(monkeypatch):
-    inner, calls = analysis_module.closed_route, []
+    inner, calls = analysis_module.route_at, []
 
-    def with_nan(*point):
-        calls.append(point)
-        C, Z, witness, *rest = inner(*point)
+    def with_nan(coordinate, T):
+        calls.append(T)
+        C, Z, witness, *rest = inner(coordinate, T)
         return C, Z, math.nan if len(calls) == 10 else witness, *rest
 
-    monkeypatch.setattr(analysis_module, "closed_route", with_nan)
+    monkeypatch.setattr(analysis_module, "route_at", with_nan)
+    config = fig6_config(steps=20)
     with pytest.raises(NaNResult, match="^witness is NaN at ") as raised:
-        sweep(fig6_config(steps=20))
-    assert str(raised.value).endswith(f" = {calls[9]!r}")  # the point, not its block
+        sweep(config)
+    point = (*config.model.closed_form_params(), calls[9])
+    assert str(raised.value).endswith(f" = {point!r}")  # the point, not its block
+
+
+def count_level_energies(monkeypatch):
+    """The arguments of every ``level_energies`` call of the closed route from here on."""
+    inner, calls = concurrence_module.level_energies, []
+
+    def counting(*params):
+        calls.append(params)
+        return inner(*params)
+
+    monkeypatch.setattr(concurrence_module, "level_energies", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(case for case, (_, axes, _) in HOIST_CASES.items()
+                                        if "T" in [axis.name for axis in axes]))
+def test_sweep_builds_the_levels_once_per_coordinate(case, monkeypatch):
+    """The closed route's level work runs once per distinct non-``T`` coordinate,
+    in either axis order, not once per grid point."""
+    model, axes, T = HOIST_CASES[case]
+    calls = count_level_energies(monkeypatch)
+    _, blocks = sweep_blocks(SweepConfig(model=model, axes=axes, T=T), ("C", "witness", "Z"))
+    points = sum(len(block["C"]) for block in blocks)
+    coordinates = math.prod(axis.steps for axis in axes if axis.name != "T")
+    assert points > coordinates
+    assert len(calls) == len(set(calls)) == coordinates
+
+
+@pytest.mark.parametrize("delta", (-2000.0, -3.0, 0.0, 0.99, 1.0 - 1e-15))
+def test_xxz_critical_builds_the_levels_once(delta, monkeypatch):
+    calls = count_level_energies(monkeypatch)
+    assert xxz_critical(delta) is not None
+    assert calls == [(-1.0, max(delta, -1024.0), 0.0)]
 
 
 def block_bits(blocks):
@@ -700,7 +746,7 @@ def block_bits(blocks):
 @pytest.mark.parametrize("case", sorted(HOIST_CASES))
 def test_sweep_computes_only_the_named_columns(case, monkeypatch):
     """The named columns are those of the full sweep, bit for bit;
-    ``closed_route`` runs once per point where one of ``C``, ``Z`` and
+    ``route_at`` runs once per point where one of ``C``, ``Z`` and
     ``witness`` is named and never otherwise, not counting the calls that
     root its witness for ``T_c``, and ``xxz_critical`` runs only where
     ``T_c`` is named."""
@@ -711,14 +757,14 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
     full = block_bits(full)
     points = sum(len(block["C"]) for block in full)
     critical_calls, route_calls = [], []
-    inner_route, inner_critical = analysis_module.closed_route, analysis_module.xxz_critical
+    inner_route, inner_critical = analysis_module.route_at, analysis_module.xxz_critical
 
     inside = []  # not empty while xxz_critical runs
 
-    def counting_route(*point):
+    def counting_route(coordinate, T):
         if not inside:
-            route_calls.append(point)
-        return inner_route(*point)
+            route_calls.append((coordinate, T))
+        return inner_route(coordinate, T)
 
     def critical(delta):
         critical_calls.append(delta)
@@ -728,7 +774,7 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(analysis_module, "closed_route", counting_route)
+    monkeypatch.setattr(analysis_module, "route_at", counting_route)
     monkeypatch.setattr(analysis_module, "xxz_critical", critical)
     axis_names = [axis.name for axis in axes]
     for columns in (axis_names + ["C"], ("witness", "C"), ("C", "Z"), ("Z", "witness"),
@@ -748,7 +794,7 @@ def test_sweep_rejects_an_unknown_column_at_the_call(monkeypatch):
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "closed_route", never)
+    monkeypatch.setattr(analysis_module, "route_at", never)
     xx_config = SweepConfig(ModelSpec.xx(-1.0), (SweepAxis("T", 0.1, 1.0, 3),))
     for config, name in ((fig6_config(), "T_c"), (fig6_config(), "Tc"), (xx_config, "delta")):
         with pytest.raises(ValidationError, match=f"^unknown output column '{name}'$"):

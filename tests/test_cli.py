@@ -433,14 +433,14 @@ def test_cli_block_rendering_matches_the_per_cell_references(config_text, T_c_ki
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, tmp_path,
                                                               capsys):
-    inner, calls = analysis_module.closed_route, []
+    inner, calls = analysis_module.route_at, []
 
-    def nan_in_the_second_block(*point):
-        calls.append(point)
-        C, Z, *rest = inner(*point)
+    def nan_in_the_second_block(coordinate, T):
+        calls.append(T)
+        C, Z, *rest = inner(coordinate, T)
         return C, math.nan if len(calls) == 2 * analysis_module.SWEEP_BLOCK else Z, *rest
 
-    monkeypatch.setattr(analysis_module, "closed_route", nan_in_the_second_block)
+    monkeypatch.setattr(analysis_module, "route_at", nan_in_the_second_block)
     config, out = tmp_path / "sweep.cfg", tmp_path / f"sweep.{fmt}"
     config.write_text(FIELD_GRID_CONFIG)
     assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 3
@@ -502,7 +502,7 @@ def test_cli_reports_an_unknown_column_before_evaluating_the_grid(monkeypatch, t
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "closed_route", never)
+    monkeypatch.setattr(analysis_module, "route_at", never)
     config = tmp_path / "sweep.cfg"
     config.write_text(FIG6_CONFIG.replace("columns = T,C", "columns = T,Tc"))
     assert main(["sweep", "--config", str(config)]) == 2
@@ -763,7 +763,7 @@ def test_cli_reports_an_unopenable_output_path(path, reason, monkeypatch, tmp_pa
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "closed_route", never)
+    monkeypatch.setattr(analysis_module, "route_at", never)
     (tmp_path / "a-directory").mkdir()
     config = tmp_path / "fig6.cfg"
     config.write_text(FIG6_CONFIG)
