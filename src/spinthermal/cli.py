@@ -8,8 +8,8 @@ Usage::
 
 with commands ``eig``, ``thermal``, ``concurrence``, ``critical``,
 ``sweep`` and ``verify``.  Parameters come from a line-oriented config file
-(``key = value`` under ``[section]`` headers) and/or command-line flags, each
-read by its config key's rule; flags win.  Config layout::
+(``key = value`` under ``[section]`` headers, each key once a section) and/or
+command-line flags, each read by its config key's rule; flags win.  Config layout::
 
     command = sweep
     T = 1.0
@@ -109,10 +109,9 @@ def _set_key(cfg: RunConfig, section: str | None, key: str, value: str, where: s
     ``where`` (``line N`` or ``--J``) prefixes every error.
     """
     if section == "model":
-        name = "delta" if key == "Δ" else key
-        if name not in _MODEL_KEYS:
+        if key not in _MODEL_KEYS:
             raise UnknownKey(f"{where}: unknown model key {key!r}")
-        cfg.model[name] = value.lower() if name == "model" else _parse_number(value, key, where)
+        cfg.model[key] = value.lower() if key == "model" else _parse_number(value, key, where)
     elif key not in _TOP_KEYS:
         raise UnknownKey(f"{where}: unknown key {key!r}")
     elif key == "command":
@@ -139,12 +138,13 @@ def _set_key(cfg: RunConfig, section: str | None, key: str, value: str, where: s
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a :class:`RunConfig`.
 
-    Raises ``ParseError`` for malformed lines, ``UnknownKey`` for keys a
-    section does not accept, and ``ValidationError`` for ill-typed
-    values, each with the offending line number.
+    Raises ``ParseError`` for malformed lines and keys set twice in one
+    section, ``UnknownKey`` for keys a section does not accept, and
+    ``ValidationError`` for ill-typed values, each with the offending line number.
     """
     cfg = RunConfig()
     section: str | None = None
+    first_lines: dict[tuple, int] = {}  # (section, key): the line that set it
     grid_open: dict[str, dict] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -175,6 +175,9 @@ def parse_config(text: str) -> RunConfig:
         value = raw_value.strip()
         if not key or not value:
             raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key = "delta" if key == "Δ" and section == "model" else key
+        if (first := first_lines.setdefault((section, key), lineno)) != lineno:
+            raise ParseError(f"line {lineno}: key {key!r} repeated (first set on line {first})")
         if section in (None, "model"):
             _set_key(cfg, section, key, value, f"line {lineno}")
         else:

@@ -18,7 +18,9 @@ Three routes are provided:
   levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
   overflows, and the degenerate ground group at ``T = 0``.  ``C`` is
   taken from the sign-carrying entanglement witness
-  ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree.  It is
+  ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree; where a
+  weight leaves the normal range, the witness is one log-sum over the
+  level gaps with a single division by ``T``.  It is
   :func:`route_at` of :func:`route_coordinate`, the level work, which sweeps
   and the ``T_c`` finder (:mod:`spinthermal.analysis`) do once per coordinate.
 
@@ -36,8 +38,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
-from .linalg import (PSD_FLOOR, TRACE_TOL, as_rows, degenerate_groups, exp_or_inf,
-                     hermitian_eigen, hermitian_part, jacobi_eigen, shape, singular_values)
+from .linalg import (PSD_FLOOR, TRACE_TOL, as_rows, check_hermitian, degenerate_groups,
+                     exp_or_inf, hermitian_part, jacobi_eigen, shape, singular_values)
 from .spinmodel import ModelSpec, level_energies
 from .thermalstate import DensityMatrix
 
@@ -93,25 +95,22 @@ def concurrence_general(rho) -> ConcurrenceResult:
 
     Accepts a plain 4x4 matrix (see :func:`spinthermal.linalg.as_rows`)
     or anything else exposing one as ``.mat``, checked by
-    :func:`~spinthermal.linalg.hermitian_eigen`, or a 4x4
+    :func:`~spinthermal.linalg.check_hermitian`, or a 4x4
     :class:`~spinthermal.thermalstate.DensityMatrix`, checked when it was
-    made and solved with no second check.  One Hermitian solve
-    ``rho = V D V^H`` gives the factor ``L = V sqrt(max(D, 0))`` with
-    ``rho = L L^H``; an eigenvalue of ``rho`` below ``PSD_FLOOR`` raises
-    ``NotPSD``.  ``rho @ rho_tilde`` then has the spectrum of
-    ``tau^H tau`` for the complex symmetric ``tau = L^T (sy x sy) L``, so
-    the four lambdas are the singular values of ``tau``, descending, and
-    the concurrence is ``max(l1 - l2 - l3 - l4, 0)``.
+    made.  One Jacobi solve of its Hermitian part ``rho = V D V^H`` gives
+    the factor ``L = V sqrt(max(D, 0))`` with ``rho = L L^H``; an eigenvalue
+    of ``rho`` below ``PSD_FLOOR`` raises ``NotPSD``.  ``rho @ rho_tilde``
+    then has the spectrum of ``tau^H tau`` for the complex symmetric
+    ``tau = L^T (sy x sy) L``, so the four lambdas are the singular values
+    of ``tau``, descending, and the concurrence is ``max(l1 - l2 - l3 - l4, 0)``.
     """
     validated = isinstance(rho, DensityMatrix)
     mat = rho.mat if validated else as_rows(getattr(rho, "mat", rho))
     if shape(mat) != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {shape(mat)}")
-    if validated:
-        vals, vectors = jacobi_eigen(hermitian_part(mat))
-    else:
-        spectrum = hermitian_eigen(mat)
-        vals, vectors = spectrum.eigenvalues, zip(*spectrum.eigenvectors)
+    if not validated:
+        check_hermitian(mat)
+    vals, vectors = jacobi_eigen(hermitian_part(mat))
     if min(vals) < PSD_FLOOR:
         raise NotPSD(f"density matrix eigenvalue {min(vals):.3e} below {PSD_FLOOR:.0e}")
     roots = [math.sqrt(max(d, 0.0)) for d in vals]
@@ -165,9 +164,9 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     ``C = 2 (|rho_y| - sqrt(rho00 rho11))^+`` is ``-2 |rho_y| expm1(-max(w, 0))``
     of the witness ``w = ln(|s_y| / sqrt(s00 s11))``, so ``C > 0`` only where
     ``w > 0``; ``w`` is ``-inf`` where ``J = 0``.  Where a factor of ``w``
-    leaves the normal range it comes from the log weights (:func:`_log_witness`),
-    ``+-inf`` or finite but never NaN where a level group's weights all
-    underflow; at ``T = 0`` it is then ``-inf`` where ``s_y = 0``, else ``+inf``.
+    leaves the normal range, ``w`` is one log-sum over the gaps (:func:`_log_witness`):
+    finite, or ``+-inf`` by its sign where its ``1/T`` term overflows, never NaN
+    for finite gaps; at ``T = 0`` it is then ``-inf`` where ``s_y = 0``, else ``+inf``.
     """
     return route_at(route_coordinate(J, delta, B), T)
 
@@ -206,7 +205,7 @@ def route_at(coordinate: tuple, T: float) -> tuple[float, ...]:
     return C, scale * norm, w, s00 / trace, s11 / trace, s_w / trace, rho_y / trace
 
 
-def _log_sum(values: list, get, sixths: tuple, T: float = 1.0) -> tuple[float, float]:
+def _log_sum(values: list, get, sixths: tuple, T: float) -> tuple[float, float]:
     """``(top, rest)`` with ``ln sum(c * exp(a / T)) = top / T + rest`` over ``get(values)``
     and ``sixths`` (all > 0), where ``top`` is the largest ``a``."""
     top = max(get(values))
@@ -217,19 +216,17 @@ def _log_sum(values: list, get, sixths: tuple, T: float = 1.0) -> tuple[float, f
 def _log_witness(gaps: list, J: float, T: float) -> float:
     """``ln(|s_y| / sqrt(s00 s11))`` of one point at ``T > 0`` from its level gaps
     ``E_min - E``, with no weight or sum leaving the float range; ``|s_y|`` takes
-    the pair of :func:`closed_route`.  Where every log weight of a level group is
-    ``-inf``, the ``1/T`` terms are combined as gaps before one division by ``T``:
-    ``max_y - (max_00 + max_11)/2``, each ``max`` a group's largest gap; so the
-    witness is ``+-inf`` by its sign, not NaN."""
+    the pair of :func:`closed_route`.  Each group's log-sum is ``t / T + r``
+    (:func:`_log_sum`), ``t`` its largest gap, and the ``t`` are combined as gaps
+    before one division by ``T``: ``w = (t_y - (t_00 + t_11)/2) / T + (ln 2 +
+    ln|expm1(-3|J|/T)| + r_y - (r_00 + r_11)/2)``.  Every level lies in one of
+    the two diagonal groups, so one of ``t_00``, ``t_11`` is 0 and the numerator
+    cannot overflow; for finite gaps the witness is finite or ``+-inf``, not NaN."""
     x = -3.0 * abs(J) / T
     if not x:
         return -math.inf  # J = 0: rho_y = 0
     log_gap = math.log(abs(math.expm1(x)))
     groups = (_PAIRS[J < 0.0], *_DIAGONALS)
-    logs = [gap / T for gap in gaps]
-    if not any(all(a == -math.inf for a in get(logs)) for get, _ in groups):
-        (ty, ry), (t00, r00), (t11, r11) = [_log_sum(logs, *group) for group in groups]
-        return _LN2 + log_gap + (ty + ry) - 0.5 * ((t00 + r00) + (t11 + r11))
     (ty, ry), (t00, r00), (t11, r11) = [_log_sum(gaps, *group, T) for group in groups]
     return (ty - 0.5 * (t00 + t11)) / T + (_LN2 + log_gap + ry - 0.5 * (r00 + r11))
 

@@ -101,6 +101,30 @@ def test_parse_errors_carry_line_numbers():
         parse_config("[grid:phi]\nmin = 0\nmax = 1\nsteps = 5\n")
 
 
+@pytest.mark.parametrize("text, line, key, first", [
+    ("T = 1\nT = 2\n", 2, "T", 1),
+    ("[model]\nmodel = xx\nJ = 1\n[grid:T]\nmin = 1\nmax = 2\nsteps = 2\n[model]\nJ = -1\n",
+     9, "J", 3),
+    ("[model]\ndelta = 0.5\nΔ = 0.25\n", 3, "delta", 2),
+    ("[grid:T]\nmin = 1\nmax = 2\nsteps = 2\nsteps = 3\n", 5, "steps", 4),
+])
+def test_parse_rejects_a_key_set_twice_in_one_section(text, line, key, first, tmp_path, capsys):
+    message = f"line {line}: key {key!r} repeated (first set on line {first})"
+    with pytest.raises(ParseError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value) == message
+    config = tmp_path / "twice.cfg"
+    config.write_text(text, encoding="utf-8")
+    assert main(["thermal", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_parse_accepts_one_key_in_two_sections():
+    cfg = parse_config("T = 1\n[grid:T]\nmin = 1\nmax = 2\nsteps = 2\n"
+                       "[grid:B]\nmin = 0\nmax = 1\nsteps = 3\n")
+    assert cfg.T == 1.0 and [axis.steps for axis in cfg.grid] == [2, 3]
+
+
 def test_build_model_names_missing_field():
     with pytest.raises(ValidationError, match="J"):
         build_model({"model": "xx"})
