@@ -26,9 +26,9 @@ parameters, the closed route's level work of
 :func:`~spinthermal.concurrence.route_coordinate` and the critical
 temperature) is computed once per distinct coordinate and kept for the
 length of the call; the critical point itself is found once per distinct
-anisotropy and scaled by each coordinate's ``|J|``.  Each grid point is
-then one call of :func:`~spinthermal.concurrence.route_at`, which gives
-its ``C``, ``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))``
+anisotropy and scaled by each coordinate's ``|J|``.  Each block of grid
+points is then one :func:`~spinthermal.concurrence.route_columns` call,
+which gives their ``C``, ``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))``
 together: the witness is the sweep's ``witness`` column for every
 variant and the sign of its ``C``.  :func:`sweep_blocks` yields the
 named columns block by block; :func:`sweep` turns the blocks of every
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .concurrence import route_at, route_coordinate
+from .concurrence import route_columns, route_coordinate
 from .errors import (InvalidGrid, InvalidTemperature, NaNResult, NoRoot, OutOfDomain,
                      ValidationError)
 from .spinmodel import REQUIRED_FIELDS, ModelSpec
@@ -63,7 +63,7 @@ CRITICAL_VARIANTS = ("xx", "xxz")
 #: Grid points a sweep evaluates and yields as one block.
 SWEEP_BLOCK = 1024
 
-#: The sweep columns of :func:`~spinthermal.concurrence.route_at`, in its order.
+#: The sweep columns of :func:`~spinthermal.concurrence.route_columns`, in its order.
 _ROUTE_COLUMNS = ("C", "Z", "witness")
 
 
@@ -164,7 +164,7 @@ def xxz_critical(delta: float) -> Optional[CriticalPoint]:
     coordinate = route_coordinate(-1.0, max(delta, -1024.0), 0.0)
 
     def witness(u: float) -> float:
-        return route_at(coordinate, math.exp(u))[2]
+        return route_columns((coordinate,), (math.exp(u),))[2][0]
 
     hi = math.log(3.0 / math.log(3.0))
     lo, f_hi, f_lo = hi - _LN2, witness(hi), witness(hi - _LN2)
@@ -315,9 +315,9 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     and ``T_c``) computed at the call; the iterator then walks the grid in
     order (first axis outermost) and yields :data:`SWEEP_BLOCK` points at a
     time, as one sequence per named field.  ``C``, ``Z`` and ``witness`` come
-    together from one :func:`~spinthermal.concurrence.route_at` call per point,
-    made only where ``columns`` names one of them; ``T_c`` is found only where
-    it is named, once per distinct anisotropy.  A NaN in a named ``C``, ``Z``
+    together from one :func:`~spinthermal.concurrence.route_columns` call per
+    block, made only where ``columns`` names one of them; ``T_c`` is found only
+    where it is named, once per distinct anisotropy.  A NaN in a named ``C``, ``Z``
     or ``witness``, checked in that order, raises ``NaNResult`` before its
     block is yielded.
     """
@@ -353,8 +353,9 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
 
 def _sweep_rows(pairs: Iterator, t_inner: bool, columns: tuple) -> Iterator[dict]:
     """The blocks of :func:`sweep_blocks` from its grid points ``pairs``, each
-    ``(coordinate, T)``, or ``(T, coordinate)`` where ``t_inner`` is false; a
-    coordinate is ``(J, delta, B, T_c, route_coordinate(J, delta, B))``."""
+    ``(coordinate, T)``, or ``(T, coordinate)`` where ``t_inner`` is false, one
+    :func:`~spinthermal.concurrence.route_columns` call per block; a coordinate
+    is ``(J, delta, B, T_c, route_coordinate(J, delta, B))``."""
     route_names = [name for name in _ROUTE_COLUMNS if name in columns]
     for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
         firsts, seconds = zip(*block)
@@ -362,7 +363,7 @@ def _sweep_rows(pairs: Iterator, t_inner: bool, columns: tuple) -> Iterator[dict
         Js, deltas, Bs, T_cs, routes = zip(*coords)
         values = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "T_c": T_cs}
         if route_names:  # axes and T_c alone need no route
-            values |= zip(_ROUTE_COLUMNS, zip(*map(route_at, routes, temps)))
+            values |= zip(_ROUTE_COLUMNS, route_columns(routes, temps))
         for name in route_names:
             nans = list(map(math.isnan, values[name]))
             if True in nans:

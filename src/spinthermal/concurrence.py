@@ -20,9 +20,9 @@ Three routes are provided:
   taken from the sign-carrying entanglement witness
   ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree; where a
   weight leaves the normal range, the witness is one log-sum over the
-  level gaps with a single division by ``T``.  It is
-  :func:`route_at` of :func:`route_coordinate`, the level work, which sweeps
-  and the ``T_c`` finder (:mod:`spinthermal.analysis`) do once per coordinate.
+  level gaps with a single division by ``T``.  It is one point of the kernel
+  :func:`route_columns` over :func:`route_coordinate`, the level work, which
+  sweeps and the ``T_c`` finder (:mod:`spinthermal.analysis`) do once per coordinate.
 
 Matrices are lists of rows of ``complex`` (see
 :func:`spinthermal.linalg.as_rows`).  The spin flip ``sy x sy`` acts in
@@ -151,7 +151,14 @@ def route_coordinate(J: float, delta: float, B: float) -> tuple:
 
 
 def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...]:
-    """``(C, Z, witness, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``.
+    """``(C, Z, witness, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``:
+    :func:`route_columns` over one point."""
+    return next(zip(*route_columns((route_coordinate(J, delta, B),), (T,))))
+
+
+def route_columns(coordinates, temperatures) -> tuple[list, ...]:
+    """Columns ``(C, Z, witness, rho00, rho11, rho_w, rho_y)`` of a block of points, in one
+    loop: each :func:`route_coordinate` of ``coordinates`` at its ``T >= 0`` of ``temperatures``.
 
     Level weights ``p = exp(-(E - E_min)/T)`` in ``(0, 1]`` give the reduced
     state (:func:`level_sums`); only ``Z = exp(-E_min/T) sum(deg p)`` can
@@ -167,42 +174,45 @@ def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...
     leaves the normal range, ``w`` is one log-sum over the gaps (:func:`_log_witness`):
     finite, or ``+-inf`` by its sign where its ``1/T`` term overflows, never NaN
     for finite gaps; at ``T = 0`` it is then ``-inf`` where ``s_y = 0``, else ``+inf``.
+    A negative or NaN ``T`` raises ``InvalidTemperature``.
     """
-    return route_at(route_coordinate(J, delta, B), T)
-
-
-def route_at(coordinate: tuple, T: float) -> tuple[float, ...]:
-    """:func:`closed_route` at ``T`` of a :func:`route_coordinate`, built once per coordinate."""
-    J, levels, emin, gaps = coordinate
-    if T > 0.0:
-        weights = [math.exp(gap / T) for gap in gaps]
-        scale = exp_or_inf(-emin / T)
-    elif T == 0.0:
-        ranked = sorted(levels)
-        top = ranked[len(degenerate_groups(ranked)[0]) - 1]
-        weights = [float(e <= top) for e in levels]
-        scale = math.inf if emin else 1.0  # E_min <= min(-3B, 3B) <= 0
-    else:
-        raise InvalidTemperature(f"temperature must be >= 0, got {T}")
-    s00, s11, s_w, norm = level_sums(weights)
-    _, p1, p2, p3, p4, _ = weights
-    pair, other = (p2 + p4, p1 + p3) if J < 0.0 else (p1 + p3, p2 + p4)
-    if T:
-        factor = abs(math.expm1(-3.0 * abs(J) / T))
-    else:  # the weights are 0 or 1; other <= pair
-        factor = 1.0 - other / pair if pair else 0.0
-    abs_y = 2.0 * factor * pair
-    # a subnormal factor has lost digits (NaN fails too)
-    if abs_y >= _TINY and pair >= _TINY and s00 >= _TINY and s11 >= _TINY:
-        w = math.log(abs_y / math.sqrt(s00 * s11))
-    elif T:
-        w = _log_witness(gaps, J, T)
-    else:
-        w = math.inf if abs_y else -math.inf
-    trace = 6.0 * norm
-    C = -2.0 * (abs_y / trace) * math.expm1(-(0.0 if 0.0 >= w else w))
-    rho_y = -abs_y if J > 0.0 else abs_y
-    return C, scale * norm, w, s00 / trace, s11 / trace, s_w / trace, rho_y / trace
+    columns = Cs, Zs, ws, rho00s, rho11s, rho_ws, rho_ys = [], [], [], [], [], [], []
+    exp, expm1, log, sqrt = math.exp, math.expm1, math.log, math.sqrt
+    for (J, levels, emin, gaps), T in zip(coordinates, temperatures):
+        if T > 0.0:
+            g0, g1, g2, g3, g4, g5 = gaps  # unrolled: a comprehension is a call before 3.12
+            weights = exp(g0 / T), exp(g1 / T), exp(g2 / T), exp(g3 / T), exp(g4 / T), exp(g5 / T)
+            scale = exp_or_inf(-emin / T)
+            factor = abs(expm1(-3.0 * abs(J) / T))
+        elif T == 0.0:
+            ranked = sorted(levels)
+            top = ranked[len(degenerate_groups(ranked)[0]) - 1]
+            weights = [float(e <= top) for e in levels]
+            scale = math.inf if emin else 1.0  # E_min <= min(-3B, 3B) <= 0
+        else:
+            raise InvalidTemperature(f"temperature must be >= 0, got {T}")
+        s00, s11, s_w, norm = level_sums(weights)
+        _, p1, p2, p3, p4, _ = weights
+        pair, other = (p2 + p4, p1 + p3) if J < 0.0 else (p1 + p3, p2 + p4)
+        if not T:  # the weights are 0 or 1; other <= pair
+            factor = 1.0 - other / pair if pair else 0.0
+        abs_y = 2.0 * factor * pair
+        # a subnormal factor has lost digits (NaN fails too)
+        if abs_y >= _TINY and pair >= _TINY and s00 >= _TINY and s11 >= _TINY:
+            w = log(abs_y / sqrt(s00 * s11))
+        elif T:
+            w = _log_witness(gaps, J, T)
+        else:
+            w = math.inf if abs_y else -math.inf
+        trace = 6.0 * norm
+        Cs.append(-2.0 * (abs_y / trace) * expm1(-(0.0 if 0.0 >= w else w)))
+        Zs.append(scale * norm)
+        ws.append(w)
+        rho00s.append(s00 / trace)
+        rho11s.append(s11 / trace)
+        rho_ws.append(s_w / trace)
+        rho_ys.append((-abs_y if J > 0.0 else abs_y) / trace)
+    return columns
 
 
 def _log_sum(values: list, get, sixths: tuple, T: float) -> tuple[float, float]:

@@ -173,7 +173,7 @@ def jacobi_eigen(a: list) -> tuple[list[float], list[list[complex]]]:
     # |a[p, q]| <= elem_tol then the off-diagonal norm is already <= tol.
     elem_tol = tol / math.sqrt(n * (n - 1)) if n > 1 else tol
     pairs = list(itertools.combinations(range(n), 2))
-    vt = [[complex(i == k) for i in range(n)] for k in range(n)]  # row k is eigenvector k
+    vt = [[0j] * k + [1 + 0j] + [0j] * (n - 1 - k) for k in range(n)]  # row k: eigenvector k
 
     def off_norm() -> float:
         return math.sqrt(2.0) * math.hypot(*[abs(a[p][q]) for p, q in pairs])

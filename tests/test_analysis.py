@@ -689,14 +689,17 @@ def test_sweep_matches_per_point_reference(case, monkeypatch):
 
 
 def test_sweep_raises_on_a_nan_before_emitting(monkeypatch):
-    inner, calls = analysis_module.route_at, []
+    inner, calls = analysis_module.route_columns, []
 
-    def with_nan(coordinate, T):
-        calls.append(T)
-        C, Z, witness, *rest = inner(coordinate, T)
-        return C, Z, math.nan if len(calls) == 10 else witness, *rest
+    def with_nan(coordinates, temperatures):
+        start = len(calls)
+        calls.extend(temperatures)
+        C, Z, witness, *rest = inner(coordinates, temperatures)
+        if start <= 9 < len(calls):
+            witness[9 - start] = math.nan
+        return C, Z, witness, *rest
 
-    monkeypatch.setattr(analysis_module, "route_at", with_nan)
+    monkeypatch.setattr(analysis_module, "route_columns", with_nan)
     config = fig6_config(steps=20)
     with pytest.raises(NaNResult, match="^witness is NaN at ") as raised:
         sweep(config)
@@ -746,8 +749,8 @@ def block_bits(blocks):
 @pytest.mark.parametrize("case", sorted(HOIST_CASES))
 def test_sweep_computes_only_the_named_columns(case, monkeypatch):
     """The named columns are those of the full sweep, bit for bit;
-    ``route_at`` runs once per point where one of ``C``, ``Z`` and
-    ``witness`` is named and never otherwise, not counting the calls that
+    ``route_columns`` takes each point once where one of ``C``, ``Z`` and
+    ``witness`` is named and none otherwise, not counting the calls that
     root its witness for ``T_c``, and ``xxz_critical`` runs only where
     ``T_c`` is named."""
     model, axes, T = HOIST_CASES[case]
@@ -757,14 +760,14 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
     full = block_bits(full)
     points = sum(len(block["C"]) for block in full)
     critical_calls, route_calls = [], []
-    inner_route, inner_critical = analysis_module.route_at, analysis_module.xxz_critical
+    inner_route, inner_critical = analysis_module.route_columns, analysis_module.xxz_critical
 
     inside = []  # not empty while xxz_critical runs
 
-    def counting_route(coordinate, T):
-        if not inside:
-            route_calls.append((coordinate, T))
-        return inner_route(coordinate, T)
+    def counting_route(coordinates, temperatures):
+        if not inside:  # a point per temperature
+            route_calls.extend(temperatures)
+        return inner_route(coordinates, temperatures)
 
     def critical(delta):
         critical_calls.append(delta)
@@ -774,7 +777,7 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(analysis_module, "route_at", counting_route)
+    monkeypatch.setattr(analysis_module, "route_columns", counting_route)
     monkeypatch.setattr(analysis_module, "xxz_critical", critical)
     axis_names = [axis.name for axis in axes]
     for columns in (axis_names + ["C"], ("witness", "C"), ("C", "Z"), ("Z", "witness"),
@@ -794,7 +797,7 @@ def test_sweep_rejects_an_unknown_column_at_the_call(monkeypatch):
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "route_at", never)
+    monkeypatch.setattr(analysis_module, "route_columns", never)
     xx_config = SweepConfig(ModelSpec.xx(-1.0), (SweepAxis("T", 0.1, 1.0, 3),))
     for config, name in ((fig6_config(), "T_c"), (fig6_config(), "Tc"), (xx_config, "delta")):
         with pytest.raises(ValidationError, match=f"^unknown output column '{name}'$"):

@@ -26,6 +26,7 @@ from spinthermal.errors import (
 import spinthermal
 import spinthermal.analysis as analysis_module
 import spinthermal.cli as cli_module
+import spinthermal.concurrence as concurrence_module
 from spinthermal import concurrence_general, gibbs_density, partial_trace
 
 FIG6_CONFIG = """\
@@ -457,14 +458,16 @@ def test_cli_block_rendering_matches_the_per_cell_references(config_text, T_c_ki
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, tmp_path,
                                                               capsys):
-    inner, calls = analysis_module.route_at, []
+    inner, calls = analysis_module.route_columns, []
 
-    def nan_in_the_second_block(coordinate, T):
-        calls.append(T)
-        C, Z, *rest = inner(coordinate, T)
-        return C, math.nan if len(calls) == 2 * analysis_module.SWEEP_BLOCK else Z, *rest
+    def nan_in_the_second_block(coordinates, temperatures):
+        calls.extend(temperatures)
+        C, Z, *rest = inner(coordinates, temperatures)
+        if len(calls) == 2 * analysis_module.SWEEP_BLOCK:
+            Z[-1] = math.nan
+        return C, Z, *rest
 
-    monkeypatch.setattr(analysis_module, "route_at", nan_in_the_second_block)
+    monkeypatch.setattr(analysis_module, "route_columns", nan_in_the_second_block)
     config, out = tmp_path / "sweep.cfg", tmp_path / f"sweep.{fmt}"
     config.write_text(FIELD_GRID_CONFIG)
     assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 3
@@ -526,7 +529,7 @@ def test_cli_reports_an_unknown_column_before_evaluating_the_grid(monkeypatch, t
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "route_at", never)
+    monkeypatch.setattr(analysis_module, "route_columns", never)
     config = tmp_path / "sweep.cfg"
     config.write_text(FIG6_CONFIG.replace("columns = T,C", "columns = T,Tc"))
     assert main(["sweep", "--config", str(config)]) == 2
@@ -787,7 +790,7 @@ def test_cli_reports_an_unopenable_output_path(path, reason, monkeypatch, tmp_pa
     def never(*args):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(analysis_module, "route_at", never)
+    monkeypatch.setattr(analysis_module, "route_columns", never)
     (tmp_path / "a-directory").mkdir()
     config = tmp_path / "fig6.cfg"
     config.write_text(FIG6_CONFIG)
@@ -978,3 +981,45 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  doomed" in out
     assert out.strip().endswith("1 failed")
+
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+#: The configs of the texts in ``tests/goldens``, each printed with blocks of
+#: :data:`GOLDEN_BLOCK` points: the xxz map with ``T_c`` (``T`` outer), the
+#: field map as JSON (``T`` inner), and the field model's low-``T`` band at
+#: ``J = 1``, ``delta = -1/2``, whose witness takes the log-domain fallback.
+GOLDEN_SWEEPS = {
+    "xxz_tc.csv": "command = sweep\ncolumns = T,delta,C,witness,T_c\n"
+                  "[model]\nmodel = xxz\nJ = -1\ndelta = 0\n"
+                  "[grid:T]\nmin = 0.05\nmax = 4\nsteps = 8\n"
+                  "[grid:delta]\nmin = -3\nmax = 0.99\nsteps = 9\n",
+    "field_t_inner.json": "command = sweep\nformat = json\ncolumns = T,B,C,witness,Z\n"
+                          "[model]\nmodel = xxzfield\nJ = 1\ndelta = 1\nB = 0\n"
+                          "[grid:B]\nmin = 0\nmax = 3\nsteps = 6\n"
+                          "[grid:T]\nmin = 0.02\nmax = 4\nsteps = 8\n",
+    "field_low_T.csv": "command = sweep\ncolumns = T,B,C,witness,Z\n"
+                       "[model]\nmodel = xxzfield\nJ = 1\ndelta = -0.5\nB = 0\n"
+                       "[grid:T]\nmin = 0.001\nmax = 0.05\nsteps = 8\n"
+                       "[grid:B]\nmin = 0\nmax = 3\nsteps = 6\n",
+}
+GOLDEN_BLOCK = 5
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_prints_its_golden_text(name, monkeypatch, tmp_path):
+    """Every printed byte of three sweeps that cross several blocks, as pinned;
+    a change in any printed digit fails here."""
+    calls = []
+    log_witness = concurrence_module._log_witness
+    monkeypatch.setattr(concurrence_module, "_log_witness",
+                        lambda *args: calls.append(args) or log_witness(*args))
+    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", GOLDEN_BLOCK)
+    config, out = tmp_path / "sweep.cfg", tmp_path / name
+    config.write_text(GOLDEN_SWEEPS[name])
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert text == (GOLDENS / name).read_bytes()
+    assert text.count(b"\n") > 8 * GOLDEN_BLOCK  # several blocks
+    if name == "field_low_T.csv":
+        assert calls  # the witness of the points whose weights underflow

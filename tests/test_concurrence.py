@@ -25,7 +25,7 @@ from spinthermal import (
     partial_trace,
 )
 from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
-                                     level_sums)
+                                     level_sums, route_columns, route_coordinate)
 from spinthermal.spinmodel import LEVELS, level_energies
 
 from kron_reference import spin_flip
@@ -574,6 +574,34 @@ def test_log_domain_witness_matches_the_reference(monkeypatch):
             checked += 1
             tiny += point[3] <= 1e-300
     assert checked > 700 and tiny > 150
+
+
+def test_route_columns_over_a_mixed_block_is_closed_route_point_by_point(monkeypatch):
+    """One kernel call over a block that interleaves the ``T = 0`` ground group,
+    the log-domain witness and the normal range gives every point's
+    :func:`closed_route`, all seven values bit for bit: nothing one point sets
+    carries to the next."""
+    import spinthermal.concurrence as concurrence_mod
+
+    rng = random.Random(29)
+    points = []
+    for _ in range(3000):
+        J = rng.choice((-1.0, 1.0, 0.0)) * 10.0 ** rng.uniform(-2.0, 1.0)
+        B = rng.choice((0.0, rng.uniform(-20.0, 20.0)))
+        T = rng.choice((0.0, 10.0 ** rng.uniform(-320.0, -301.0), 10.0 ** rng.uniform(-3.0, 1.0)))
+        points.append((J, rng.uniform(-50.0, 50.0), B, T))
+    calls = []
+    log_witness = concurrence_mod._log_witness
+    monkeypatch.setattr(concurrence_mod, "_log_witness",
+                        lambda *args: calls.append(args) or log_witness(*args))
+    block = route_columns([route_coordinate(*point[:3]) for point in points],
+                          [point[3] for point in points])
+    assert len(calls) > 300  # the log-domain branch, between the others
+    assert {"zero", "tiny", "normal"} == {"zero" if not T else "tiny" if T < 1e-300 else "normal"
+                                         for *_, T in points}
+    assert {J for J, *_ in points if not J} == {0.0}
+    assert [[x.hex() for x in row] for row in zip(*block)] == [
+        [x.hex() for x in closed_route(*point)] for point in points]
 
 
 def test_witness_is_minus_infinity_only_at_zero_coupling():
