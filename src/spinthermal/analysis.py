@@ -37,6 +37,7 @@ field into records.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -277,24 +278,6 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise InvalidGrid("T must be fixed when it is not an axis")
 
 
-def _critical_temperature(J: float, delta: float, points: dict) -> Optional[float]:
-    """Critical temperature of a field-free ring scaled by |J|; None for ``J >= 0``
-    or for ``delta >= 1``.
-
-    ``T_c/|J|`` depends on the anisotropy alone (``delta = 0`` for ``xx``),
-    so ``points`` keeps the critical point per delta and each coordinate
-    only scales it by its own ``|J|``.
-    """
-    if J >= 0.0:
-        return None
-    if delta not in points:
-        points[delta] = xxz_critical(delta)
-    point = points[delta]
-    if point is None:
-        return None
-    return point.T_c * abs(J)
-
-
 def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
                  ) -> tuple[tuple[str, ...], Iterator[dict[str, list]]]:
     """The named record fields and the grid's records, block by block.
@@ -340,10 +323,11 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
             raise ValidationError(f"unknown output column {name!r}")
     with_T_c = "T_c" in columns
     coordinates = []
-    critical_points: dict = {}
+    critical = functools.cache(xxz_critical)  # per anisotropy; None where delta >= 1
     for values in itertools.product(*other_grids):
         J, delta, B = (base | dict(zip(other_names, map(float, values)))).values()
-        T_c = _critical_temperature(J, delta, critical_points) if with_T_c else None
+        point = critical(delta) if with_T_c and J < 0.0 else None
+        T_c = None if point is None else point.T_c * abs(J)
         coordinates.append((J, delta, B, T_c, route_coordinate(J, delta, B)))
     t_inner = names[1:] == ["T"]  # T is the second of two axes
     pairs = (itertools.product(coordinates, temperatures) if t_inner

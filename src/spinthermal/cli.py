@@ -402,9 +402,14 @@ def _cmd_eig(cfg: RunConfig) -> int:
     model = build_model(cfg.model)
     spectrum = linalg.hermitian_eigen(spinmodel.build_hamiltonian(model))
     groups = linalg.degenerate_groups(spectrum.eigenvalues)
-    group_of = {k: gid for gid, members in enumerate(groups) for k in members}
-    rows = [{"k": k, "E": float(E), "group": group_of[k]}
-            for k, E in enumerate(spectrum.eigenvalues)]
+    group_of = {}
+    for gid, members in enumerate(groups):
+        for k in members:
+            group_of[k] = gid
+    rows = [
+        {"k": k, "E": float(spectrum.eigenvalues[k]), "group": group_of[k]}
+        for k in range(len(spectrum.eigenvalues))
+    ]
     _emit_rows(cfg, ["k", "E", "group"], rows)
     return 0
 
@@ -454,7 +459,9 @@ def _cmd_critical(cfg: RunConfig) -> int:
         raise ValidationError(f"critical supports the {names} models, not {model.variant!r}")
     point = analysis.xxz_critical(model.closed_form_params()[1])
     if point is None:
-        print("z_c = none\nx_c = none\nT_c/|J| = none")
+        print("z_c = none")
+        print("x_c = none")
+        print("T_c/|J| = none")
         rows = [{"z_c": None, "x_c": None, "Tc_per_J": None}]
     else:
         print(f"z_c = {_format_z_c(point.z_c, point.x_c)}")
@@ -479,13 +486,19 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     checks = run_verification()
-    rows = [{"check": name, "status": "PASS" if ok else "FAIL", "detail": detail, "basis": tag}
-            for name, ok, detail, tag in checks]
-    for row in rows:
-        print(f"{row['status']}  {row['check']:<34} {row['detail']}  [{row['basis']}]")
-    failed = sum(row["status"] == "FAIL" for row in rows)
+    failed = 0
+    for name, ok, detail, tag in checks:
+        status = "PASS" if ok else "FAIL"
+        if not ok:
+            failed += 1
+        print(f"{status}  {name:<34} {detail}  [{tag}]")
     print(f"verify: {len(checks)} checks, {failed} failed")
     if cfg.out:
+        rows = [
+            {"check": name, "status": "PASS" if ok else "FAIL", "detail": detail,
+             "basis": tag}
+            for name, ok, detail, tag in checks
+        ]
         _emit_rows(cfg, ["check", "status", "detail", "basis"], rows)
     return 1 if failed else 0
 

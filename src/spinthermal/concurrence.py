@@ -153,7 +153,9 @@ def route_coordinate(J: float, delta: float, B: float) -> tuple:
 def closed_route(J: float, delta: float, B: float, T: float) -> tuple[float, ...]:
     """``(C, Z, witness, rho00, rho11, rho_w, rho_y)`` of a uniform ring at ``T >= 0``:
     :func:`route_columns` over one point."""
-    return next(zip(*route_columns((route_coordinate(J, delta, B),), (T,))))
+    (C,), (Z,), (w,), (r00,), (r11,), (r_w,), (r_y,) = route_columns(
+        (route_coordinate(J, delta, B),), (T,))
+    return C, Z, w, r00, r11, r_w, r_y
 
 
 def route_columns(coordinates, temperatures) -> tuple[list, ...]:

@@ -621,7 +621,8 @@ def per_point_sweep(config):
                 record.update(delta=delta, B=B)
             record.update(C=C, witness=witness, Z=Z)
             if model.variant != "xxzfield":
-                record["T_c"] = analysis_module._critical_temperature(J, delta, {})
+                critical = xxz_critical(delta) if J < 0.0 else None
+                record["T_c"] = None if critical is None else critical.T_c * abs(J)
             records.append(record)
     return records
 
