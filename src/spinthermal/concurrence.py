@@ -14,9 +14,11 @@ Three routes are provided:
   :class:`XStateParams`.
 * :func:`closed_route`: the closed form for the XX, XXZ and
   uniform-field models, and the independent check against the numeric
-  pipeline: ground-shifted Boltzmann weights over the six analytic
-  levels of :mod:`spinthermal.spinmodel`, so no ``|J|/T`` or ``|B|/T``
-  overflows, and the degenerate ground group at ``T = 0``.  ``C`` is
+  pipeline: the ground-shifted Boltzmann weights ``exp((E_min - E)/T)`` of
+  :func:`~spinthermal.thermalstate.gibbs_density` over the six analytic
+  levels of :mod:`spinthermal.spinmodel`, mixing the per-level reduced
+  states of :func:`level_sums`, so no ``|J|/T`` or ``|B|/T`` overflows,
+  and the degenerate ground group at ``T = 0``.  ``C`` is
   taken from the sign-carrying entanglement witness
   ``ln(|rho_y| / sqrt(rho00 rho11))``, so the two never disagree; where a
   weight leaves the normal range, the witness is one log-sum over the
@@ -43,10 +45,6 @@ from .linalg import (PSD_FLOOR, TRACE_TOL, as_rows, check_hermitian, degenerate_
 from .spinmodel import ModelSpec, level_energies
 from .thermalstate import DensityMatrix
 
-#: ``Tr_3`` of each level's projector (its states in ``spinmodel.LEVELS``) in
-#: sixths: ``(<00|r|00>, <11|r|11>, <01|r|01> = <10|r|10>, <01|r|10>)``.
-LEVEL_REDUCED_SIXTHS = ((6, 0, 0, 0), (4, 0, 4, -2), (2, 0, 2, 2),
-                        (0, 4, 4, -2), (0, 2, 2, 2), (0, 6, 0, 0))
 # (getter of their levels, sixths) of s00 and s11, and of the pair of |s_y| for J >= 0, J < 0
 _DIAGONALS = ((operator.itemgetter(0, 1, 2), (6, 4, 2)), (operator.itemgetter(5, 3, 4), (6, 4, 2)))
 _PAIRS = ((operator.itemgetter(1, 3), (1, 1)), (operator.itemgetter(2, 4), (1, 1)))
@@ -134,10 +132,11 @@ def concurrence_xstate(params: XStateParams) -> float:
 
 
 def level_sums(p) -> tuple:
-    """``(s00, s11, s_w, norm)`` of the level weights ``p``: columns of
-    :data:`LEVEL_REDUCED_SIXTHS`, and ``norm = sum(deg p)``, a sixth of
-    ``s00 + s11 + 2 s_w``.  ``s11`` mirrors the order of ``s00``, so the two
-    are equal bit for bit at ``B = 0``."""
+    """``(s00, s11, s_w, norm)`` of the level weights ``p``: the reduced state's table,
+    ``<00|r|00>``, ``<11|r|11>`` and ``<01|r|01> = <10|r|10>`` of ``Tr_3`` of each level's
+    projector (its states in ``spinmodel.LEVELS``) in sixths, weighed by ``p``, and
+    ``norm = sum(deg p)``, a sixth of ``s00 + s11 + 2 s_w``.  ``s11`` mirrors the order
+    of ``s00``, so the two are equal bit for bit at ``B = 0``."""
     p0, p1, p2, p3, p4, p5 = p
     return (6.0 * p0 + 4.0 * p1 + 2.0 * p2, 6.0 * p5 + 4.0 * p3 + 2.0 * p4,
             4.0 * p1 + 2.0 * p2 + 4.0 * p3 + 2.0 * p4, p0 + 2.0 * p1 + p2 + 2.0 * p3 + p4 + p5)

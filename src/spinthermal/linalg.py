@@ -98,11 +98,7 @@ def exp_or_inf(x: float) -> float:
 def _moduli(values) -> list[float]:
     """``|z|`` of each of ``values``: ``inf`` where it is beyond the float range,
     where Python's ``abs`` raises ``OverflowError``."""
-    values = list(values)
-    try:
-        return list(map(abs, values))
-    except OverflowError:
-        return [math.hypot(z.real, z.imag) for z in values]
+    return [math.hypot(z.real, z.imag) for z in values]
 
 
 def check_hermitian(rows: list) -> bool:

@@ -13,7 +13,6 @@ of rows of ``complex`` (see :func:`spinthermal.linalg.as_rows`).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import InvalidState, InvalidTemperature
@@ -45,15 +44,15 @@ class DensityMatrix:
 
 
 def partition_function(spec: ModelSpec, T: float) -> float:
-    """Sum of Boltzmann weights over the numerically obtained spectrum."""
+    """Sum of Boltzmann weights over the numerically obtained spectrum: ``exp(-E_min/T)``
+    (``inf`` where it overflows) times the fsum of :func:`gibbs_density`'s weights."""
     if T <= 0.0:
         raise InvalidTemperature(f"partition function needs T > 0, got {T}")
     energies = jacobi_eigen(build_hamiltonian(spec))[0]  # built exactly Hermitian
-    beta = min(1.0 / T, sys.float_info.max)  # 1/T is inf below T = 5.6e-309, and inf * 0 NaN
     emin = energies[0]
     # an exponent below the float range weighs 0
-    shifted = math.fsum(math.exp(-beta * (e - emin)) for e in energies)
-    return exp_or_inf(-beta * emin) * shifted  # shifted >= 1, so an inf factor stays inf
+    shifted = math.fsum(math.exp((emin - e) / T) for e in energies)
+    return exp_or_inf(-emin / T) * shifted  # shifted >= 1, so an inf factor stays inf
 
 
 def gibbs_density(spec: ModelSpec, T: float) -> DensityMatrix:

@@ -24,8 +24,8 @@ from spinthermal import (
     gibbs_density,
     partial_trace,
 )
-from spinthermal.concurrence import (LEVEL_REDUCED_SIXTHS, closed_form_xstate, closed_route,
-                                     level_sums, route_columns, route_coordinate)
+from spinthermal.concurrence import (closed_form_xstate, closed_route, level_sums, route_columns,
+                                     route_coordinate)
 from spinthermal.spinmodel import LEVELS, level_energies
 
 from kron_reference import spin_flip
@@ -284,7 +284,7 @@ def test_closed_form_xstate_saturates():
 
 
 def test_level_table_is_the_partial_trace_of_each_level():
-    for sixths, states in zip(LEVEL_REDUCED_SIXTHS, LEVELS):
+    for sixths, states in zip(reference.REDUCED_SIXTHS, LEVELS):
         rho = partial_trace(sum(np.outer(STATES[k], STATES[k].conj()) for k in states))
         r00, r11, r_w, r_y = (n / 6.0 for n in sixths)
         expected = np.array([[r00, 0, 0, 0], [0, r_w, r_y, 0],
@@ -293,7 +293,7 @@ def test_level_table_is_the_partial_trace_of_each_level():
 
 
 def test_level_sums_are_the_level_table():
-    for k, (r00, r11, r_w, _) in enumerate(LEVEL_REDUCED_SIXTHS):
+    for k, (r00, r11, r_w, _) in enumerate(reference.REDUCED_SIXTHS):
         weights = [float(n == k) for n in range(6)]
         assert level_sums(weights) == (r00, r11, r_w, len(LEVELS[k]))
 
@@ -548,27 +548,33 @@ def low_temperature_draw(n):
         yield J, delta, B, 10.0 ** rng.uniform(-4.0, 0.0)
 
 
-def test_log_domain_witness_matches_the_reference(monkeypatch):
-    """Over all 18 951 of the 40 000 draw points that take the log-domain witness,
-    the worst ``|w - ref| / max(1, |ref|)`` is 1.85e-12, and 1.27e-12 over the first
-    8000 with their couplings and ``T`` scaled to ``T <= 1e-300``; part of it is the
-    rounding of the level gaps.  The bound is 5e-12.  Sampled here: every 25th
-    point, and a quarter of those scaled."""
+@pytest.fixture
+def log_witness_calls(monkeypatch):
+    """The argument tuples of every ``concurrence._log_witness`` call from here on."""
     import spinthermal.concurrence as concurrence_mod
 
     calls = []
     log_witness = concurrence_mod._log_witness
     monkeypatch.setattr(concurrence_mod, "_log_witness",
                         lambda *args: calls.append(args) or log_witness(*args))
+    return calls
+
+
+def test_log_domain_witness_matches_the_reference(log_witness_calls):
+    """Over all 18 951 of the 40 000 draw points that take the log-domain witness,
+    the worst ``|w - ref| / max(1, |ref|)`` is 1.85e-12, and 1.27e-12 over the first
+    8000 with their couplings and ``T`` scaled to ``T <= 1e-300``; part of it is the
+    rounding of the level gaps.  The bound is 5e-12.  Sampled here: every 25th
+    point, and a quarter of those scaled."""
     rng = random.Random(7)
     sample = list(low_temperature_draw(40000))[::25]
     scales = [10.0 ** rng.uniform(-304.0, -300.0) for _ in sample[::4]]
     sample += [(J * s, delta, B * s, T * s) for (J, delta, B, T), s in zip(sample[::4], scales)]
     checked = tiny = 0
     for point in sample:
-        n = len(calls)
+        n = len(log_witness_calls)
         w = closed_route(*point)[2]
-        if len(calls) > n:
+        if len(log_witness_calls) > n:
             want = float(reference.witness(*point))
             assert abs(w - want) <= 5e-12 * max(1.0, abs(want)), point
             checked += 1
@@ -576,13 +582,32 @@ def test_log_domain_witness_matches_the_reference(monkeypatch):
     assert checked > 700 and tiny > 150
 
 
-def test_route_columns_over_a_mixed_block_is_closed_route_point_by_point(monkeypatch):
+def test_normal_range_witness_matches_the_reference(log_witness_calls):
+    """Where no weight or level sum leaves the normal range, the witness is
+    ``ln(|s_y| / sqrt(s00 s11))`` of the float level sums.  Over 20 000 points of this
+    draw, 19 609 take that path; the worst ``|w - ref| / max(1, |ref|)`` is 1.06e-13,
+    and its 99th percentile 4.9e-15.  The bound is 1e-12; the first 1000 are checked."""
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(1000):
+        J = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 1.0)
+        delta = rng.uniform(-50.0, 50.0)
+        B = rng.uniform(-20.0, 20.0) if rng.random() < 0.5 else 0.0
+        point = J, delta, B, 10.0 ** rng.uniform(-1.0, 2.0)
+        n = len(log_witness_calls)
+        w = closed_route(*point)[2]
+        if len(log_witness_calls) == n:
+            want = float(reference.witness(*point))
+            assert abs(w - want) <= 1e-12 * max(1.0, abs(want)), point
+            checked += 1
+    assert checked > 900
+
+
+def test_route_columns_over_a_mixed_block_is_closed_route_point_by_point(log_witness_calls):
     """One kernel call over a block that interleaves the ``T = 0`` ground group,
     the log-domain witness and the normal range gives every point's
     :func:`closed_route`, all seven values bit for bit: nothing one point sets
     carries to the next."""
-    import spinthermal.concurrence as concurrence_mod
-
     rng = random.Random(29)
     points = []
     for _ in range(3000):
@@ -590,13 +615,9 @@ def test_route_columns_over_a_mixed_block_is_closed_route_point_by_point(monkeyp
         B = rng.choice((0.0, rng.uniform(-20.0, 20.0)))
         T = rng.choice((0.0, 10.0 ** rng.uniform(-320.0, -301.0), 10.0 ** rng.uniform(-3.0, 1.0)))
         points.append((J, rng.uniform(-50.0, 50.0), B, T))
-    calls = []
-    log_witness = concurrence_mod._log_witness
-    monkeypatch.setattr(concurrence_mod, "_log_witness",
-                        lambda *args: calls.append(args) or log_witness(*args))
     block = route_columns([route_coordinate(*point[:3]) for point in points],
                           [point[3] for point in points])
-    assert len(calls) > 300  # the log-domain branch, between the others
+    assert len(log_witness_calls) > 300  # the log-domain branch, between the others
     assert {"zero", "tiny", "normal"} == {"zero" if not T else "tiny" if T < 1e-300 else "normal"
                                          for *_, T in points}
     assert {J for J, *_ in points if not J} == {0.0}
