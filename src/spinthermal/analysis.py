@@ -26,13 +26,14 @@ parameters, the closed route's level work of
 :func:`~spinthermal.concurrence.route_coordinate` and the critical
 temperature) is computed once per distinct coordinate and kept for the
 length of the call; the critical point itself is found once per distinct
-anisotropy and scaled by each coordinate's ``|J|``.  Each block of grid
-points is then one :func:`~spinthermal.concurrence.route_columns` call,
-which gives their ``C``, ``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))``
-together: the witness is the sweep's ``witness`` column for every
-variant and the sign of its ``C``.  :func:`sweep_blocks` yields the
-named columns block by block; :func:`sweep` turns the blocks of every
-field into records.
+anisotropy and scaled by each coordinate's ``|J|``.  The grid is then
+walked one line at a time, one value of the first axis against the whole
+last axis, and each line is one
+:func:`~spinthermal.concurrence.route_columns` call, which gives its
+``C``, ``Z`` and witness ``ln(|rho_y| / sqrt(rho00 rho11))`` together:
+the witness is the sweep's ``witness`` column for every variant and the
+sign of its ``C``.  :func:`sweep_blocks` yields the named columns line
+by line; :func:`sweep` turns the blocks of every field into records.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ _EXP_CAP = 700.0  # beyond this an exponent is treated as +inf
 #: The variants with a critical temperature: the field-free rings.
 CRITICAL_VARIANTS = ("xx", "xxz")
 
-#: Grid points a sweep evaluates and yields as one block.
+#: The most grid points of one sweep block: a longer grid line is split
+#: into blocks of this many points.
 SWEEP_BLOCK = 1024
 
 #: The sweep columns of :func:`~spinthermal.concurrence.route_columns`, in its order.
@@ -296,13 +298,20 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     The grid and ``columns`` are validated and the per-coordinate data (the
     closed-form parameters, :func:`~spinthermal.concurrence.route_coordinate`
     and ``T_c``) computed at the call; the iterator then walks the grid in
-    order (first axis outermost) and yields :data:`SWEEP_BLOCK` points at a
-    time, as one sequence per named field.  ``C``, ``Z`` and ``witness`` come
-    together from one :func:`~spinthermal.concurrence.route_columns` call per
-    block, made only where ``columns`` names one of them; ``T_c`` is found only
-    where it is named, once per distinct anisotropy.  A NaN in a named ``C``, ``Z``
-    or ``witness``, checked in that order, raises ``NaNResult`` before its
-    block is yielded.
+    order (first axis outermost) one line at a time, as one list per named
+    field.  A line is one value of the outer factor (the first of two axes, or
+    the fixed coordinate of a ``T`` sweep, or the fixed ``T`` of a sweep over
+    one coordinate) against the whole last axis, split into blocks of
+    :data:`SWEEP_BLOCK` points where it is longer.  A column that is constant
+    along a line is ``[v] * n``, and the column of the last axis (and, where
+    ``T`` is the first axis, every coordinate column) is the same list object
+    in every line: blocks share their lists and must not change them.  ``C``, ``Z``
+    and ``witness`` come together from one
+    :func:`~spinthermal.concurrence.route_columns` call per block, made only
+    where ``columns`` names one of them; ``T_c`` is found only where it is
+    named, once per distinct anisotropy.  A NaN in a named ``C``, ``Z`` or
+    ``witness``, checked in that order, raises ``NaNResult`` before its block
+    is yielded.
     """
     _validate_sweep(config)
     names = [axis.name for axis in config.axes]
@@ -329,26 +338,36 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
         point = critical(delta) if with_T_c and J < 0.0 else None
         T_c = None if point is None else point.T_c * abs(J)
         coordinates.append((J, delta, B, T_c, route_coordinate(J, delta, B)))
-    t_inner = names[1:] == ["T"]  # T is the second of two axes
-    pairs = (itertools.product(coordinates, temperatures) if t_inner
-             else itertools.product(temperatures, coordinates))
-    return columns, _sweep_rows(pairs, t_inner, columns)
+    if names[-1] == "T":  # a line is one coordinate against the T axis
+        spans = [temperatures[i:i + SWEEP_BLOCK]
+                 for i in range(0, len(temperatures), SWEEP_BLOCK)]
+        lines = ((span, [[value] * len(span) for value in coordinate])
+                 for coordinate in coordinates for span in spans)
+    else:  # a line is one T against the last axis's coordinates, as columns
+        width = len(grids[-1])
+        spans = [list(map(list, zip(*coordinates[i:min(i + SWEEP_BLOCK, line + width)])))
+                 for line in range(0, len(coordinates), width)
+                 for i in range(line, line + width, SWEEP_BLOCK)]
+        if len(other_names) == 2:  # each line's column of the last axis holds the same floats
+            field, per_line = ("J", "delta", "B").index(names[-1]), len(spans) // len(grids[0])
+            for k, span in enumerate(spans):
+                span[field] = spans[k % per_line][field]
+        lines = (([T] * len(span[0]), span) for T in temperatures for span in spans)
+    return columns, _sweep_rows(lines, columns)
 
 
-def _sweep_rows(pairs: Iterator, t_inner: bool, columns: tuple) -> Iterator[dict]:
-    """The blocks of :func:`sweep_blocks` from its grid points ``pairs``, each
-    ``(coordinate, T)``, or ``(T, coordinate)`` where ``t_inner`` is false, one
-    :func:`~spinthermal.concurrence.route_columns` call per block; a coordinate
-    is ``(J, delta, B, T_c, route_coordinate(J, delta, B))``."""
+def _sweep_rows(lines: Iterator, columns: tuple) -> Iterator[dict]:
+    """The blocks of :func:`sweep_blocks` from its ``lines``, each ``(temperatures,
+    [Js, deltas, Bs, T_cs, route coordinates])`` of one block's points, with one
+    :func:`~spinthermal.concurrence.route_columns` call each."""
     route_names = [name for name in _ROUTE_COLUMNS if name in columns]
-    for block in iter(lambda: list(itertools.islice(pairs, SWEEP_BLOCK)), []):
-        firsts, seconds = zip(*block)
-        coords, temps = (firsts, seconds) if t_inner else (seconds, firsts)
-        Js, deltas, Bs, T_cs, routes = zip(*coords)
+    for temps, (Js, deltas, Bs, T_cs, routes) in lines:
         values = {"T": temps, "J": Js, "delta": deltas, "B": Bs, "T_c": T_cs}
         if route_names:  # axes and T_c alone need no route
             values |= zip(_ROUTE_COLUMNS, route_columns(routes, temps))
         for name in route_names:
+            if not math.isnan(sum(values[name])):  # NaN for a NaN, or infinities of both signs
+                continue
             nans = list(map(math.isnan, values[name]))
             if True in nans:
                 i = nans.index(True)

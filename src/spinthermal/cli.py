@@ -9,7 +9,8 @@ Usage::
 with commands ``eig``, ``thermal``, ``concurrence``, ``critical``,
 ``sweep`` and ``verify``.  Parameters come from a line-oriented config file
 (``key = value`` under ``[section]`` headers, each key once a section) and/or
-command-line flags, each read by its config key's rule; flags win.  Config layout::
+command-line flags, each read by its config key's rule (``--J -1e-2`` as
+``--J=-1e-2``); flags win.  Config layout::
 
     command = sweep
     T = 1.0
@@ -34,11 +35,13 @@ digits, to ``--out`` or stdout; a partition function beyond the float
 range is printed as ``inf`` (``Infinity`` in JSON), and so is the sweep
 witness ``-inf`` of a ``J = 0`` point (``-Infinity``).  A sweep is
 rendered a block at a time as :func:`spinthermal.analysis.sweep_blocks`
-yields it (CSV rows by one row template per block, JSON cells column
-by column), and written once after the last block, so a failed sweep
-leaves ``--out`` unwritten; an unreadable ``--config`` or unopenable
-``--out`` path is a config error, and an ``--out`` that is a directory or
-lies in a missing one is reported before any work or output.
+yields it, column by column: a column whose cells are all one object is
+formatted once, and a column that is the previous block's column (the
+axis a sweep walks along) takes that block's texts.  It is written once
+after the last block, so a failed sweep leaves ``--out`` unwritten; an
+unreadable ``--config`` or unopenable ``--out`` path is a config error,
+and an ``--out`` that is a directory or lies in a missing one is
+reported before any work or output.
 Identical configs produce byte-identical output.  Exit codes: 0 ok, 1 verification
 failure, and otherwise the ``exit_code`` of the package error raised
 (:mod:`spinthermal.errors`): 2 for a config or domain error, reported as
@@ -52,6 +55,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import itertools
 import json
 import math
 import operator
@@ -292,33 +296,59 @@ def _json_cells(column: list) -> list[str]:
     return list(map(dict(zip(values, texts)).__getitem__, column))
 
 
+def _csv_cells(column: list) -> list[str]:
+    """Cell texts of one CSV column: ``%.12g`` where all cells are exactly
+    ``float``, and :func:`_fmt` of each cell otherwise."""
+    if set(map(type, column)) <= {float}:
+        return list(map("%.12g".__mod__, column))
+    return list(map(_fmt, column))
+
+
+def _block_texts(blocks, cells) -> Iterator[list]:
+    """The cell texts of each block's columns, ``cells(column)`` of each column,
+    except that a column whose cells are all one object is formatted once, and a
+    column that is the previous block's column in its position takes that
+    block's texts.  Both tests use ``is``, not ``==``, so ``0.0`` and ``-0.0``,
+    and each NaN object, keep their own texts."""
+    last: list = []  # (column, texts) of the previous block; holding it pins the ids
+    for block in blocks:
+        texts = []
+        for k, column in enumerate(block):
+            if k < len(last) and column is last[k][0]:
+                texts.append(last[k][1])
+            elif column and column[0] is column[-1] and all(
+                    map(operator.is_, column, itertools.repeat(column[0]))):
+                texts.append(cells(column[:1]) * len(column))
+            else:
+                texts.append(cells(column))
+        last = list(zip(block, texts))
+        yield texts
+
+
 def _csv_parts(columns: list[str], blocks) -> Iterator[str]:
     """The header line, then the lines of each block's rows as one part.
 
-    Each block holds one list of values per column.  Its rows are printed
-    by one ``%`` row template: ``%.12g`` for a column whose cells are all
-    exactly ``float``, and ``%s`` for any other column, whose cells go
-    through :func:`_fmt` first.
+    Each block holds one list of values per column, printed as
+    :func:`_csv_cells` prints it, by :func:`_block_texts`.
     """
     yield ",".join(columns) + "\n"
-    for block in blocks:
-        floats = [set(map(type, column)) <= {float} for column in block]
-        template = ",".join("%.12g" if is_float else "%s" for is_float in floats) + "\n"
-        cells = [column if is_float else list(map(_fmt, column))
-                 for is_float, column in zip(floats, block)]
-        yield "".join(map(template.__mod__, zip(*cells)))
+    for texts in _block_texts(blocks, _csv_cells):
+        lines = list(map(",".join, zip(*texts)))
+        if lines:
+            yield "\n".join(lines) + "\n"
 
 
 def _json_parts(meta: dict, columns: list[str], blocks) -> Iterator[str]:
     """``json.dumps({"meta": meta, "rows": rows}, indent=2)`` in parts, one per
-    block, with ``rows`` the ``column -> value`` objects of the blocks' rows."""
+    block, with ``rows`` the ``column -> value`` objects of the blocks' rows,
+    each column's cells as :func:`_json_cells` prints them, by :func:`_block_texts`."""
     fields = ",\n".join(
         "      " + json.dumps(col).replace("%", "%%") + ": %s" for col in columns)
     template = "    {\n" + fields + "\n    }"
     yield json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("[]\n}")]
     separator = "[\n"
-    for block in blocks:
-        body = ",\n".join(map(template.__mod__, zip(*map(_json_cells, block))))
+    for texts in _block_texts(blocks, _json_cells):
+        body = ",\n".join(map(template.__mod__, zip(*texts)))
         if body:
             yield separator + body
             separator = ",\n"
@@ -642,8 +672,14 @@ def _config_from_args(argv) -> RunConfig:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to a config file")
-    for name in _FLAGS:
-        parser.add_argument(f"--{name}", help=_FLAG_HELP.get(name))
+    flags = [f"--{name}" for name in _FLAGS]
+    for flag, name in zip(flags, _FLAGS):
+        parser.add_argument(flag, help=_FLAG_HELP.get(name))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--J -1e-2" as "--J=-1e-2": argparse reads a value such as -1e-2 or -inf as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in flags and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = parser.parse_args(argv)
 
     if args.config:

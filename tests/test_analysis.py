@@ -794,6 +794,48 @@ def test_sweep_computes_only_the_named_columns(case, monkeypatch):
         assert bool(critical_calls) == ("T_c" in columns and model.variant != "xxzfield")
 
 
+LINE_CASES = {
+    "T outer": (ModelSpec.xxz(-1.0, 0.0),
+                (SweepAxis("T", 0.05, 2.0, 3), SweepAxis("delta", -3.0, 0.99, 10)), None),
+    "T inner": (ModelSpec.xxz(-1.0, 0.0),
+                (SweepAxis("delta", -3.0, 0.99, 3), SweepAxis("T", 0.05, 2.0, 10)), None),
+    "one-axis T": (ModelSpec.xxz_field(1.0, 1.0, 2.0), (SweepAxis("T", 0.05, 2.0, 10),), None),
+    "one-axis B": (ModelSpec.xxz_field(1.0, 1.0, 0.0), (SweepAxis("B", 0.0, 3.0, 10),), 0.5),
+    "delta and B": (ModelSpec.xxz_field(1.0, 1.0, 0.0),
+                    (SweepAxis("delta", -2.0, 2.0, 3), SweepAxis("B", -1.0, -0.0, 10)), 0.5),
+}
+
+
+@pytest.mark.parametrize("block", (1024, 4), ids=("whole lines", "split lines"))
+@pytest.mark.parametrize("case", sorted(LINE_CASES))
+def test_sweep_calls_the_route_once_per_line(case, block, monkeypatch):
+    """A block is one grid line, one value of the first axis (or of the fixed ``T``
+    or coordinate) against the whole last axis, split into :data:`SWEEP_BLOCK`
+    points where it is longer, with one ``route_columns`` call each.  The inner
+    axis's column is one list object in every line, and the outer value's
+    column repeats one object."""
+    model, axes, T = LINE_CASES[case]
+    monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", block)
+    inner, calls = analysis_module.route_columns, []
+
+    def counting(coordinates, temperatures):
+        calls.append(len(temperatures))
+        return inner(coordinates, temperatures)
+
+    monkeypatch.setattr(analysis_module, "route_columns", counting)
+    names = [axis.name for axis in axes]
+    columns = (*dict.fromkeys(["T", "J", *names]), "C")
+    blocks = list(sweep_blocks(SweepConfig(model, axes, T), columns)[1])
+    line = axes[-1].steps
+    chunks = [min(block, line - start) for start in range(0, line, block)]
+    assert calls == [len(b["C"]) for b in blocks] == chunks * (len(blocks) // len(chunks))
+    assert len(blocks) == len(chunks) * (axes[0].steps if len(axes) == 2 else 1)
+    outer = names[0] if len(names) == 2 else "J" if names == ["T"] else "T"
+    for k, b in enumerate(blocks):
+        assert b[names[-1]] is blocks[k % len(chunks)][names[-1]]
+        assert all(value is b[outer][0] for value in b[outer])
+
+
 def test_sweep_rejects_an_unknown_column_at_the_call(monkeypatch):
     def never(*args):
         raise AssertionError("the grid was evaluated")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -314,6 +315,32 @@ def test_render_json_all_float_rows_match_rounded_dumps(values, columns):
     assert render_json(JSON_META, columns, rows) == rounded_dumps(JSON_META, columns, rows)
 
 
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_block_rendering_tests_columns_by_identity(fmt, monkeypatch):
+    """A column whose cells are all one object is formatted once, and a column
+    that is the previous block's column in its position is not formatted again.
+    Both tests use ``is``: ``[0.0] * 3`` after ``[-0.0] * 3`` is equal to it but
+    prints ``0``, and ``[0.0, -0.0, 0.0]`` is not one value."""
+    zero, nan = 0.0, float("nan")
+    inner = [-0.0, 1.5, None]
+    blocks = [[[-0.0] * 3, inner, [zero, -0.0, zero]],
+              [[zero] * 3, inner, [nan] * 3],
+              [[float("nan")] * 3, inner, [None] * 3]]
+    columns = ["a", "b", "c"]
+    rows = [dict(zip(columns, row)) for block in blocks for row in zip(*block)]
+    name = "_json_cells" if fmt == "json" else "_csv_cells"
+    cells, lengths = getattr(cli_module, name), []
+    monkeypatch.setattr(cli_module, name, lambda column: lengths.append(len(column))
+                        or cells(column))
+    if fmt == "json":
+        text = "".join(cli_module._json_parts(JSON_META, columns, blocks))
+        assert text == rounded_dumps(JSON_META, columns, rows)
+    else:
+        text = "".join(cli_module._csv_parts(columns, blocks))
+        assert text == per_cell_csv(columns, rows)
+    assert lengths == [1, 3, 3, 1, 1, 1, 1]
+
+
 FIELD_GRID_CONFIG = """\
 command = sweep
 columns = T,B,C,witness,Z
@@ -428,9 +455,8 @@ NONE = type(None)
 
 
 @pytest.mark.parametrize("config_text, T_c_kinds", (
-    # blocks of float T_c, of None and of both: 2257 points, 3 blocks
-    (xxz_across_delta_one(("delta", "T")),
-     {frozenset({float}), frozenset({float, NONE}), frozenset({NONE})}),
+    # one anisotropy a line: lines of float T_c and lines of None, 37 lines of 61 points
+    (xxz_across_delta_one(("delta", "T")), {frozenset({float}), frozenset({NONE})}),
     (xxz_across_delta_one(("T", "delta")), {frozenset({float, NONE})}),
     (LOW_T_FIELD_CONFIG, None),
 ), ids=("delta outer", "T outer", "low-T field"))
@@ -455,15 +481,39 @@ def test_cli_block_rendering_matches_the_per_cell_references(config_text, T_c_ki
             assert text == rounded_dumps(json.loads(text)["meta"], cfg.columns, records)
 
 
+@pytest.mark.parametrize("axes", (("T", "B"), ("B", "T")), ids=("T outer", "B outer"))
+def test_cli_sweep_prints_a_negative_zero_axis_end_in_every_line(axes, tmp_path):
+    ranges = {"T": "min = 0.5\nmax = 1\nsteps = 4", "B": "min = -1\nmax = -0.0\nsteps = 3"}
+    config_text = ("command = sweep\ncolumns = T,B,C\n[model]\nmodel = xxzfield\nJ = 1\n"
+                   "delta = 1\nB = 0\n" + "".join(f"[grid:{a}]\n{ranges[a]}\n" for a in axes))
+    config = tmp_path / "sweep.cfg"
+    config.write_text(config_text)
+    cfg = parse_config(config_text)
+    records = sweep(SweepConfig(build_model(cfg.model), tuple(cfg.grid), cfg.T))
+    for fmt, zero in (("csv", "-0"), ("json", "-0.0")):
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            assert text == per_cell_csv(cfg.columns, records)
+            B_cells = [line.split(",")[1] for line in text.splitlines()[1:]]
+        else:
+            assert text == rounded_dumps(json.loads(text)["meta"], cfg.columns, records)
+            rows = text.partition('"rows": [')[2]
+            B_cells = [line.split(": ")[1].rstrip(",") for line in rows.splitlines()
+                       if line.startswith('      "B": ')]
+        assert len(B_cells) == 12 and B_cells.count(zero) == 4  # one point a T
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, tmp_path,
                                                               capsys):
     inner, calls = analysis_module.route_columns, []
 
     def nan_in_the_second_block(coordinates, temperatures):
-        calls.extend(temperatures)
+        calls.append(len(temperatures))
         C, Z, *rest = inner(coordinates, temperatures)
-        if len(calls) == 2 * analysis_module.SWEEP_BLOCK:
+        if len(calls) == 2:
             Z[-1] = math.nan
         return C, Z, *rest
 
@@ -472,7 +522,7 @@ def test_cli_sweep_with_a_nan_in_a_later_block_writes_nothing(fmt, monkeypatch, 
     config.write_text(FIELD_GRID_CONFIG)
     assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numeric failure: Z is NaN at")
-    assert len(calls) == 2 * analysis_module.SWEEP_BLOCK  # the second block is not yielded
+    assert calls == [200, 200]  # one call a line; the second block is not yielded
     assert not out.exists()
 
 
@@ -718,11 +768,22 @@ def test_cli_rejects_non_finite_flags(flags, capsys):
     (["--J", "abc"], "--J: J = 'abc' is not a number"),
     (["--J", "inf"], "--J: J must be finite, got 'inf'"),
     (["--format", "xml"], "--format: format must be csv or json"),
+    (["--J", "-inf"], "--J: J must be finite, got '-inf'"),
 ))
 def test_cli_reports_a_bad_flag_as_a_config_error(flags, message, capsys):
-    # argparse printed its usage and exited through SystemExit for the first and third
+    # argparse printed its usage and exited through SystemExit for all but the second
     assert main(["concurrence", "--model", "xx", "--J", "1", "--T", "1", *flags]) == 2
     assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("value, row", (("-1e-2", "1,0,0"),
+                                        ("-1E2", "1,0.333333333333,0.333333333333")))
+def test_cli_reads_a_negative_flag_value_in_exponent_form(value, row, capsys):
+    # argparse read -1e-2 as an option: "argument --J: expected one argument", exit 2
+    assert main(["concurrence", "--model", "xx", "--J", value, "--T", "1"]) == 0
+    assert capsys.readouterr() == (f"T,C_numeric,C_closed\n{row}\n", "")
+    assert main(["concurrence", "--model", "xx", f"--J={value}", "--T", "1"]) == 0
+    assert capsys.readouterr().out == f"T,C_numeric,C_closed\n{row}\n"
 
 
 def test_cli_flags_and_config_lines_give_the_same_json(tmp_path, capsys):
@@ -1023,3 +1084,32 @@ def test_sweep_prints_its_golden_text(name, monkeypatch, tmp_path):
     assert text.count(b"\n") > 8 * GOLDEN_BLOCK  # several blocks
     if name == "field_low_T.csv":
         assert calls  # the witness of the points whose weights underflow
+
+
+#: The two sweeps of the benchmark (``SWEEPS`` in ``benchmarks/workloads.py``, as
+#: its ``sweep_config`` writes them, less the ``out`` line), each with the
+#: sha256 of the text it prints.
+BENCHMARK_SWEEPS = {
+    "sweep2d_xxz_tc": (
+        "command = sweep\nformat = csv\ncolumns = T,delta,C,witness,T_c\n\n"
+        "[model]\nmodel = xxz\nJ = -1.0\ndelta = 0.0\n\n"
+        "[grid:T]\nmin = 0.05\nmax = 4.0\nsteps = 200\n\n"
+        "[grid:delta]\nmin = -3.0\nmax = 0.99\nsteps = 200\n",
+        "c7b0187d266ea3c9ce7e1b6d550f92849bd61498b8e43779e689b2665d4bf73f"),
+    "sweep2d_field": (
+        "command = sweep\nformat = json\ncolumns = T,B,C,witness,Z\n\n"
+        "[model]\nmodel = xxzfield\nJ = 1.0\ndelta = 1.0\nB = 0.0\n\n"
+        "[grid:T]\nmin = 0.02\nmax = 4.0\nsteps = 200\n\n"
+        "[grid:B]\nmin = 0.0\nmax = 3.0\nsteps = 200\n",
+        "dbdcf91477b32ad944c500cc8b10919901c5a4e8781973657f34555bbe45f48d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SWEEPS))
+def test_benchmark_sweep_prints_its_pinned_text(name, tmp_path):
+    """Every byte of the benchmark's two 200 x 200 sweeps, by digest."""
+    config_text, digest = BENCHMARK_SWEEPS[name]
+    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.out"
+    config.write_text(config_text)
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
