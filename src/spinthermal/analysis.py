@@ -298,15 +298,16 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
     The grid and ``columns`` are validated and the per-coordinate data (the
     closed-form parameters, :func:`~spinthermal.concurrence.route_coordinate`
     and ``T_c``) computed at the call; the iterator then walks the grid in
-    order (first axis outermost) one line at a time, as one list per named
+    order (first axis outermost) one line at a time, as one sequence per named
     field.  A line is one value of the outer factor (the first of two axes, or
     the fixed coordinate of a ``T`` sweep, or the fixed ``T`` of a sweep over
     one coordinate) against the whole last axis, split into blocks of
     :data:`SWEEP_BLOCK` points where it is longer.  A column that is constant
-    along a line is ``[v] * n``, and the column of the last axis (and, where
-    ``T`` is the first axis, every coordinate column) is the same list object
-    in every line: blocks share their lists and must not change them.  ``C``, ``Z``
-    and ``witness`` come together from one
+    along a line is ``(v,) * n``.  The ``T``, coordinate and ``T_c`` columns
+    are tuples: where ``T`` is the first of two axes, each coordinate and
+    ``T_c`` column is the same tuple in every line, and where it is the last
+    axis, the ``T`` column is.  ``C``, ``Z`` and ``witness`` are lists and come
+    together from one
     :func:`~spinthermal.concurrence.route_columns` call per block, made only
     where ``columns`` names one of them; ``T_c`` is found only where it is
     named, once per distinct anisotropy.  A NaN in a named ``C``, ``Z`` or
@@ -339,20 +340,16 @@ def sweep_blocks(config: SweepConfig, columns: Optional[Sequence[str]] = None
         T_c = None if point is None else point.T_c * abs(J)
         coordinates.append((J, delta, B, T_c, route_coordinate(J, delta, B)))
     if names[-1] == "T":  # a line is one coordinate against the T axis
-        spans = [temperatures[i:i + SWEEP_BLOCK]
+        spans = [tuple(temperatures[i:i + SWEEP_BLOCK])
                  for i in range(0, len(temperatures), SWEEP_BLOCK)]
-        lines = ((span, [[value] * len(span) for value in coordinate])
+        lines = ((span, [(value,) * len(span) for value in coordinate])
                  for coordinate in coordinates for span in spans)
     else:  # a line is one T against the last axis's coordinates, as columns
         width = len(grids[-1])
-        spans = [list(map(list, zip(*coordinates[i:min(i + SWEEP_BLOCK, line + width)])))
+        spans = [list(zip(*coordinates[i:min(i + SWEEP_BLOCK, line + width)]))
                  for line in range(0, len(coordinates), width)
                  for i in range(line, line + width, SWEEP_BLOCK)]
-        if len(other_names) == 2:  # each line's column of the last axis holds the same floats
-            field, per_line = ("J", "delta", "B").index(names[-1]), len(spans) // len(grids[0])
-            for k, span in enumerate(spans):
-                span[field] = spans[k % per_line][field]
-        lines = (([T] * len(span[0]), span) for T in temperatures for span in spans)
+        lines = (((T,) * len(span[0]), span) for T in temperatures for span in spans)
     return columns, _sweep_rows(lines, columns)
 
 

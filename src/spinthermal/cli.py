@@ -10,7 +10,8 @@ with commands ``eig``, ``thermal``, ``concurrence``, ``critical``,
 ``sweep`` and ``verify``.  Parameters come from a line-oriented config file
 (``key = value`` under ``[section]`` headers, each key once a section) and/or
 command-line flags, each read by its config key's rule (``--J -1e-2`` as
-``--J=-1e-2``); flags win.  Config layout::
+``--J=-1e-2`` after a flag's full name; an abbreviated flag takes a value
+that starts with ``-`` only after ``=``); flags win.  Config layout::
 
     command = sweep
     T = 1.0

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidState, InvalidTemperature, NotPSD
 from .linalg import (PSD_FLOOR, TRACE_TOL, as_rows, check_hermitian, degenerate_groups,
-                     hermitian_part, jacobi_eigen, shape, singular_values)
+                     exp_or_inf, hermitian_part, jacobi_eigen, shape, singular_values)
 from .spinmodel import ModelSpec, level_energies
 from .thermalstate import DensityMatrix
 
@@ -183,10 +183,7 @@ def route_columns(coordinates, temperatures) -> tuple[list, ...]:
         if T > 0.0:
             g0, g1, g2, g3, g4, g5 = gaps  # unrolled: a comprehension is a call before 3.12
             weights = exp(g0 / T), exp(g1 / T), exp(g2 / T), exp(g3 / T), exp(g4 / T), exp(g5 / T)
-            try:
-                scale = exp(-emin / T)
-            except OverflowError:
-                scale = math.inf
+            scale = exp_or_inf(-emin / T)
             factor = abs(expm1(-3.0 * abs(J) / T))
         elif T == 0.0:
             ranked = sorted(levels)

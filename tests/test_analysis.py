@@ -811,9 +811,9 @@ LINE_CASES = {
 def test_sweep_calls_the_route_once_per_line(case, block, monkeypatch):
     """A block is one grid line, one value of the first axis (or of the fixed ``T``
     or coordinate) against the whole last axis, split into :data:`SWEEP_BLOCK`
-    points where it is longer, with one ``route_columns`` call each.  The inner
-    axis's column is one list object in every line, and the outer value's
-    column repeats one object."""
+    points where it is longer, with one ``route_columns`` call each.  Where ``T``
+    is an axis, the inner axis's column is one tuple in every line, and the
+    outer value's column repeats one object."""
     model, axes, T = LINE_CASES[case]
     monkeypatch.setattr(analysis_module, "SWEEP_BLOCK", block)
     inner, calls = analysis_module.route_columns, []
@@ -832,7 +832,9 @@ def test_sweep_calls_the_route_once_per_line(case, block, monkeypatch):
     assert len(blocks) == len(chunks) * (axes[0].steps if len(axes) == 2 else 1)
     outer = names[0] if len(names) == 2 else "J" if names == ["T"] else "T"
     for k, b in enumerate(blocks):
-        assert b[names[-1]] is blocks[k % len(chunks)][names[-1]]
+        assert type(b[names[-1]]) is type(b[outer]) is tuple  # a caller cannot edit a shared column
+        assert b[names[-1]] == blocks[k % len(chunks)][names[-1]]
+        assert b[names[-1]] is blocks[k % len(chunks)][names[-1]] or "T" not in names
         assert all(value is b[outer][0] for value in b[outer])
 
 
