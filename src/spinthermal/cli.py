@@ -10,8 +10,8 @@ with commands ``eig``, ``thermal``, ``concurrence``, ``critical``,
 ``sweep`` and ``verify``.  Parameters come from a line-oriented config file
 (``key = value`` under ``[section]`` headers, each key once a section) and/or
 command-line flags, each read by its config key's rule (``--J -1e-2`` as
-``--J=-1e-2`` after a flag's full name; an abbreviated flag takes a value
-that starts with ``-`` only after ``=``); flags win.  Config layout::
+``--J=-1e-2`` after a flag's full name, or after a prefix of one flag's name
+alone: ``--del -1e-2`` as ``--delta=-1e-2``); flags win.  Config layout::
 
     command = sweep
     T = 1.0
@@ -265,36 +265,11 @@ def _json_floats(values: list) -> list[str]:
 
 
 def _json_cells(column: list) -> list[str]:
-    """Cell texts of one JSON column, each as ``json.dumps(_round12(v))`` prints it.
-
-    A column of floats goes through :func:`_json_floats`.  Where all values
-    are floats or ``None`` and most repeat, each distinct value is
-    formatted once and the cells take their texts from that table.  The
-    column is hashed only if a sample of about ``2 sqrt(n)`` of its ``n``
-    cells repeats: the first ``m = isqrt(n) + 1`` cells and every ``m``-th
-    after them, which hold two cells at every distance below ``n - m``, so
-    runs and repeats of any period show in it.  ``0.0`` and ``-0.0`` are
-    one key with two texts, so a column holding both is formatted cell by
-    cell; each NaN object is its own key.
-    """
-    kinds = set(map(type, column))
-    values = column
-    step = math.isqrt(len(column)) + 1
-    sample = column[:step] + column[step::step]
-    if kinds <= {float, type(None)} and len(set(sample)) < len(sample):
-        distinct = dict.fromkeys(column)
-        if 2 * len(distinct) <= len(column):
-            values = list(distinct)
-            if 0.0 in distinct and len({math.copysign(1.0, v) for v in column
-                                        if v == 0.0}) == 2:  # zeros of both signs
-                values = column
-    if kinds <= {float}:
-        texts = _json_floats(values)
-    else:
-        texts = [json.dumps(_round12(v)) for v in values]
-    if values is column:
-        return texts
-    return list(map(dict(zip(values, texts)).__getitem__, column))
+    """Cell texts of one JSON column, each as ``json.dumps(_round12(v))`` prints it:
+    a column of floats goes through :func:`_json_floats`."""
+    if set(map(type, column)) <= {float}:
+        return _json_floats(column)
+    return [json.dumps(_round12(v)) for v in column]
 
 
 def _csv_cells(column: list) -> list[str]:
@@ -677,9 +652,11 @@ def _config_from_args(argv) -> RunConfig:
     for flag, name in zip(flags, _FLAGS):
         parser.add_argument(flag, help=_FLAG_HELP.get(name))
     argv = list(sys.argv[1:] if argv is None else argv)
-    # "--J -1e-2" as "--J=-1e-2": argparse reads a value such as -1e-2 or -inf as an option
+    # "--J -1e-2" as "--J=-1e-2", and so after the prefix of one flag alone ("--del"):
+    # argparse reads a value such as -1e-2 or -inf as an option
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] in flags and not argv[i + 1].startswith("--"):
+        named = [flag for flag in flags if flag.startswith(argv[i])]
+        if (argv[i] in flags or len(named) == 1) and not argv[i + 1].startswith("--"):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = parser.parse_args(argv)
 

@@ -6,8 +6,11 @@ converts to one by its ``tolist()``.  The eigensolver is a cyclic
 Jacobi iteration with complex plane rotations: at these sizes it
 reaches near machine precision, and every spectral quantity downstream
 (Gibbs weights, the factor of the concurrence's density matrix) runs
-through it.  Its rotations, and those of the one-sided Jacobi SVD that
-gives the concurrence's lambdas, run on the lists themselves, as does
+through it.  It labels the matrix's coupled blocks once, from its
+exactly nonzero entries (the symmetry sectors of the ring Hamiltonians,
+the 2x2 blocks of an X state), and rotates each block in place.  Its
+rotations, and those of the one-sided Jacobi SVD that gives the
+concurrence's lambdas, run on the lists themselves, as does
 :func:`mixture`, the one weighted sum of projectors, which builds every
 density matrix and the PSD square root.  All functions are pure;
 nothing here keeps internal state.
@@ -168,30 +171,45 @@ def jacobi_eigen(a: list) -> tuple[list[float], list[list[complex]]]:
     # Skipping elements below elem_tol cannot stall convergence: if every
     # |a[p, q]| <= elem_tol then the off-diagonal norm is already <= tol.
     elem_tol = tol / math.sqrt(n * (n - 1)) if n > 1 else tol
-    pairs = list(itertools.combinations(range(n), 2))
+    # the coupled blocks: each index labelled by the least index a chain of nonzero entries reaches
+    label = list(range(n))
+    for p, q in itertools.combinations(range(n), 2):
+        if a[p][q] and label[p] != label[q]:
+            lo, hi = sorted((label[p], label[q]))
+            label = [lo if b == hi else b for b in label]
+    blocks = [[k for k in range(n) if label[k] == b] for b in sorted(set(label))]
+    # each in-block pair (p, q), with the rest of its block and the block
+    pairs = [(p, q, [k for k in block if k != p and k != q], block)
+             for block in blocks for p, q in itertools.combinations(block, 2)]
     vt = [[0j] * k + [1 + 0j] + [0j] * (n - 1 - k) for k in range(n)]  # row k: eigenvector k
 
-    def off_norm() -> float:
-        return math.sqrt(2.0) * math.hypot(*[abs(a[p][q]) for p, q in pairs])
+    def off_norm() -> float:  # entries off every block stay exactly 0
+        return math.sqrt(2.0) * math.hypot(*[abs(a[p][q]) for p, q, _, _ in pairs])
 
     converged = False
     for _ in range(JACOBI_SWEEP_CAP):
         if off_norm() <= tol:
             converged = True
             break
-        for p, q in pairs:
-            apq = a[p][q]
+        for p, q, rest, block in pairs:
+            row_p, row_q = a[p], a[q]
+            apq = row_p[q]
             mag = abs(apq)
             if mag > elem_tol:
-                t, c, s = _rotation(a[p][p].real, a[q][q].real, apq, mag)
-                # rows p, q of R^H a; off the 2x2 block they are those of R^H a R
-                row_p, row_q = _rotate_pair(a[p], a[q], c, s.conjugate())
-                row_p[p], row_q[q] = a[p][p].real + t * mag, a[q][q].real - t * mag
-                row_p[q] = row_q[p] = 0j
-                a[p], a[q] = row_p, row_q
-                for row, x, y in zip(a, row_p, row_q):
-                    row[p], row[q] = x.conjugate(), y.conjugate()
-                vt[p], vt[q] = _rotate_pair(vt[p], vt[q], c, s)
+                t, c, s = _rotation(row_p[p].real, row_q[q].real, apq, mag)
+                sc = s.conjugate()
+                # rows p, q of R^H a R in place, mirrored into columns p, q
+                for k in rest:
+                    u, v = row_p[k], row_q[k]
+                    row_p[k] = x = c * u + s * v
+                    row_q[k] = y = c * v - sc * u
+                    a[k][p], a[k][q] = x.conjugate(), y.conjugate()
+                row_p[p], row_q[q] = row_p[p].real + t * mag, row_q[q].real - t * mag
+                row_p[q], row_q[p] = (0j).conjugate(), 0j  # row q's 0j, mirrored into row p
+                vp, vq = vt[p], vt[q]
+                for k in block:
+                    u, v = vp[k], vq[k]
+                    vp[k], vq[k] = c * u + sc * v, c * v - s * u
     else:
         converged = off_norm() <= tol
     if not converged:
@@ -213,11 +231,15 @@ def hermitian_eigen(m) -> Spectrum:
     off-diagonal Frobenius norm drops below ``JACOBI_OFF_TOL`` times the
     norm of the input, capped at ``JACOBI_SWEEP_CAP`` sweeps; both norms
     are ``math.hypot`` of moduli, which squares nothing, and the zero
-    matrix converges at once.  The rotations run on Python ``complex``
-    lists: each replaces rows ``p`` and ``q`` of the matrix and fills its
-    columns ``p`` and ``q`` by conjugation, so it stays exactly Hermitian,
-    and rotates columns ``p`` and ``q`` of the eigenvectors as rows of
-    their transpose.
+    matrix converges at once.  The solve first labels the coupled blocks:
+    indices joined by a chain of exactly nonzero entries.  Every sweep then
+    rotates the pairs of each block, in lexicographic order, in place on
+    Python ``complex`` lists: a rotation rewrites rows ``p`` and ``q`` of
+    the matrix over their block's indices and fills its columns ``p`` and
+    ``q`` by conjugation, so it stays exactly Hermitian, and rotates
+    columns ``p`` and ``q`` of the eigenvectors as rows of their
+    transpose.  Entries off every block are never written, so they stay
+    exactly 0; a dense matrix is one block.
 
     Raises
     ------

@@ -210,8 +210,8 @@ def per_cell_csv(columns, rows):
 
 SPECIAL_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1 + 0.2)
 
-# Repeated often enough that the renderer formats each distinct value once:
-# 0.0 and -0.0 are one dict key with two texts, two NaN objects two keys.
+# Special values, repeated: 0.0 and -0.0 compare equal and print apart, two NaN
+# objects compare unequal.
 REPEATED_SPECIALS = [0.0, -0.0, None, float("nan"), float("nan"), math.inf] * 8
 REPEATED_ONE_ZERO = [-0.0, None, float("nan"), float("nan"), math.inf, 1.5] * 8
 
@@ -230,36 +230,6 @@ REPEATED_ONE_ZERO = [-0.0, None, float("nan"), float("nan"), math.inf, 1.5] * 8
 ))
 def test_render_csv_matches_the_per_cell_format(columns, rows):
     assert render_csv(columns, rows) == per_cell_csv(columns, rows)
-
-
-@pytest.mark.parametrize("column", (
-    [float(k // run) for run in (2, 5, 200) for k in range(run * 9)],
-    *([float(k % period) for k in range(1024)] for period in (1, 2, 33, 64, 200, 256, 512)),
-    [None if k % 300 < 100 else float(k % 300) for k in range(1024)],
-), ids=("runs", "period 1", "period 2", "period 33", "period 64", "period 200", "period 256",
-        "period 512", "None and floats"))
-def test_cells_format_each_value_of_a_repeating_column_once(column, monkeypatch):
-    # JSON's repeat table; CSV cells are covered by test_render_csv_matches_the_per_cell_format
-    json_floats, round12 = cli_module._json_floats, cli_module._round12
-    float_calls, rounded = [], []
-
-    def spy_floats(values):
-        float_calls.append(list(values))
-        return json_floats(values)
-
-    def spy_round12(value):
-        rounded.append(value)
-        return round12(value)
-
-    expected = [json.dumps(_round12(value)) for value in column]
-    monkeypatch.setattr(cli_module, "_json_floats", spy_floats)
-    monkeypatch.setattr(cli_module, "_round12", spy_round12)
-    assert cli_module._json_cells(column) == expected
-    distinct = list(dict.fromkeys(column))
-    if None in distinct:
-        assert (float_calls, rounded) == ([], distinct)
-    else:
-        assert (float_calls, rounded) == ([distinct], [])
 
 
 JSON_META = {"command": "sweep", "model": {"model": "xx", "J": 1.0}, "T": None,
@@ -784,6 +754,19 @@ def test_cli_reads_a_negative_flag_value_in_exponent_form(value, row, capsys):
     assert capsys.readouterr() == (f"T,C_numeric,C_closed\n{row}\n", "")
     assert main(["concurrence", "--model", "xx", f"--J={value}", "--T", "1"]) == 0
     assert capsys.readouterr().out == f"T,C_numeric,C_closed\n{row}\n"
+
+
+def test_cli_reads_a_negative_value_after_the_prefix_of_one_flag(capsys):
+    # only exact flags took a value starting with "-": "--del -1e-2" exited 2 with the usage
+    want = "T,C_numeric,C_closed\n1,0.108985460365,0.108985460365\n"
+    for flags in (["--J", "-1", "--del", "-1e-2"], ["--J", "-1", "--d", "-1e-2"],
+                  ["--J=-1", "--delta=-1e-2"]):
+        assert main(["concurrence", "--model", "xxz", *flags, "--T", "1"]) == 0
+        assert capsys.readouterr() == (want, "")
+    # the exact flag --J wins over --J1, --J2 and --J3, of which it is a prefix
+    assert main(["concurrence", "--model", "xyz", "--J", "-1", "--J2", "1", "--J3", "1",
+                 "--B1", "0", "--B2", "0", "--B3", "0", "--T", "1"]) == 2
+    assert capsys.readouterr().err == "config error: variant 'xyz' requires field 'J1'\n"
 
 
 def test_cli_flags_and_config_lines_give_the_same_json(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,10 @@ from spinthermal import (
     NotHermitian,
     NotPSD,
     build_hamiltonian,
+    concurrence_general,
+    gibbs_density,
     hermitian_eigen,
+    partial_trace,
     psd_sqrt,
 )
 from spinthermal.linalg import degenerate_groups, singular_values
@@ -143,6 +149,71 @@ def test_eigen_matches_lapack():
             # the off-diagonal tolerance, 1e-13 of the norm, bounds the residual
             assert np.abs(h @ v - v * vals).max() <= 1e-12 * scale
             assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-14
+
+
+def block_hermitian(rng, n, blocks):
+    """A random Hermitian ``n x n`` matrix whose entries are nonzero only within ``blocks``."""
+    h = np.zeros((n, n), dtype=complex)
+    for block in blocks:
+        h[np.ix_(block, block)] = random_hermitian(rng, len(block))
+    return h
+
+
+@pytest.mark.parametrize("blocks", (
+    [[0], [1, 2, 4], [3, 5, 6], [7]],  # the ring's total-S^z sectors
+    [[0, 3, 5, 6], [1, 2, 4, 7]],      # the S^z parity blocks of the xyz ring in site-z fields
+), ids=("sz sectors", "parity blocks"))
+def test_eigen_of_non_contiguous_blocks(blocks):
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        h = block_hermitian(rng, 8, blocks)
+        spec = hermitian_eigen(h)
+        vals, v = np.asarray(spec.eigenvalues), np.asarray(spec.eigenvectors)
+        scale = 1.0 + np.abs(vals).max()
+        assert np.abs(vals - np.linalg.eigvalsh(h)).max() <= 1e-14 * scale
+        assert np.abs(h @ v - v * vals).max() <= 1e-12 * scale
+        # each eigenvector lies in one block: its other components are exactly 0
+        for col in v.T:
+            block = next(b for b in blocks if col[b].any())
+            assert (np.delete(col, block) == 0).all()
+
+
+def test_eigen_of_a_dense_matrix_diagonalizes_it():
+    # a dense matrix is one block
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        h = random_hermitian(rng, 8)
+        v = np.asarray(hermitian_eigen(h).eigenvectors)
+        d = v.conj().T @ h @ v
+        # the solver stops at an off-diagonal norm of 1e-13 of the Frobenius norm
+        assert np.linalg.norm(d - np.diag(np.diag(d))) <= 2e-13 * np.linalg.norm(h)
+
+
+def numeric_route_digest():
+    """sha256 of the ``repr`` of the eigenvalues, the Gibbs state and ``C`` of the
+    numeric route over 200 seeded points of the four variants, ``T = 0`` included."""
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for i in range(200):
+        variant = ("xx", "xxz", "xxzfield", "xyz")[i % 4]
+        T = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-2.0, 1.0)
+        names = {"xx": ("J",), "xxz": ("J", "delta"), "xxzfield": ("J", "delta", "B"),
+                 "xyz": ("J1", "J2", "J3", "B1", "B2", "B3")}[variant]
+        fields = {name: rng.uniform(-3.0, 2.0) if name == "delta"
+                  else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.0)
+                  for name in names}
+        spec = ModelSpec(variant, **fields)
+        rho = gibbs_density(spec, T)
+        digest.update(repr((hermitian_eigen(build_hamiltonian(spec)).eigenvalues, rho.mat,
+                            concurrence_general(partial_trace(rho)).C)).encode())
+    return digest.hexdigest()
+
+
+def test_numeric_route_keeps_its_bits():
+    # taken before the solver rotated block by block in place: the same arithmetic
+    # on every in-block entry gives the same eigenvalues, states and C, bit for bit
+    assert numeric_route_digest() == (
+        "09280c824b6e261a1fb905c70b152a414d0beea691cff019c0a8634c78f2027f")
 
 
 def test_singular_values_match_lapack():
@@ -298,3 +369,17 @@ def test_no_convergence_raised_at_sweep_cap(monkeypatch):
         linalg_mod.hermitian_eigen(build_hamiltonian(ModelSpec.xx(1.0)))
     with pytest.raises(NoConvergence, match="after 0 sweeps"):
         linalg_mod.singular_values(I4)
+
+
+@pytest.mark.parametrize("cap", (0, 1))
+def test_no_convergence_raised_while_one_block_is_unconverged(cap, monkeypatch):
+    # blocks {0, 3} and {1, 2, 4}: one sweep settles the 2x2 block, not the 3x3 one
+    import spinthermal.linalg as linalg_mod
+
+    h = block_hermitian(np.random.default_rng(16), 5, [[0, 3], [1, 2, 4]])
+    hermitian_eigen(h)
+    monkeypatch.setattr(linalg_mod, "JACOBI_SWEEP_CAP", cap)
+    with pytest.raises(NoConvergence, match=f"after {cap} sweeps"):
+        linalg_mod.hermitian_eigen(h)
+    if cap:
+        linalg_mod.hermitian_eigen(h[np.ix_([0, 3], [0, 3])])
